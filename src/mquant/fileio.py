@@ -8,8 +8,9 @@ Tensor container layout, little-endian throughout:
     bytes 16-23 cols (u64)
     then        rows*cols float64 payload, row-major
 
-A calibration sample file is one tensor container followed by exactly
-`rows` modality bytes, 0 for a text token row and 1 for a visual token row.
+A sample batch file is a u64 sample count followed by one record per
+sample: a tensor container, then exactly `rows` modality bytes, 0 for a
+text token row and 1 for a visual token row.
 """
 
 from __future__ import annotations
@@ -54,18 +55,6 @@ def tensor_from_bytes(raw: bytes) -> tuple[np.ndarray, int]:
     return check_finite(a, "tensor payload"), need
 
 
-def save_tensor(path, a: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_to_bytes(a))
-
-
-def load_tensor(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    a, used = tensor_from_bytes(raw)
-    if used != len(raw):
-        raise ValueError(f"{path}: {len(raw) - used} trailing bytes after tensor")
-    return a
-
-
 def tensor_to_b64(a: np.ndarray) -> str:
     """Tensor container as base64 text, for embedding in JSON files."""
     return base64.b64encode(tensor_to_bytes(a)).decode("ascii")
@@ -79,40 +68,8 @@ def tensor_from_b64(text: str) -> np.ndarray:
     return a
 
 
-def save_sample(path, tensor: np.ndarray, modality: list[int] | np.ndarray) -> None:
-    """Write one calibration sample: tensor container + per-row modality bytes."""
-    tensor = as_tensor(tensor)
-    mod = np.asarray(modality, dtype=np.int64).reshape(-1)
-    if mod.shape[0] != tensor.shape[0]:
-        raise ValueError(
-            f"modality length {mod.shape[0]} != token count {tensor.shape[0]}"
-        )
-    if not np.isin(mod, (MODALITY_TEXT, MODALITY_VISUAL)).all():
-        raise ValueError("modality bytes must be 0 (text) or 1 (visual)")
-    Path(path).write_bytes(tensor_to_bytes(tensor) + bytes(mod.tolist()))
-
-
-def load_sample(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read one calibration sample, returning (tensor, modality byte array)."""
-    raw = Path(path).read_bytes()
-    tensor, used = tensor_from_bytes(raw)
-    tail = raw[used:]
-    if len(tail) != tensor.shape[0]:
-        raise ValueError(
-            f"{path}: expected {tensor.shape[0]} modality bytes, found {len(tail)}"
-        )
-    mod = np.frombuffer(tail, dtype=np.uint8).astype(np.int64)
-    if not np.isin(mod, (MODALITY_TEXT, MODALITY_VISUAL)).all():
-        raise ValueError(f"{path}: modality bytes must be 0 or 1")
-    return tensor, mod
-
-
 def save_samples(path, samples) -> None:
-    """Write a batch of samples: u64 count, then each sample record.
-
-    A record is one tensor container followed by its per-row modality
-    bytes, the same layout save_sample uses for a single file.
-    """
+    """Write a batch of (tensor, modality) samples in the batch layout."""
     chunks = [struct.pack("<Q", len(samples))]
     for tensor, modality in samples:
         tensor = as_tensor(tensor)

@@ -82,29 +82,3 @@ def incoherence_ratio(w: np.ndarray) -> float:
     w = as_tensor(w)
     _check_pow2(w.shape[0])
     return incoherence(fht(w, axis=0)) / incoherence(w)
-
-
-def first_row_projection_check(w: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Row 0 of H @ w, verified against sqrt(n) * column means.
-
-    The uniform first row of H turns the first output row into scaled column
-    means, which is the identity the outlier split relies on.
-
-    Args:
-        w: weight matrix of shape (n, m) with n a power of two.
-        tol: max absolute deviation tolerated between the two computations.
-
-    Returns:
-        The first row of H @ w, shape (m,).
-    """
-    w = as_tensor(w)
-    n = w.shape[0]
-    _check_pow2(n)
-    row0 = fht(w, axis=0)[0, :]
-    expected = np.sqrt(n) * w.mean(axis=0)
-    err = float(np.abs(row0 - expected).max())
-    if err > tol:
-        raise AssertionError(
-            f"first-row projection mismatch: max deviation {err:.3e} > {tol:.1e}"
-        )
-    return row0

@@ -225,17 +225,19 @@ def copy_model(model: ToyMllm) -> ToyMllm:
 
 # ===== named traversal =====
 
+BLOCK_LINEARS = ("wq", "wk", "wv", "wo", "w_up", "w_down")
+
 
 def iter_linears(model: ToyMllm):
     """Yield (name, Linear) for every projection, in a fixed order."""
     yield "vision_embed", model.vision_embed
     for i, blk in enumerate(model.vision_blocks):
-        for tag in ("wq", "wk", "wv", "wo", "w_up", "w_down"):
+        for tag in BLOCK_LINEARS:
             yield f"vision.{i}.{tag}", getattr(blk, tag)
     yield "projector", model.projector
     yield "text_embed", model.text_embed
     for i, blk in enumerate(model.llm_blocks):
-        for tag in ("wq", "wk", "wv", "wo", "w_up", "w_down"):
+        for tag in BLOCK_LINEARS:
             yield f"llm.{i}.{tag}", getattr(blk, tag)
     yield "head", model.head
 
@@ -464,7 +466,7 @@ def model_to_dict(model: ToyMllm) -> dict:
 
 def model_from_dict(d: dict) -> ToyMllm:
     cfg = ToyMllmConfig(**d["config"])
-    model = build_toy_mllm(cfg)
+    flags = d["flags"]
 
     def lin(name: str) -> Linear:
         w = fileio.tensor_from_b64(d["tensors"][f"{name}.w"])
@@ -482,22 +484,33 @@ def model_from_dict(d: dict) -> ToyMllm:
             ),
         )
 
-    model.vision_embed = lin("vision_embed")
-    model.projector = lin("projector")
-    model.text_embed = lin("text_embed")
-    model.head = lin("head")
-    model.vision_post_norm = norm("vision_post_norm")
-    model.llm_final_norm = norm("llm_final_norm")
-    for part, blocks in (("vision", model.vision_blocks), ("llm", model.llm_blocks)):
-        for i, blk in enumerate(blocks):
-            for tag in ("wq", "wk", "wv", "wo", "w_up", "w_down"):
-                setattr(blk, tag, lin(f"{part}.{i}.{tag}"))
-            blk.attn_norm = norm(f"{part}.{i}.attn_norm")
-            blk.mlp_norm = norm(f"{part}.{i}.mlp_norm")
-            blk.online_fht = d["flags"]["online_fht"].get(f"{part}.{i}", False)
-    model.vision_rotated = d["flags"]["vision_rotated"]
-    model.llm_rotated = d["flags"]["llm_rotated"]
-    model.recentered = d["flags"]["recentered"]
+    def blocks(part: str, count: int, causal: bool) -> list:
+        return [
+            Block(
+                attn_norm=norm(f"{part}.{i}.attn_norm"),
+                mlp_norm=norm(f"{part}.{i}.mlp_norm"),
+                causal=causal,
+                rope=causal,
+                online_fht=flags["online_fht"].get(f"{part}.{i}", False),
+                **{tag: lin(f"{part}.{i}.{tag}") for tag in BLOCK_LINEARS},
+            )
+            for i in range(count)
+        ]
+
+    model = ToyMllm(
+        config=cfg,
+        vision_embed=lin("vision_embed"),
+        vision_blocks=blocks("vision", cfg.vision_blocks, causal=False),
+        vision_post_norm=norm("vision_post_norm"),
+        projector=lin("projector"),
+        text_embed=lin("text_embed"),
+        llm_blocks=blocks("llm", cfg.llm_blocks, causal=True),
+        llm_final_norm=norm("llm_final_norm"),
+        head=lin("head"),
+        vision_rotated=flags["vision_rotated"],
+        llm_rotated=flags["llm_rotated"],
+        recentered=flags["recentered"],
+    )
     expect = d.get("fingerprint")
     actual = model_fingerprint(model)
     if expect is not None and expect != actual:

@@ -244,20 +244,6 @@ def rope_rotate(
     return out
 
 
-def remap_rope(
-    plan: AifsPlan, q: np.ndarray, k: np.ndarray, theta_base: float = 10000.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply rotary phases to reordered q/k using original positions.
-
-    Because each token keeps its original angle, reordered attention scores
-    equal the naturally ordered scores conjugated by the permutation.
-    """
-    return (
-        rope_rotate(q, plan.position_ids, theta_base),
-        rope_rotate(k, plan.position_ids, theta_base),
-    )
-
-
 # ===== attention primitive =====
 
 

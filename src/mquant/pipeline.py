@@ -54,7 +54,6 @@ from .quantizer import (
     SUPPORTED_BITS,
     Granularity,
     QuantParams,
-    QuantizedTensor,
     calibrate_static,
     compute_params_absmax,
     dequantize,
@@ -63,11 +62,10 @@ from .quantizer import (
     params_to_dict,
     quantize,
 )
-from .rms import RmsSplitPlan, build_split_plan, compliance_ratio, rms_forward
+from .rms import build_split_plan, compliance_ratio, rms_forward
 from .rotation import RotationSet, build_rotation_set, rotate_model_offline
-from . import fileio
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 WEIGHT_SOLVER_NOTE = (
     "rtn-absmax: weights snapped to the nearest grid point; "
@@ -202,6 +200,17 @@ def generate_synthetic_samples(
 # ===== calibration =====
 
 
+def _check_header(d: dict, kind: str, what: str) -> None:
+    """Reject a file of another kind or of another layout version."""
+    if d.get("kind") != kind:
+        raise ValueError(f"not a {what} file (kind={d.get('kind')!r})")
+    if d.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"{what} file has schema_version={d.get('schema_version')!r}, "
+            f"this version reads {SCHEMA_VERSION}"
+        )
+
+
 @dataclass
 class CalibrationResult:
     """Frozen activation grids, tied to a specific float model."""
@@ -232,8 +241,7 @@ class CalibrationResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationResult":
-        if d.get("kind") != "calibration":
-            raise ValueError(f"not a calibration file (kind={d.get('kind')!r})")
+        _check_header(d, "calibration", "calibration")
         msq = [
             MsqParams(
                 bits=d["bits_a"],
@@ -254,24 +262,18 @@ class CalibrationResult:
         )
 
 
-def calibrate_pipeline(
-    float_model: ToyMllm, samples: list, pcfg: PipelineConfig
+def calibrate_rotated(
+    work: ToyMllm, fingerprint: str, samples: list, pcfg: PipelineConfig
 ) -> CalibrationResult:
-    """Collect activation grids from float forwards of the rotated model.
+    """Collect activation grids from float forwards of an LLM-rotated model.
 
-    The LLM part is rotated first so block inputs live in their final
-    coordinates; the vision path stays float and untouched, which is the
-    calibration contract for the LLM grids.
+    work has its LLM part rotated, so block inputs live in their final
+    coordinates, and its vision path still float and untouched, which is
+    the calibration contract for the LLM grids.  fingerprint names the
+    float model work was derived from.
     """
     if len(samples) == 0:
         raise ValueError("calibration needs at least one sample")
-    rset = build_rotation_set(
-        pcfg.model.d_model,
-        randomized=pcfg.randomized_rotation,
-        seed=pcfg.rotation_seed,
-    )
-    work, _ = rotate_model_offline(float_model, rset, parts=("llm",))
-
     llm_inputs: list[list] = [[] for _ in work.llm_blocks]
     vision_inputs: list[list] = [[] for _ in work.vision_blocks]
 
@@ -315,7 +317,7 @@ def calibrate_pipeline(
         for i in range(len(work.vision_blocks))
     ]
     return CalibrationResult(
-        fingerprint=model_fingerprint(float_model),
+        fingerprint=fingerprint,
         msq=msq,
         vision_act=vision_act,
         sample_count=len(samples),
@@ -412,8 +414,22 @@ def stage_calibrate(state: QuantizeState, samples: list) -> None:
         "activation calibration must see the float vision path, "
         "but the vision rewrite already ran",
     )
-    state.calib = calibrate_pipeline(state.float_model, samples, state.pcfg)
+    state.calib = calibrate_rotated(
+        state.model, model_fingerprint(state.float_model), samples, state.pcfg
+    )
     state.mark("calibrate")
+
+
+def calibrate_pipeline(
+    float_model: ToyMllm, samples: list, pcfg: PipelineConfig
+) -> CalibrationResult:
+    """Activation grids for float_model, as the quantize pipeline would
+    collect them: rotate the LLM part, then calibrate."""
+    state = new_state(float_model, pcfg)
+    stage_rotate_llm(state)
+    return calibrate_rotated(
+        state.model, model_fingerprint(float_model), samples, pcfg
+    )
 
 
 def stage_set_calibration(state: QuantizeState, calib: CalibrationResult) -> None:
@@ -435,6 +451,11 @@ def stage_set_calibration(state: QuantizeState, calib: CalibrationResult) -> Non
     if calib.aifs != state.pcfg.aifs:
         raise ValueError(
             f"calibration used aifs={calib.aifs}, config says {state.pcfg.aifs}"
+        )
+    if calib.symmetric != state.pcfg.symmetric_activations:
+        raise ValueError(
+            f"calibration used symmetric={calib.symmetric}, config says "
+            f"symmetric_activations={state.pcfg.symmetric_activations}"
         )
     state.calib = calib
     state.mark("calibrate")
@@ -500,20 +521,25 @@ def apply_lossless_stack(
 
 @dataclass
 class QuantizedModel:
-    """Transformed model plus every frozen grid, ready to simulate."""
+    """Transformed model plus every frozen grid, ready to simulate.
+
+    calib is the calibration the model was built from.  msq starts as its
+    LLM block grids and is what forward reads.
+    """
 
     pcfg: PipelineConfig
     float_model: ToyMllm
     model: ToyMllm
     weight_q: dict
     plans: dict
-    msq: list
-    vision_act: list
+    calib: CalibrationResult
     stage_log: list
     counter: ScaleOpCounter = field(default_factory=ScaleOpCounter)
     eff_weights: dict = field(default_factory=dict)
+    msq: list = field(init=False)
 
     def __post_init__(self):
+        self.msq = self.calib.msq
         if not self.eff_weights:
             self.eff_weights = {
                 name: np.ascontiguousarray(dequantize(qt).T)
@@ -554,7 +580,7 @@ class QuantizedModel:
                 return x
             part, idx = name.split(".")[0], int(name.split(".")[1])
             if part == "vision":
-                return fake_quant(x, self.vision_act[idx])
+                return fake_quant(x, self.calib.vision_act[idx])
             if part == "llm":
                 if dynamic:
                     return quantize_dynamic_per_token(
@@ -610,8 +636,7 @@ def mquant_quantize(
         model=state.model,
         weight_q=state.weight_q,
         plans=state.plans,
-        msq=state.calib.msq,
-        vision_act=state.calib.vision_act,
+        calib=state.calib,
         stage_log=list(state.done),
     )
 
@@ -671,7 +696,7 @@ def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
                 {"visual": params_to_dict(m.visual), "text": params_to_dict(m.text)}
                 for m in qm.msq
             ],
-            "vision": [params_to_dict(p) for p in qm.vision_act],
+            "vision": [params_to_dict(p) for p in qm.calib.vision_act],
         },
         "rms_compliance": compliance_ratio(list(qm.plans.values())),
         "counters": {
@@ -725,102 +750,24 @@ def bench(qm: QuantizedModel, lengths: list, seed: int = 0) -> dict:
 # ===== qmodel round trip =====
 
 
-def _plan_to_dict(plan: RmsSplitPlan) -> dict:
-    return {
-        "layer_id": plan.layer_id,
-        "triggered": plan.triggered,
-        "columns": list(plan.columns),
-        "bits": plan.bits,
-        "split_bits": plan.split_bits,
-        "main_weight": fileio.tensor_to_b64(plan.main_weight),
-        "split_row": (
-            fileio.tensor_to_b64(plan.split_row[None, :])
-            if plan.split_row is not None
-            else None
-        ),
-        "main_params": params_to_dict(plan.main_params),
-        "split_params": (
-            params_to_dict(plan.split_params) if plan.split_params is not None else None
-        ),
-    }
-
-
-def _plan_from_dict(d: dict) -> RmsSplitPlan:
-    return RmsSplitPlan(
-        layer_id=d["layer_id"],
-        triggered=d["triggered"],
-        columns=list(d["columns"]),
-        main_weight=fileio.tensor_from_b64(d["main_weight"]),
-        split_row=(
-            fileio.tensor_from_b64(d["split_row"])[0] if d["split_row"] else None
-        ),
-        bits=d["bits"],
-        main_params=params_from_dict(d["main_params"]),
-        split_params=(
-            params_from_dict(d["split_params"]) if d["split_params"] else None
-        ),
-        split_bits=d["split_bits"],
-    )
-
-
 def qmodel_to_dict(qm: QuantizedModel) -> dict:
+    """The three inputs the quantized model is a function of; everything
+    else is re-derived by qmodel_from_dict."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "qmodel",
         "config": qm.pcfg.to_dict(),
         "float_model": model_to_dict(qm.float_model),
-        "model": model_to_dict(qm.model),
-        "weights": {
-            name: {
-                # int32 codes ride in the float64 container; they are exact.
-                "values": fileio.tensor_to_b64(qt.values.astype(np.float64)),
-                "params": params_to_dict(qt.params),
-            }
-            for name, qt in sorted(qm.weight_q.items())
-        },
-        "plans": [_plan_to_dict(p) for _, p in sorted(qm.plans.items())],
-        "msq": [
-            {"visual": params_to_dict(m.visual), "text": params_to_dict(m.text)}
-            for m in qm.msq
-        ],
-        "msq_meta": {
-            "bits": qm.msq[0].bits if qm.msq else qm.pcfg.bits_a,
-            "symmetric": (
-                qm.msq[0].symmetric if qm.msq else qm.pcfg.symmetric_activations
-            ),
-        },
-        "vision_act": [params_to_dict(p) for p in qm.vision_act],
-        "stage_log": list(qm.stage_log),
+        "calibration": qm.calib.to_dict(),
     }
 
 
 def qmodel_from_dict(d: dict) -> QuantizedModel:
-    if d.get("kind") != "qmodel":
-        raise ValueError(f"not a quantized model file (kind={d.get('kind')!r})")
-    pcfg = PipelineConfig.from_dict(d["config"])
-    weight_q = {}
-    for name, entry in d["weights"].items():
-        values = fileio.tensor_from_b64(entry["values"]).astype(np.int32)
-        weight_q[name] = QuantizedTensor(
-            values=values, params=params_from_dict(entry["params"])
-        )
-    meta = d["msq_meta"]
-    msq = [
-        MsqParams(
-            bits=meta["bits"],
-            symmetric=meta["symmetric"],
-            visual=params_from_dict(m["visual"]),
-            text=params_from_dict(m["text"]),
-        )
-        for m in d["msq"]
-    ]
-    return QuantizedModel(
-        pcfg=pcfg,
-        float_model=model_from_dict(d["float_model"]),
-        model=model_from_dict(d["model"]),
-        weight_q=weight_q,
-        plans={p["layer_id"]: _plan_from_dict(p) for p in d["plans"]},
-        msq=msq,
-        vision_act=[params_from_dict(p) for p in d["vision_act"]],
-        stage_log=list(d["stage_log"]),
+    """Re-run the pipeline on the stored float model and calibration, so the
+    calibration's pairing checks apply on every load."""
+    _check_header(d, "qmodel", "quantized model")
+    return mquant_quantize(
+        model_from_dict(d["float_model"]),
+        PipelineConfig.from_dict(d["config"]),
+        calib=CalibrationResult.from_dict(d["calibration"]),
     )

@@ -163,14 +163,6 @@ def rms_forward(
     return check_finite(out, "rms_forward result")
 
 
-def restore_weight(plan: RmsSplitPlan) -> np.ndarray:
-    """Reassemble the full rotated weight from main kernel plus split row."""
-    w = plan.main_weight.copy()
-    if plan.triggered:
-        w[0, :] = plan.split_row
-    return w
-
-
 def compliance_ratio(plans: list[RmsSplitPlan]) -> dict:
     """Trigger statistics grouped by model part.
 

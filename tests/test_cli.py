@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mquant.cli import main
+from mquant.pipeline import qmodel_from_dict
 
 
 @pytest.fixture
@@ -133,6 +134,25 @@ def test_fingerprint_mismatch_fails(workdir, capsys):
     assert "calibration was made for" in capsys.readouterr().err
 
 
+def test_eval_rejects_other_schema_version(workdir, capsys):
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    qmodel = tmp / "q.json"
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("quantize", "--config", cfg, "--model", model,
+        "--samples", samples, "--out", str(qmodel))
+    q = json.loads(qmodel.read_text())
+    q["schema_version"] = 999
+    qmodel.write_text(json.dumps(q))
+    code = run("eval", "--qmodel", str(qmodel), "--samples", samples,
+               "--report", str(tmp / "r.json"))
+    assert code == 2
+    assert "schema_version" in capsys.readouterr().err
+
+
 def test_unknown_config_key_fails(workdir, capsys):
     tmp, _ = workdir
     bad = tmp / "bad.json"
@@ -166,7 +186,7 @@ def test_cli_flag_overrides(workdir):
     q = json.loads((tmp / "q.json").read_text())
     assert q["config"]["bits_w"] == 4
     assert q["config"]["rms"] is False
-    assert q["plans"] == []
+    assert qmodel_from_dict(q).plans == {}
 
 
 def test_gen_model_deterministic(workdir, capsys):

@@ -16,7 +16,6 @@ from mquant.msq_aifs import (
     permuted_mask_oracle,
     quantize_dynamic_per_token,
     quantize_msq,
-    remap_rope,
     rope_rotate,
     standard_causal_mask,
     unified_causal_mask,
@@ -210,7 +209,8 @@ def test_remap_rope_conjugates_scores():
     qn = rope_rotate(q, np.arange(6))
     kn = rope_rotate(k, np.arange(6))
     natural = qn @ kn.T
-    qr, kr = remap_rope(plan, q[plan.perm], k[plan.perm])
+    qr = rope_rotate(q[plan.perm], plan.position_ids)
+    kr = rope_rotate(k[plan.perm], plan.position_ids)
     reordered = qr @ kr.T
     np.testing.assert_allclose(reordered, natural[np.ix_(plan.perm, plan.perm)], atol=1e-12)
 

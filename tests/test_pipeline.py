@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mquant.model import build_toy_mllm, model_fingerprint, model_forward
+from mquant.model import build_toy_mllm, model_fingerprint, model_forward, model_to_dict
 from mquant.msq_aifs import VISUAL, ModalityLayout, layout_from_string
 from mquant.pipeline import (
     CalibrationResult,
@@ -169,10 +169,15 @@ def test_set_calibration_checks_fingerprint(setup):
 def test_set_calibration_checks_settings(setup):
     pcfg, model, samples = setup
     calib = calibrate_pipeline(model, samples, pcfg)
-    state = new_state(model, small_pcfg(bits_a=4))
-    stage_rotate_llm(state)
-    with pytest.raises(ValueError, match="bits_a"):
-        stage_set_calibration(state, calib)
+    for override, field in (
+        ({"bits_a": 4}, "bits_a"),
+        ({"aifs": False}, "aifs"),
+        ({"symmetric_activations": False}, "symmetric"),
+    ):
+        state = new_state(model, small_pcfg(**override))
+        stage_rotate_llm(state)
+        with pytest.raises(ValueError, match=field):
+            stage_set_calibration(state, calib)
 
 
 def test_exactly_one_calibration_source(setup):
@@ -296,7 +301,7 @@ def test_evaluate_report_contents(setup):
     pcfg, model, samples = setup
     qm = mquant_quantize(model, pcfg, samples=samples)
     report = evaluate(qm, samples)
-    assert report["kind"] == "eval" and report["schema_version"] == 1
+    assert report["kind"] == "eval" and report["schema_version"] == 2
     assert "rtn" in report["weight_solver"]
     assert report["config"] == pcfg.to_dict()
     assert report["activation_mode"] == "static_msq"
@@ -346,6 +351,14 @@ def test_calibration_wrong_kind_rejected():
         CalibrationResult.from_dict({"kind": "eval"})
 
 
+def test_calibration_other_schema_version_rejected(setup):
+    pcfg, model, samples = setup
+    d = calibrate_pipeline(model, samples, pcfg).to_dict()
+    d["schema_version"] = 999
+    with pytest.raises(ValueError, match="schema_version"):
+        CalibrationResult.from_dict(d)
+
+
 def test_qmodel_roundtrip_bit_exact(setup):
     pcfg, model, samples = setup
     qm = mquant_quantize(model, pcfg, samples=samples)
@@ -362,3 +375,26 @@ def test_qmodel_roundtrip_bit_exact(setup):
 def test_qmodel_wrong_kind_rejected():
     with pytest.raises(ValueError, match="quantized model"):
         qmodel_from_dict({"kind": "calibration"})
+
+
+def test_qmodel_stores_config_float_model_and_calibration_only(setup):
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
+    assert set(d) == {"schema_version", "kind", "config", "float_model", "calibration"}
+    assert d["calibration"] == calibrate_pipeline(model, samples, pcfg).to_dict()
+
+
+def test_qmodel_other_schema_version_rejected(setup):
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
+    d["schema_version"] = 1
+    with pytest.raises(ValueError, match="schema_version"):
+        qmodel_from_dict(d)
+
+
+def test_qmodel_with_swapped_float_model_fails_on_load(setup):
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
+    d["float_model"] = model_to_dict(build_toy_mllm(small_pcfg(seed=99).model))
+    with pytest.raises(ValueError, match="calibration was made for"):
+        qmodel_from_dict(d)

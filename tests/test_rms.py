@@ -8,7 +8,6 @@ from mquant.rms import (
     build_split_plan,
     compliance_ratio,
     detect_outliers,
-    restore_weight,
     rms_forward,
 )
 
@@ -82,7 +81,9 @@ def test_plan_restores_exact_weight():
     w_rot = fht(w, axis=0)
     plan = build_split_plan("t.1", w_rot, w, bits=8)
     assert plan.triggered
-    np.testing.assert_allclose(restore_weight(plan), w_rot, atol=1e-12)
+    restored = plan.main_weight.copy()
+    restored[0, :] = plan.split_row
+    np.testing.assert_allclose(restored, w_rot, atol=1e-12)
 
 
 def test_plan_consistency_check_rejects_wrong_rotation():

@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .model import build_toy_mllm, model_fingerprint, model_from_dict, model_to_dict
 from .msq_aifs import ModalityLayout

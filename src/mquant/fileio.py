@@ -21,15 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .msq_aifs import TEXT, VISUAL
 from .numerics import as_tensor, check_finite
 
 MAGIC = b"MQNT"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sIQQ")
-
-MODALITY_TEXT = 0
-MODALITY_VISUAL = 1
 
 
 def tensor_to_bytes(a: np.ndarray) -> bytes:
@@ -78,7 +76,7 @@ def save_samples(path, samples) -> None:
             raise ValueError(
                 f"modality length {mod.shape[0]} != token count {tensor.shape[0]}"
             )
-        if not np.isin(mod, (MODALITY_TEXT, MODALITY_VISUAL)).all():
+        if not np.isin(mod, (TEXT, VISUAL)).all():
             raise ValueError("modality bytes must be 0 (text) or 1 (visual)")
         chunks.append(tensor_to_bytes(tensor) + bytes(mod.tolist()))
     Path(path).write_bytes(b"".join(chunks))
@@ -99,7 +97,7 @@ def load_samples(path) -> list[tuple[np.ndarray, np.ndarray]]:
         if len(tail) != tensor.shape[0]:
             raise ValueError(f"{path}: sample {i} modality bytes truncated")
         mod = np.frombuffer(tail, dtype=np.uint8).astype(np.int64)
-        if not np.isin(mod, (MODALITY_TEXT, MODALITY_VISUAL)).all():
+        if not np.isin(mod, (TEXT, VISUAL)).all():
             raise ValueError(f"{path}: sample {i} modality bytes must be 0 or 1")
         offset += tensor.shape[0]
         samples.append((tensor, mod))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,13 +25,15 @@ from scipy.special import erf
 
 from . import fileio
 from .hadamard import fht
-from .msq_aifs import attention_forward
+from .msq_aifs import TEXT, VISUAL, attention_forward, standard_causal_mask
 from .numerics import (
     MASK_FREE,
     NormParams,
     as_tensor,
     check_finite,
+    layer_norm,
     matmul,
+    rms_norm,
 )
 
 THETA_BASE = 10000.0
@@ -299,8 +301,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def norm_forward(norm: Norm, x: np.ndarray) -> np.ndarray:
-    from .numerics import layer_norm, rms_norm
-
     if norm.kind == LAYER_KIND:
         return layer_norm(x, norm.params)
     return rms_norm(x, norm.params)
@@ -380,9 +380,13 @@ def embed_tokens(
         raise ValueError(
             f"modality length {modality.shape[0]} != token count {sample.shape[0]}"
         )
+    if sample.shape[1] != model.config.d_model:
+        raise ValueError(
+            f"sample width {sample.shape[1]} != model d_model {model.config.d_model}"
+        )
     out = np.zeros((sample.shape[0], model.config.d_model))
-    vis_idx = np.flatnonzero(modality == 1)
-    txt_idx = np.flatnonzero(modality == 0)
+    vis_idx = np.flatnonzero(modality == VISUAL)
+    txt_idx = np.flatnonzero(modality == TEXT)
     if vis_idx.size:
         out[vis_idx] = vision_encode(model, sample[vis_idx], hooks)
     if txt_idx.size:
@@ -417,8 +421,6 @@ def model_forward(
     hooks: ForwardHooks | None = None,
 ) -> np.ndarray:
     """Full reference pass in natural token order with a causal mask."""
-    from .msq_aifs import standard_causal_mask
-
     x = embed_tokens(model, sample, modality, hooks)
     length = x.shape[0]
     return llm_stack(
@@ -465,6 +467,12 @@ def model_to_dict(model: ToyMllm) -> dict:
 
 
 def model_from_dict(d: dict) -> ToyMllm:
+    # A model file carries no kind tag; every other artifact does.
+    if "kind" in d:
+        raise ValueError(f"not a model file (kind={d['kind']!r})")
+    missing = [k for k in ("config", "tensors", "norms", "flags") if k not in d]
+    if missing:
+        raise ValueError(f"not a model file: missing sections {missing}")
     cfg = ToyMllmConfig(**d["config"])
     flags = d["flags"]
 

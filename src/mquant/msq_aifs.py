@@ -13,7 +13,7 @@ angle of its original position.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,11 +70,6 @@ class ModalityLayout:
             spans.append((start, len(self) - 1))
         return spans
 
-    def single_span(self) -> tuple[int, int] | None:
-        """The one visual span if there is exactly one, else None."""
-        spans = self.visual_spans()
-        return spans[0] if len(spans) == 1 else None
-
 
 def layout_from_string(text: str) -> ModalityLayout:
     """Shorthand builder: 'tvvt' means text, visual, visual, text."""
@@ -106,6 +101,11 @@ class AifsPlan:
     @property
     def position_ids(self) -> np.ndarray:
         return self.perm
+
+    @property
+    def visual_rows(self) -> np.ndarray:
+        """Row mask of the reordered sequence: True on the visual prefix."""
+        return np.arange(self.perm.shape[0]) < self.m_count
 
 
 def build_aifs_plan(layout: ModalityLayout) -> AifsPlan:
@@ -430,22 +430,21 @@ def calibrate_msq(
 
 def quantize_msq(
     x: np.ndarray,
-    plan,
+    visual_rows: np.ndarray,
     params: MsqParams,
     counter: ScaleOpCounter | None = None,
 ) -> np.ndarray:
-    """Fake-quantize a reordered sequence with its two static segment grids.
+    """Fake-quantize a sequence with its two static segment grids.
 
-    Rows [0, m_count) take the visual grid, the rest the text grid.  Exactly
-    two scale applications are counted per call, the static cost model this
-    mechanism exists for.
+    Rows marked in visual_rows take the visual grid, the rest the text grid.
+    Exactly two scale applications are counted per call, the static cost
+    model this mechanism exists for.
 
     Args:
         x: activations, shape (tokens, d).
-        plan: AifsPlan for the sequence, a bare int giving the visual
-            prefix length (padded batches tag their pad rows visual), or a
-            boolean row mask marking visual rows wherever they sit, for
-            sequences left in their original interleaved order.
+        visual_rows: boolean row mask, shape (tokens,), True on visual rows
+            wherever they sit (a visual-first reorder makes it a prefix;
+            padded batches mark their pad rows visual).
         params: calibrated segment grids.
         counter: optional scale-application counter.
 
@@ -453,28 +452,17 @@ def quantize_msq(
         Fake-quantized tensor, same shape as x.
     """
     x = as_tensor(x)
-    if isinstance(plan, np.ndarray):
-        vis = np.asarray(plan, dtype=bool)
-        if vis.shape != (x.shape[0],):
-            raise ValueError(
-                f"visual row mask has shape {vis.shape}, expected ({x.shape[0]},)"
-            )
-        out = np.empty_like(x)
-        if vis.any():
-            out[vis] = fake_quant(x[vis], params.visual)
-        if not vis.all():
-            out[~vis] = fake_quant(x[~vis], params.text)
-        if counter is not None:
-            counter.bump(2)
-        return out
-    m = plan.m_count if isinstance(plan, AifsPlan) else int(plan)
-    if not (0 <= m <= x.shape[0]):
-        raise ValueError(f"visual prefix {m} outside [0, {x.shape[0]}]")
+    vis = np.asarray(visual_rows)
+    if vis.dtype != np.bool_ or vis.shape != (x.shape[0],):
+        raise ValueError(
+            f"visual row mask must be bool of shape ({x.shape[0]},), "
+            f"got {vis.dtype} of shape {vis.shape}"
+        )
     out = np.empty_like(x)
-    if m > 0:
-        out[:m] = fake_quant(x[:m], params.visual)
-    if m < x.shape[0]:
-        out[m:] = fake_quant(x[m:], params.text)
+    if vis.any():
+        out[vis] = fake_quant(x[vis], params.visual)
+    if not vis.all():
+        out[~vis] = fake_quant(x[~vis], params.text)
     if counter is not None:
         counter.bump(2)
     return out
@@ -503,14 +491,15 @@ class PaddedSeq:
 
     Slots [0, pad) are pad rows that only self-attend; the per-sequence
     reordered mask sits in the bottom-right block.  Pad rows are tagged
-    visual, so the visual prefix for segment quantization is pad + m_count.
+    visual, so visual_rows, the row mask for segment quantization, is True
+    on the first pad + m_count rows.
     """
 
     pad: int
     plan: AifsPlan
     mask: np.ndarray
     position_ids: np.ndarray
-    padded_m_count: int
+    visual_rows: np.ndarray
 
 
 def multibatch_masks(
@@ -559,7 +548,7 @@ def multibatch_masks(
                 plan=plan,
                 mask=mask,
                 position_ids=positions,
-                padded_m_count=pad + plan.m_count,
+                visual_rows=np.arange(l_max) < pad + plan.m_count,
             )
         )
     return out

@@ -8,7 +8,7 @@ finite sentinel instead of -inf so that no operation ever produces NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

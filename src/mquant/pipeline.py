@@ -16,7 +16,7 @@ sequential solver is used, and every report says so.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .model import (
     ForwardHooks,
     ToyMllm,
     ToyMllmConfig,
-    build_toy_mllm,
     embed_tokens,
     iter_linears,
     llm_stack,
@@ -36,7 +35,6 @@ from .model import (
 from .msq_aifs import (
     TEXT,
     VISUAL,
-    AifsPlan,
     ModalityLayout,
     MsqParams,
     ScaleOpCounter,
@@ -53,7 +51,6 @@ from .numerics import as_tensor, matmul
 from .quantizer import (
     SUPPORTED_BITS,
     Granularity,
-    QuantParams,
     calibrate_static,
     compute_params_absmax,
     dequantize,
@@ -211,6 +208,14 @@ def _check_header(d: dict, kind: str, what: str) -> None:
         )
 
 
+def _msq_to_dicts(msq: list) -> list:
+    """LLM block grids as JSON, one {visual, text} pair per block."""
+    return [
+        {"visual": params_to_dict(m.visual), "text": params_to_dict(m.text)}
+        for m in msq
+    ]
+
+
 @dataclass
 class CalibrationResult:
     """Frozen activation grids, tied to a specific float model."""
@@ -232,10 +237,7 @@ class CalibrationResult:
             "bits_a": self.bits_a,
             "symmetric": self.symmetric,
             "aifs": self.aifs,
-            "msq": [
-                {"visual": params_to_dict(m.visual), "text": params_to_dict(m.text)}
-                for m in self.msq
-            ],
+            "msq": _msq_to_dicts(self.msq),
             "vision_act": [params_to_dict(p) for p in self.vision_act],
         }
 
@@ -262,6 +264,23 @@ class CalibrationResult:
         )
 
 
+def _llm_order(
+    layout: ModalityLayout, aifs: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order the LLM stack runs one sequence in.
+
+    Returns (perm, mask, visual_rows): perm[i] is the original index of the
+    token in slot i and is also its rotary position, mask is the causal mask
+    in that order, and visual_rows marks the visual slots.  AIFS runs
+    visual-first, so visual_rows is a prefix; otherwise the natural order.
+    """
+    if aifs:
+        plan = build_aifs_plan(layout)
+        return plan.perm, mask_for_plan(plan), plan.visual_rows
+    length = len(layout)
+    return np.arange(length), standard_causal_mask(length), layout.modality == VISUAL
+
+
 def calibrate_rotated(
     work: ToyMllm, fingerprint: str, samples: list, pcfg: PipelineConfig
 ) -> CalibrationResult:
@@ -286,27 +305,16 @@ def calibrate_rotated(
         return x
 
     hooks = ForwardHooks(act_fn=recorder)
-    reordered_layouts = []
+    run_layouts = []
     for rows, layout in samples:
         x = embed_tokens(work, rows, layout.modality, hooks)
-        if pcfg.aifs:
-            plan = build_aifs_plan(layout)
-            x = x[plan.perm]
-            mask = mask_for_plan(plan)
-            positions = plan.position_ids
-            tags = np.concatenate(
-                [np.full(plan.m_count, VISUAL), np.full(len(layout) - plan.m_count, TEXT)]
-            )
-        else:
-            mask = standard_causal_mask(len(layout))
-            positions = np.arange(len(layout))
-            tags = layout.modality
-        reordered_layouts.append(ModalityLayout(tags))
-        llm_stack(work, x, mask, positions, hooks)
+        perm, mask, _ = _llm_order(layout, pcfg.aifs)
+        run_layouts.append(ModalityLayout(layout.modality[perm]))
+        llm_stack(work, x[perm], mask, perm, hooks)
 
     msq = [
         calibrate_msq(
-            zip(llm_inputs[i], reordered_layouts),
+            zip(llm_inputs[i], run_layouts),
             pcfg.bits_a,
             symmetric=pcfg.symmetric_activations,
         )
@@ -328,8 +336,6 @@ def calibrate_rotated(
 
 
 # ===== staged transform =====
-
-LLM_WEIGHTS = ("wq", "wk", "wv", "wo", "w_up")
 
 
 @dataclass
@@ -561,9 +567,8 @@ class QuantizedModel:
         paths used by the equivalence tests.
         """
         self.counter.reset()
-        layout = ModalityLayout(np.asarray(modality))
-        plan = build_aifs_plan(layout) if self.pcfg.aifs else None
         pcfg = self.pcfg
+        perm, mask, visual_rows = _llm_order(ModalityLayout(modality), pcfg.aifs)
 
         def weight_fn(name: str, w: np.ndarray) -> np.ndarray:
             if weights_on and name in self.eff_weights:
@@ -586,22 +591,13 @@ class QuantizedModel:
                     return quantize_dynamic_per_token(
                         x, pcfg.bits_a, pcfg.symmetric_activations, self.counter
                     )
-                seg = plan if plan is not None else (layout.modality == VISUAL)
-                return quantize_msq(x, seg, self.msq[idx], self.counter)
+                return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
             return x
 
         hooks = ForwardHooks(weight_fn=weight_fn, act_fn=act_fn, down_fn=down_fn)
         x = embed_tokens(self.model, sample, modality, hooks)
-        if plan is not None:
-            x = x[plan.perm]
-            mask = mask_for_plan(plan)
-            positions = plan.position_ids
-        else:
-            mask = standard_causal_mask(x.shape[0])
-            positions = np.arange(x.shape[0])
-        out = llm_stack(self.model, x, mask, positions, hooks)
-        if plan is not None:
-            out = out[plan.inverse]
+        out = np.empty_like(x)
+        out[perm] = llm_stack(self.model, x[perm], mask, perm, hooks)
         return out
 
 
@@ -692,10 +688,7 @@ def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
             name: params_to_dict(qt.params) for name, qt in sorted(qm.weight_q.items())
         },
         "activations": {
-            "msq": [
-                {"visual": params_to_dict(m.visual), "text": params_to_dict(m.text)}
-                for m in qm.msq
-            ],
+            "msq": _msq_to_dicts(qm.msq),
             "vision": [params_to_dict(p) for p in qm.calib.vision_act],
         },
         "rms_compliance": compliance_ratio(list(qm.plans.values())),

@@ -11,7 +11,7 @@ main kernel's per-channel scales are not stretched by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -368,7 +368,7 @@ def test_padded_batch_members_match_their_unpadded_runs():
     for (x, layout), ps in zip(calib, batch):
         x_r = x[ps.plan.perm]
         alone = attention_forward(
-            quantize_msq(x_r, ps.plan, params),
+            quantize_msq(x_r, ps.plan.visual_rows, params),
             ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
             n_heads=heads,
             mask=mask_for_plan(ps.plan),
@@ -376,7 +376,7 @@ def test_padded_batch_members_match_their_unpadded_runs():
         )
         x_pad = np.vstack([np.zeros((ps.pad, d)), x_r])
         padded = attention_forward(
-            quantize_msq(x_pad, ps.padded_m_count, params),
+            quantize_msq(x_pad, ps.visual_rows, params),
             ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
             n_heads=heads,
             mask=ps.mask,

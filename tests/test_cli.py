@@ -201,3 +201,42 @@ def test_gen_model_deterministic(workdir, capsys):
     a = json.loads((tmp / "m1.json").read_text())
     b = json.loads((tmp / "m2.json").read_text())
     assert a == b
+
+
+@pytest.mark.parametrize("artifact", ["qmodel", "calibration"])
+def test_other_artifact_as_model_fails(workdir, capsys, artifact):
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    paths = {"qmodel": str(tmp / "q.json"), "calibration": str(tmp / "c.json")}
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("calibrate", "--config", cfg, "--model", model,
+        "--samples", samples, "--out", paths["calibration"])
+    run("quantize", "--config", cfg, "--model", model,
+        "--calib", paths["calibration"], "--out", paths["qmodel"])
+    capsys.readouterr()
+    code = run("quantize", "--config", cfg, "--model", paths[artifact],
+               "--samples", samples, "--out", str(tmp / "q2.json"))
+    assert code == 2
+    assert f"not a model file (kind='{artifact}')" in capsys.readouterr().err
+
+
+def test_eval_rejects_samples_of_another_width(workdir, capsys):
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    wide = str(tmp / "wide.mqs")
+    qmodel = str(tmp / "q.json")
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("gen-samples", "--out", wide, "--count", "2", "--length", "6",
+        "--d-model", "32")
+    run("quantize", "--config", cfg, "--model", model,
+        "--samples", samples, "--out", qmodel)
+    code = run("eval", "--qmodel", qmodel, "--samples", wide,
+               "--report", str(tmp / "r.json"))
+    assert code == 2
+    assert "sample width 32 != model d_model 16" in capsys.readouterr().err

@@ -179,3 +179,8 @@ def test_model_dict_tamper_detected():
     d["fingerprint"] = "0" * 16
     with pytest.raises(ValueError, match="fingerprint"):
         model_from_dict(d)
+
+
+def test_model_from_dict_names_missing_sections():
+    with pytest.raises(ValueError, match=r"missing sections \['tensors', 'norms'\]"):
+        model_from_dict({"config": {}, "flags": {}})

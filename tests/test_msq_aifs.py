@@ -56,8 +56,6 @@ def test_visual_spans():
     assert layout_from_string("tvvtvt").visual_spans() == [(1, 2), (4, 4)]
     assert layout_from_string("vvv").visual_spans() == [(0, 2)]
     assert layout_from_string("ttt").visual_spans() == []
-    assert layout_from_string("tvvt").single_span() == (1, 2)
-    assert layout_from_string("tvtv").single_span() is None
 
 
 def test_plan_tvvt():
@@ -66,6 +64,7 @@ def test_plan_tvvt():
     np.testing.assert_array_equal(plan.inverse, [2, 0, 1, 3])
     assert plan.m_count == 2
     np.testing.assert_array_equal(plan.position_ids, plan.perm)
+    np.testing.assert_array_equal(plan.visual_rows, [True, True, False, False])
 
 
 def test_plan_is_stable():
@@ -308,9 +307,9 @@ def test_quantize_msq_counts_two_ops():
     counter = ScaleOpCounter()
     x, layout = samples[0]
     plan = build_aifs_plan(layout)
-    quantize_msq(x[plan.perm], plan, params, counter)
+    quantize_msq(x[plan.perm], plan.visual_rows, params, counter)
     assert counter.scale_ops == 2
-    quantize_msq(x[plan.perm], plan, params, counter)
+    quantize_msq(x[plan.perm], plan.visual_rows, params, counter)
     assert counter.scale_ops == 4
 
 
@@ -321,7 +320,7 @@ def test_quantize_msq_applies_segment_grids():
     x, layout = samples[1]
     plan = build_aifs_plan(layout)
     xr = x[plan.perm]
-    out = quantize_msq(xr, plan, params)
+    out = quantize_msq(xr, plan.visual_rows, params)
     m = plan.m_count
     np.testing.assert_array_equal(out[:m], fake_quant(xr[:m], params.visual))
     np.testing.assert_array_equal(out[m:], fake_quant(xr[m:], params.text))
@@ -335,21 +334,23 @@ def test_quantize_msq_mask_matches_prefix_form():
     params = calibrate_msq(samples, bits=8)
     x, layout = samples[2]
     plan = build_aifs_plan(layout)
-    prefix = quantize_msq(x[plan.perm], plan, params)[plan.inverse]
+    prefix = quantize_msq(x[plan.perm], plan.visual_rows, params)[plan.inverse]
     scattered = quantize_msq(x, layout.modality == VISUAL, params)
     assert np.array_equal(prefix, scattered)
 
 
-def test_quantize_msq_integer_prefix_and_bounds():
+def test_quantize_msq_uniform_masks_and_mask_checks():
     rng = np.random.default_rng(13)
     params = calibrate_msq(designed_stream(rng), bits=8)
     x = rng.normal(size=(4, 4))
-    out_all_text = quantize_msq(x, 0, params)
+    out_all_text = quantize_msq(x, np.zeros(4, dtype=bool), params)
     np.testing.assert_array_equal(out_all_text, fake_quant(x, params.text))
-    out_all_vis = quantize_msq(x, 4, params)
+    out_all_vis = quantize_msq(x, np.ones(4, dtype=bool), params)
     np.testing.assert_array_equal(out_all_vis, fake_quant(x, params.visual))
-    with pytest.raises(ValueError, match="prefix"):
-        quantize_msq(x, 5, params)
+    with pytest.raises(ValueError, match="mask"):
+        quantize_msq(x, 2, params)
+    with pytest.raises(ValueError, match="mask"):
+        quantize_msq(x, np.array([1, 1, 0, 0]), params)
     with pytest.raises(ValueError, match="mask"):
         quantize_msq(x, np.array([True, False]), params)
 
@@ -372,7 +373,7 @@ def test_static_cost_is_length_free():
     for length in (1, 16, 128):
         counter = ScaleOpCounter()
         x = rng.normal(size=(length, 4))
-        quantize_msq(x, min(length, 3), params, counter)
+        quantize_msq(x, np.arange(length) < 3, params, counter)
         assert counter.scale_ops == 2
 
 
@@ -395,7 +396,8 @@ def test_multibatch_mask_structure():
     # pads take position 0, real tokens keep original positions
     np.testing.assert_array_equal(ps.position_ids[:2], [0, 0])
     np.testing.assert_array_equal(ps.position_ids[2:], ps.plan.position_ids)
-    assert ps.padded_m_count == 2 + 1
+    # pads count as visual, then the real visual-first prefix
+    np.testing.assert_array_equal(ps.visual_rows, [True, True, True, False, False])
 
 
 def test_multibatch_validation():
@@ -439,6 +441,6 @@ def test_padded_segment_quantization_uses_padded_prefix():
     batch = multibatch_masks([2, 4], layouts)
     ps = batch[0]
     x_pad = np.vstack([np.zeros((ps.pad, 4)), rng.normal(size=(2, 4))])
-    out = quantize_msq(x_pad, ps.padded_m_count, params)
+    out = quantize_msq(x_pad, ps.visual_rows, params)
     # pad zeros quantize to zero on any grid, so they stay inert
     np.testing.assert_array_equal(out[: ps.pad], 0.0)

@@ -286,6 +286,16 @@ def test_passthrough_matches_transformed_float(setup):
     np.testing.assert_allclose(out, ref, atol=1e-9)
 
 
+def test_natural_order_passthrough_is_the_float_forward(setup):
+    """With AIFS off, the pass-through path runs model_forward's order, mask
+    and positions, so it reproduces it bit for bit."""
+    pcfg, model, samples = setup
+    qm = mquant_quantize(model, small_pcfg(aifs=False, rms=False), samples=samples)
+    for rows, layout in samples:
+        out = qm.forward(rows, layout.modality, weights_on=False, acts_on=False)
+        assert np.array_equal(out, model_forward(qm.model, rows, layout.modality))
+
+
 # ===== evaluate / bench =====
 
 

@@ -42,7 +42,7 @@ from .msq_aifs import (
 )
 from .model import ToyMllm, ToyMllmConfig, build_toy_mllm, model_forward
 from .norm_rewrite import preln_to_rmsnorm
-from .rotation import RotationSet, build_rotation_set, rotate_model_offline
+from .rotation import rotate_model_offline
 from .pipeline import (
     CalibrationResult,
     PipelineConfig,

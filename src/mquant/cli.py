@@ -54,11 +54,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-aifs", action="store_true", help="keep sequences in original order"
     )
-    p.add_argument(
-        "--randomized-rotation",
-        action="store_true",
-        help="sign-randomized rotations (also forces splits off)",
-    )
     p.add_argument("--seed", type=int, help="model build seed override")
 
 
@@ -72,8 +67,6 @@ def _build_pcfg(args: argparse.Namespace) -> PipelineConfig:
         d["rms"] = False
     if getattr(args, "no_aifs", False):
         d["aifs"] = False
-    if getattr(args, "randomized_rotation", False):
-        d["randomized_rotation"] = True
     if getattr(args, "seed", None) is not None:
         d["seed"] = args.seed
     return PipelineConfig.from_dict(d)

@@ -130,7 +130,6 @@ class Block:
     mlp_norm: Norm
     w_up: Linear
     w_down: Linear
-    causal: bool
     rope: bool
     online_fht: bool = False
 
@@ -146,9 +145,6 @@ class ToyMllm:
     llm_blocks: list
     llm_final_norm: Norm
     head: Linear
-    vision_rotated: bool = False
-    llm_rotated: bool = False
-    recentered: bool = False
 
 
 # ===== construction =====
@@ -167,7 +163,7 @@ def _norm(rng, kind: str, d: int) -> Norm:
     return Norm(kind=kind, params=NormParams(alpha=alpha, beta=beta, eps=1e-6))
 
 
-def _block(rng, cfg: ToyMllmConfig, kind: str, causal: bool, down: Linear) -> Block:
+def _block(rng, cfg: ToyMllmConfig, kind: str, rope: bool, down: Linear) -> Block:
     d = cfg.d_model
     std = d ** -0.5
     return Block(
@@ -179,8 +175,7 @@ def _block(rng, cfg: ToyMllmConfig, kind: str, causal: bool, down: Linear) -> Bl
         mlp_norm=_norm(rng, kind, d),
         w_up=_linear(rng, d, cfg.d_ff, std),
         w_down=down,
-        causal=causal,
-        rope=causal,
+        rope=rope,
     )
 
 
@@ -201,11 +196,11 @@ def build_toy_mllm(cfg: ToyMllmConfig) -> ToyMllm:
         return lin
 
     vision_blocks = [
-        _block(rng, cfg, LAYER_KIND, causal=False, down=vision_down())
+        _block(rng, cfg, LAYER_KIND, rope=False, down=vision_down())
         for _ in range(cfg.vision_blocks)
     ]
     llm_blocks = [
-        _block(rng, cfg, RMS_KIND, causal=True, down=llm_down())
+        _block(rng, cfg, RMS_KIND, rope=True, down=llm_down())
         for _ in range(cfg.llm_blocks)
     ]
     return ToyMllm(
@@ -449,9 +444,6 @@ def model_to_dict(model: ToyMllm) -> dict:
             "eps": norm.params.eps,
         }
     flags = {
-        "vision_rotated": model.vision_rotated,
-        "llm_rotated": model.llm_rotated,
-        "recentered": model.recentered,
         "online_fht": {
             f"vision.{i}": blk.online_fht for i, blk in enumerate(model.vision_blocks)
         }
@@ -492,13 +484,12 @@ def model_from_dict(d: dict) -> ToyMllm:
             ),
         )
 
-    def blocks(part: str, count: int, causal: bool) -> list:
+    def blocks(part: str, count: int, rope: bool) -> list:
         return [
             Block(
                 attn_norm=norm(f"{part}.{i}.attn_norm"),
                 mlp_norm=norm(f"{part}.{i}.mlp_norm"),
-                causal=causal,
-                rope=causal,
+                rope=rope,
                 online_fht=flags["online_fht"].get(f"{part}.{i}", False),
                 **{tag: lin(f"{part}.{i}.{tag}") for tag in BLOCK_LINEARS},
             )
@@ -508,16 +499,13 @@ def model_from_dict(d: dict) -> ToyMllm:
     model = ToyMllm(
         config=cfg,
         vision_embed=lin("vision_embed"),
-        vision_blocks=blocks("vision", cfg.vision_blocks, causal=False),
+        vision_blocks=blocks("vision", cfg.vision_blocks, rope=False),
         vision_post_norm=norm("vision_post_norm"),
         projector=lin("projector"),
         text_embed=lin("text_embed"),
-        llm_blocks=blocks("llm", cfg.llm_blocks, causal=True),
+        llm_blocks=blocks("llm", cfg.llm_blocks, rope=True),
         llm_final_norm=norm("llm_final_norm"),
         head=lin("head"),
-        vision_rotated=flags["vision_rotated"],
-        llm_rotated=flags["llm_rotated"],
-        recentered=flags["recentered"],
     )
     expect = d.get("fingerprint")
     actual = model_fingerprint(model)

@@ -74,8 +74,8 @@ def preln_to_rmsnorm(model: ToyMllm) -> ToyMllm:
     and RMS normalization computes the same thing.
 
     Applying the rewrite twice is a no-op: folded norms are already RMS kind
-    and skipped, and recentering an already-recentered weight subtracts a
-    row mean that is zero up to roundoff.
+    and skipped, and recentering a weight a second time subtracts a row
+    mean that is zero up to roundoff.
 
     Args:
         model: any ToyMllm; only the vision part is touched.
@@ -101,5 +101,4 @@ def preln_to_rmsnorm(model: ToyMllm) -> ToyMllm:
         blk.attn_norm.kind = RMS_KIND
         blk.mlp_norm.kind = RMS_KIND
     out.vision_post_norm.kind = RMS_KIND
-    out.recentered = True
     return out

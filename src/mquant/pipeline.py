@@ -16,7 +16,7 @@ sequential solver is used, and every report says so.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .quantizer import (
     quantize,
 )
 from .rms import build_split_plan, compliance_ratio, rms_forward
-from .rotation import RotationSet, build_rotation_set, rotate_model_offline
+from .rotation import rotate_model_offline
 
 SCHEMA_VERSION = 2
 
@@ -84,8 +84,6 @@ class PipelineConfig:
     symmetric_activations: bool = True
     rms: bool = True
     aifs: bool = True
-    randomized_rotation: bool = False
-    rotation_seed: int = 0
     split_bits: int | None = None
 
     def __post_init__(self):
@@ -105,36 +103,17 @@ class PipelineConfig:
                 f"split_bits must be one of {SUPPORTED_BITS} or null, got {self.split_bits}"
             )
 
-    @property
-    def rms_effective(self) -> bool:
-        # The randomized rotation breaks the positive-mean assumption the
-        # outlier trigger relies on, so it forces the split off.
-        return self.rms and not self.randomized_rotation
+    @classmethod
+    def _quant_keys(cls) -> list:
+        return [f.name for f in fields(cls) if f.name != "model"]
 
     def to_dict(self) -> dict:
-        d = self.model.to_dict()
-        d.update(
-            bits_w=self.bits_w,
-            bits_a=self.bits_a,
-            weight_granularity=self.weight_granularity,
-            group_size=self.group_size,
-            symmetric_activations=self.symmetric_activations,
-            rms=self.rms,
-            aifs=self.aifs,
-            randomized_rotation=self.randomized_rotation,
-            rotation_seed=self.rotation_seed,
-            split_bits=self.split_bits,
-        )
-        return d
+        return self.model.to_dict() | {k: getattr(self, k) for k in self._quant_keys()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         model_keys = set(ToyMllmConfig().to_dict())
-        quant_keys = {
-            "bits_w", "bits_a", "weight_granularity", "group_size",
-            "symmetric_activations", "rms", "aifs",
-            "randomized_rotation", "rotation_seed", "split_bits",
-        }
+        quant_keys = set(cls._quant_keys())
         unknown = set(d) - model_keys - quant_keys
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -343,7 +322,6 @@ class QuantizeState:
     pcfg: PipelineConfig
     float_model: ToyMllm
     model: ToyMllm
-    rset: RotationSet
     snapshots: dict = field(default_factory=dict)
     weight_q: dict = field(default_factory=dict)
     calib: CalibrationResult | None = None
@@ -368,18 +346,11 @@ class QuantizeState:
 
 
 def new_state(float_model: ToyMllm, pcfg: PipelineConfig) -> QuantizeState:
-    rset = build_rotation_set(
-        pcfg.model.d_model,
-        randomized=pcfg.randomized_rotation,
-        seed=pcfg.rotation_seed,
-    )
-    return QuantizeState(
-        pcfg=pcfg, float_model=float_model, model=float_model, rset=rset
-    )
+    return QuantizeState(pcfg=pcfg, float_model=float_model, model=float_model)
 
 
 def stage_rotate_llm(state: QuantizeState) -> None:
-    state.model, snaps = rotate_model_offline(state.model, state.rset, parts=("llm",))
+    state.model, snaps = rotate_model_offline(state.model, parts=("llm",))
     state.snapshots.update(snaps)
     state.mark("rotate_llm")
 
@@ -407,7 +378,7 @@ def stage_quantize_llm_weights(state: QuantizeState) -> None:
         part = name.split(".")[0]
         if part not in ("llm", "text_embed", "head"):
             continue
-        if name.endswith(".w_down") and state.pcfg.rms_effective:
+        if name.endswith(".w_down") and state.pcfg.rms:
             continue  # covered by its split plan
         _quantize_weight(state, name, lin.w)
     state.mark("quantize_llm_weights")
@@ -474,7 +445,7 @@ def stage_vision_rewrite(state: QuantizeState) -> None:
 
 def stage_rotate_vision(state: QuantizeState) -> None:
     state.require("vision_rewrite")
-    state.model, snaps = rotate_model_offline(state.model, state.rset, parts=("vision",))
+    state.model, snaps = rotate_model_offline(state.model, parts=("vision",))
     state.snapshots.update(snaps)
     state.mark("rotate_vision")
 
@@ -485,7 +456,7 @@ def stage_quantize_vision_weights(state: QuantizeState) -> None:
         part = name.split(".")[0]
         if part not in ("vision", "vision_embed", "projector"):
             continue
-        if name.endswith(".w_down") and state.pcfg.rms_effective:
+        if name.endswith(".w_down") and state.pcfg.rms:
             continue
         _quantize_weight(state, name, lin.w)
     state.mark("quantize_vision_weights")
@@ -493,10 +464,8 @@ def stage_quantize_vision_weights(state: QuantizeState) -> None:
 
 def stage_build_rms_plans(state: QuantizeState) -> None:
     state.require("rotate_llm", "rotate_vision")
-    if not state.pcfg.rms_effective:
-        raise ValueError(
-            "split plans are disabled (rms off or randomized rotation active)"
-        )
+    if not state.pcfg.rms:
+        raise ValueError("split plans are disabled (rms off)")
     for name, lin in iter_linears(state.model):
         if not name.endswith(".w_down"):
             continue
@@ -510,16 +479,14 @@ def stage_build_rms_plans(state: QuantizeState) -> None:
     state.mark("build_rms_plans")
 
 
-def apply_lossless_stack(
-    float_model: ToyMllm, pcfg: PipelineConfig
-) -> tuple[ToyMllm, RotationSet, dict]:
+def apply_lossless_stack(float_model: ToyMllm, pcfg: PipelineConfig) -> ToyMllm:
     """Rewrite plus both rotations, no quantization: the float-equivalent
-    transform stack.  Returns (transformed model, rotations, snapshots)."""
+    transform stack."""
     state = new_state(float_model, pcfg)
     stage_rotate_llm(state)
     stage_vision_rewrite(state)
     stage_rotate_vision(state)
-    return state.model, state.rset, state.snapshots
+    return state.model
 
 
 # ===== quantized model =====
@@ -610,10 +577,12 @@ def mquant_quantize(
     """Run the full staged pipeline and assemble the quantized model.
 
     Exactly one of samples (calibrate here) or calib (precomputed grids)
-    must be provided.
+    must be provided.  The model part of pcfg is replaced by the config of
+    float_model, so the quantized model echoes the model it holds.
     """
     if (samples is None) == (calib is None):
         raise ValueError("provide exactly one of samples or calib")
+    pcfg = replace(pcfg, model=float_model.config)
     state = new_state(float_model, pcfg)
     stage_rotate_llm(state)
     stage_quantize_llm_weights(state)
@@ -624,7 +593,7 @@ def mquant_quantize(
     stage_vision_rewrite(state)
     stage_rotate_vision(state)
     stage_quantize_vision_weights(state)
-    if pcfg.rms_effective:
+    if pcfg.rms:
         stage_build_rms_plans(state)
     return QuantizedModel(
         pcfg=pcfg,
@@ -717,7 +686,7 @@ def bench(qm: QuantizedModel, lengths: list, seed: int = 0) -> dict:
     entries = []
     for length in lengths:
         sample, layout = generate_synthetic_samples(
-            1, int(length), seed=seed + int(length), d_model=qm.pcfg.model.d_model
+            1, int(length), seed=seed + int(length), d_model=qm.model.config.d_model
         )[0]
         entry = {"length": int(length)}
         for mode, dynamic in (("static", False), ("dynamic", True)):

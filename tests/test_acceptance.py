@@ -262,7 +262,7 @@ def test_rewritten_and_rotated_model_matches_float_reference():
     within 1e-5 of the untouched model, end to end."""
     pcfg = PipelineConfig(model=ToyMllmConfig())
     model = build_toy_mllm(pcfg.model)
-    transformed, _, _ = apply_lossless_stack(model, pcfg)
+    transformed = apply_lossless_stack(model, pcfg)
     for tensor, layout in generate_synthetic_samples(6, 12, seed=7):
         ref = model_forward(model, tensor, layout.modality)
         got = model_forward(transformed, tensor, layout.modality)

@@ -240,3 +240,27 @@ def test_eval_rejects_samples_of_another_width(workdir, capsys):
                "--report", str(tmp / "r.json"))
     assert code == 2
     assert "sample width 32 != model d_model 16" in capsys.readouterr().err
+
+
+def test_model_width_comes_from_the_model_not_the_config(workdir):
+    """A 16-wide model quantizes, evaluates and benches without --config
+    (whose defaults say 64 wide), and the qmodel echoes the config of the
+    model it holds, including a --seed that does not match the model."""
+    tmp, cfg = workdir
+    model = str(tmp / "m16.json")
+    samples = str(tmp / "s16.mqs")
+    qmodel = tmp / "q.json"
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "3", "--length", "6",
+        "--d-model", "16")
+    assert run("quantize", "--model", model, "--samples", samples,
+               "--seed", "5", "--out", str(qmodel)) == 0
+    assert run("eval", "--qmodel", str(qmodel), "--samples", samples,
+               "--report", str(tmp / "r.json")) == 0
+    assert run("bench", "--qmodel", str(qmodel), "--lengths", "1,8",
+               "--report", str(tmp / "b.json")) == 0
+    q = json.loads(qmodel.read_text())
+    assert q["config"]["d_model"] == 16
+    assert q["config"]["seed"] == q["float_model"]["config"]["seed"] == 0
+    rep = json.loads((tmp / "r.json").read_text())
+    assert rep["config"] == q["config"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,19 @@ def test_model_dict_tamper_detected():
 def test_model_from_dict_names_missing_sections():
     with pytest.raises(ValueError, match=r"missing sections \['tensors', 'norms'\]"):
         model_from_dict({"config": {}, "flags": {}})
+
+
+def test_model_file_with_old_part_flags_still_loads():
+    """Older model files also carry vision_rotated, llm_rotated and
+    recentered beside the per-block online_fht map.  They load to the same
+    model, and a fresh save drops them."""
+    model = build_toy_mllm(small_config())
+    d = model_to_dict(model)
+    old = json.loads(json.dumps(d))
+    old["flags"].update(vision_rotated=False, llm_rotated=True, recentered=False)
+    old["flags"]["online_fht"]["llm.0"] = True
+    restored = model_from_dict(old)
+    assert model_fingerprint(restored) == d["fingerprint"]
+    assert restored.llm_blocks[0].online_fht
+    assert not restored.vision_blocks[0].online_fht
+    assert set(model_to_dict(restored)["flags"]) == {"online_fht"}

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from mquant.model import build_toy_mllm, model_fingerprint, model_forward, model_to_dict
+from mquant.model import (
+    ToyMllmConfig,
+    build_toy_mllm,
+    model_fingerprint,
+    model_forward,
+    model_to_dict,
+)
 from mquant.msq_aifs import VISUAL, ModalityLayout, layout_from_string
 from mquant.pipeline import (
     CalibrationResult,
@@ -67,10 +73,21 @@ def test_config_roundtrip():
     assert again.to_dict() == pcfg.to_dict()
 
 
-def test_randomized_rotation_forces_splits_off():
-    pcfg = small_pcfg(randomized_rotation=True)
-    assert pcfg.rms and not pcfg.rms_effective
-    assert small_pcfg().rms_effective
+def test_config_rejects_removed_rotation_keys():
+    """The sign-randomized rotation is gone; a config still asking for it
+    is rejected with the key named, not silently run with plain H."""
+    with pytest.raises(ValueError, match="randomized_rotation"):
+        PipelineConfig.from_dict({"randomized_rotation": True})
+
+
+def test_config_dict_keys_follow_fields():
+    """One list of keys: the model's, then every quantization field in
+    declaration order."""
+    keys = list(PipelineConfig().to_dict())
+    assert keys == list(ToyMllmConfig().to_dict()) + [
+        "bits_w", "bits_a", "weight_granularity", "group_size",
+        "symmetric_activations", "rms", "aifs", "split_bits",
+    ]
 
 
 # ===== synthetic samples =====
@@ -203,7 +220,7 @@ def test_stage_log_order(setup):
 
 def test_lossless_stack_preserves_forward(setup):
     pcfg, model, samples = setup
-    transformed, _, _ = apply_lossless_stack(model, pcfg)
+    transformed = apply_lossless_stack(model, pcfg)
     for rows, layout in samples[:3]:
         a = model_forward(model, rows, layout.modality)
         b = model_forward(transformed, rows, layout.modality)

@@ -54,10 +54,13 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-aifs", action="store_true", help="keep sequences in original order"
     )
-    p.add_argument("--seed", type=int, help="model build seed override")
+    p.add_argument(
+        "--seed", type=int, help="model build seed; must match the model's when one is loaded"
+    )
 
 
-def _build_pcfg(args: argparse.Namespace) -> PipelineConfig:
+def _config_dict(args: argparse.Namespace) -> dict:
+    """The --config file with the command line flags laid over it."""
     d = _read_json(args.config) if getattr(args, "config", None) else {}
     for key in ("bits_w", "bits_a", "weight_granularity", "group_size", "split_bits"):
         val = getattr(args, key, None)
@@ -69,7 +72,22 @@ def _build_pcfg(args: argparse.Namespace) -> PipelineConfig:
         d["aifs"] = False
     if getattr(args, "seed", None) is not None:
         d["seed"] = args.seed
-    return PipelineConfig.from_dict(d)
+    return d
+
+
+def _pcfg_for_model(args: argparse.Namespace, model) -> PipelineConfig:
+    """Config for a command that runs on a stored model.  The model comes
+    from its file, so a model key given in --config or by a flag (--seed)
+    must agree with the model's own config instead of being dropped."""
+    d = _config_dict(args)
+    pcfg = PipelineConfig.from_dict(d)
+    have = model.config.to_dict()
+    for key in sorted(set(d) & set(have)):
+        if d[key] != have[key]:
+            raise ValueError(
+                f"config {key}={d[key]!r} disagrees with the model's {key}={have[key]!r}"
+            )
+    return pcfg
 
 
 def _load_model(path):
@@ -90,7 +108,7 @@ def _load_samples(path) -> list:
 
 
 def cmd_gen_model(args: argparse.Namespace) -> int:
-    pcfg = _build_pcfg(args)
+    pcfg = PipelineConfig.from_dict(_config_dict(args))
     model = build_toy_mllm(pcfg.model)
     _write_json(args.out, model_to_dict(model))
     print(f"wrote {args.out} (fingerprint {model_fingerprint(model)})")
@@ -113,8 +131,8 @@ def cmd_gen_samples(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    pcfg = _build_pcfg(args)
     model = _load_model(args.model)
+    pcfg = _pcfg_for_model(args, model)
     samples = _load_samples(args.samples)
     calib = calibrate_pipeline(model, samples, pcfg)
     _write_json(args.out, calib.to_dict())
@@ -126,8 +144,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    pcfg = _build_pcfg(args)
     model = _load_model(args.model)
+    pcfg = _pcfg_for_model(args, model)
     if (args.calib is None) == (args.samples is None):
         raise ValueError("provide exactly one of --calib or --samples")
     if args.calib is not None:

@@ -32,7 +32,9 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
 
     Equivalent to multiplying by walsh_hadamard(n) on that axis: axis=0
     computes H @ x, axis=1 computes x @ H (H is symmetric).  The axis length
-    must be a power of two.
+    must be a power of two.  Each stage runs its butterflies as one
+    vectorized add and subtract; the adds are the ones of the per-block
+    loop, so the result equals it bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     vec = x.ndim == 1
@@ -43,15 +45,17 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
     if axis not in (0, 1, -1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     work = x.copy() if axis == 0 else x.T.copy()
-    n = work.shape[0]
+    n, cols = work.shape
     _check_pow2(n)
     h = 1
     while h < n:
-        for start in range(0, n, 2 * h):
-            a = work[start : start + h].copy()
-            b = work[start + h : start + 2 * h]
-            work[start : start + h] = a + b
-            work[start + h : start + 2 * h] = a - b
+        # All n / 2h butterflies of this stage at once: pair[:, 0] holds the
+        # top half of every block, pair[:, 1] the bottom half.
+        pair = work.reshape(n // (2 * h), 2, h, cols)
+        a = pair[:, 0].copy()
+        b = pair[:, 1]
+        pair[:, 0] += b
+        np.subtract(a, b, out=pair[:, 1])
         h *= 2
     work /= np.sqrt(n)
     out = work if axis == 0 else work.T

@@ -22,8 +22,9 @@ from .numerics import (
     MASK_FREE,
     as_tensor,
     check_finite,
-    masked_softmax_rows,
+    check_mask,
     matmul,
+    softmax_rows,
 )
 from .quantizer import (
     Granularity,
@@ -162,19 +163,11 @@ def unified_causal_mask(m: int, n: int, length: int) -> np.ndarray:
         raise ValueError(f"span start {m} outside [0, {length}]")
     if not (m - 1 <= n < length):
         raise ValueError(f"span end {n} outside [{m - 1}, {length - 1}]")
-    mask = np.full((length, length), MASK_BLOCKED)
     width = n - m
-    for i in range(length):
-        if i <= width:
-            js = np.arange(0, i + 1)
-            tail = np.arange(width + 1, n + 1)
-            mask[i, js] = MASK_FREE
-            mask[i, tail] = MASK_FREE
-        elif i <= n:
-            mask[i, width + 1 : i + 1] = MASK_FREE
-        else:
-            mask[i, : i + 1] = MASK_FREE
-    return mask
+    free = np.arange(length)[None, :] <= np.arange(length)[:, None]  # j <= i
+    free[width + 1 : n + 1, : width + 1] = False  # earlier text: no visual slot
+    free[: width + 1, width + 1 : n + 1] = True  # visual rows: all earlier text
+    return np.where(free, MASK_FREE, MASK_BLOCKED)
 
 
 def permuted_mask_oracle(perm: np.ndarray, length: int) -> np.ndarray:
@@ -209,6 +202,30 @@ def mask_for_plan(plan: AifsPlan) -> np.ndarray:
 # ===== rotary phases =====
 
 
+def _rope_tables(
+    d: int, positions: np.ndarray, tokens: int, theta_base: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every (token, pair) angle for a d-wide head."""
+    if d % 2 != 0:
+        raise ValueError(f"head dimension must be even for pairwise rotation, got {d}")
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1)
+    if positions.shape[0] != tokens:
+        raise ValueError(
+            f"positions length {positions.shape[0]} != token count {tokens}"
+        )
+    freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)
+    ang = positions[:, None] * freqs[None, :]
+    return np.cos(ang), np.sin(ang)
+
+
+def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    x1, x2 = x[:, 0::2], x[:, 1::2]
+    out = np.empty(x.shape)
+    out[:, 0::2] = x1 * c - x2 * s
+    out[:, 1::2] = x1 * s + x2 * c
+    return out
+
+
 def rope_rotate(
     x: np.ndarray, positions: np.ndarray, theta_base: float = 10000.0
 ) -> np.ndarray:
@@ -226,22 +243,8 @@ def rope_rotate(
         Rotated tensor, same shape.
     """
     x = as_tensor(x)
-    d = x.shape[1]
-    if d % 2 != 0:
-        raise ValueError(f"head dimension must be even for pairwise rotation, got {d}")
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1)
-    if positions.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"positions length {positions.shape[0]} != token count {x.shape[0]}"
-        )
-    freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)
-    ang = positions[:, None] * freqs[None, :]
-    c, s = np.cos(ang), np.sin(ang)
-    x1, x2 = x[:, 0::2], x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = x1 * c - x2 * s
-    out[:, 1::2] = x1 * s + x2 * c
-    return out
+    c, s = _rope_tables(x.shape[1], positions, x.shape[0], theta_base)
+    return _rotate_pairs(x, c, s)
 
 
 # ===== attention primitive =====
@@ -265,7 +268,8 @@ def attention_forward(
     """Multi-head attention over a pre-normalized input.
 
     positions=None skips rotary phases (bidirectional vision blocks use a
-    free mask and no positional rotation).
+    free mask and no positional rotation).  The mask is checked and the
+    rotary tables are built once per call, then shared by every head.
 
     Args:
         x: input of shape (tokens, d_model).
@@ -279,10 +283,16 @@ def attention_forward(
         Attention output of shape (tokens, d_model), pre-residual.
     """
     x = as_tensor(x)
-    d = x.shape[1]
+    tokens, d = x.shape
     if d % n_heads != 0:
         raise ValueError(f"n_heads={n_heads} must divide d_model={d}")
     d_head = d // n_heads
+    mask = as_tensor(mask)
+    if mask.shape != (tokens, tokens):
+        raise ValueError(f"mask shape {mask.shape} != ({tokens}, {tokens})")
+    check_mask(mask)
+    if positions is not None:
+        c, s = _rope_tables(d_head, positions, tokens, theta_base)
     q = matmul(x, wq) + bq
     k = matmul(x, wk) + bk
     v = matmul(x, wv) + bv
@@ -292,11 +302,12 @@ def attention_forward(
         sl = slice(h * d_head, (h + 1) * d_head)
         qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
         if positions is not None:
-            qh = rope_rotate(qh, positions, theta_base)
-            kh = rope_rotate(kh, positions, theta_base)
-        scores = matmul(qh, np.ascontiguousarray(kh.T)) * inv_sqrt
-        probs = masked_softmax_rows(scores, mask)
-        out[:, sl] = matmul(probs, vh)
+            qh = _rotate_pairs(qh, c, s)
+            kh = _rotate_pairs(kh, c, s)
+        scores = matmul(qh, np.ascontiguousarray(kh.T))
+        scores *= inv_sqrt
+        scores += mask
+        out[:, sl] = matmul(softmax_rows(scores), vh)
     return matmul(out, wo) + bo
 
 

@@ -1,9 +1,11 @@
 """Deterministic float64 tensor primitives shared by every other module.
 
-All tensors are 2-D C-contiguous float64 numpy arrays.  Reference paths are
-kept bit-reproducible across runs: matmul accumulates the inner dimension
-strictly left to right instead of delegating to BLAS, and masks use a large
-finite sentinel instead of -inf so that no operation ever produces NaN.
+All tensors are 2-D C-contiguous float64 numpy arrays.  matmul delegates to
+BLAS, so its summation order is the library's: results repeat within a
+process but may differ in the last bits across BLAS builds.  The exact
+left-to-right loop it replaced is kept in the tests as its oracle.  Masks use
+a large finite sentinel instead of -inf so that no operation ever produces
+NaN.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ class NormParams:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Deterministic matrix product.
+    """Matrix product through BLAS, with shape and finiteness checks.
 
-    Accumulates over the inner dimension strictly left to right (one rank-1
-    update per inner index), which is bit-identical to the naive triple loop
-    with the inner-dimension loop innermost.  BLAS order is not reproducible
-    across builds, so it is deliberately avoided here.
+    The same inputs give the same bits within one process.  The summation
+    order is BLAS's, so the result matches a strict left-to-right
+    accumulation only within rounding, of order k * max|a| * max|b| * eps;
+    the tests keep that loop as the reference.
 
     Args:
         a: left operand, shape (m, k).
@@ -78,10 +80,31 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matmul shape mismatch: ({a.shape[0]}, {a.shape[1]}) x ({b.shape[0]}, {b.shape[1]})"
         )
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return check_finite(out, "matmul result")
+    return check_finite(a @ b, "matmul result")
+
+
+def check_mask(mask: np.ndarray) -> None:
+    """Raise unless every entry is MASK_FREE or MASK_BLOCKED and every row
+    leaves at least one position free."""
+    if np.any((mask != MASK_FREE) & (mask != MASK_BLOCKED)):
+        raise ValueError("mask entries must be MASK_FREE or MASK_BLOCKED")
+    fully_blocked = np.all(mask == MASK_BLOCKED, axis=1)
+    if fully_blocked.any():
+        raise ValueError(
+            f"row {int(np.argmax(fully_blocked))} has every position masked"
+        )
+
+
+def softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction of already-masked scores.
+
+    The caller has added a mask that passed check_mask; masked_softmax_rows
+    is the checked entry point.
+    """
+    e = s - s.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return check_finite(e, "softmax result")
 
 
 def masked_softmax_rows(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -102,18 +125,8 @@ def masked_softmax_rows(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mask = as_tensor(mask)
     if scores.shape != mask.shape:
         raise ValueError(f"scores shape {scores.shape} != mask shape {mask.shape}")
-    if np.any((mask != MASK_FREE) & (mask != MASK_BLOCKED)):
-        raise ValueError("mask entries must be MASK_FREE or MASK_BLOCKED")
-    fully_blocked = np.all(mask == MASK_BLOCKED, axis=1)
-    if fully_blocked.any():
-        raise ValueError(
-            f"row {int(np.argmax(fully_blocked))} has every position masked"
-        )
-    s = scores + mask
-    s = s - s.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    out = e / e.sum(axis=1, keepdims=True)
-    return check_finite(out, "softmax result")
+    check_mask(mask)
+    return softmax_rows(scores + mask)
 
 
 def layer_norm(x: np.ndarray, params: NormParams) -> np.ndarray:

@@ -44,7 +44,11 @@ def detect_outliers(w: np.ndarray) -> list[int]:
 
 @dataclass
 class RmsSplitPlan:
-    """Everything rms_forward needs for one down-projection layer."""
+    """Everything rms_forward needs for one down-projection layer.
+
+    main_q and split_q are the main kernel and the split row already
+    fake-quantized on their grids, frozen when the plan is built.
+    """
 
     layer_id: str
     triggered: bool
@@ -55,6 +59,8 @@ class RmsSplitPlan:
     main_params: QuantParams
     split_params: QuantParams | None
     split_bits: int
+    main_q: np.ndarray
+    split_q: np.ndarray | None
 
 
 def build_split_plan(
@@ -77,7 +83,8 @@ def build_split_plan(
         tol: max deviation allowed in the rotation consistency check.
 
     Returns:
-        RmsSplitPlan with frozen quantization params for both kernels.
+        RmsSplitPlan with frozen quantization params and fake-quantized
+        weights for both kernels.
     """
     w_rotated = as_tensor(w_rotated)
     w_original = as_tensor(w_original)
@@ -97,6 +104,7 @@ def build_split_plan(
     main = w_rotated.copy()
     split_row = None
     split_params = None
+    split_q = None
     split_bits = bits if split_bits is None else split_bits
     if triggered:
         split_row = main[0, :].copy()
@@ -104,11 +112,13 @@ def build_split_plan(
         split_params = compute_params_absmax(
             split_row[None, :], split_bits, Granularity.PER_TENSOR, symmetric=True
         )
+        split_q = fake_quant(split_row[None, :], split_params)[0]
     # Weight grids are per output channel; channels are columns of the
     # (in, out) layout, hence the transpose.
     main_params = compute_params_absmax(
         main.T, bits, Granularity.PER_CHANNEL, symmetric=True
     )
+    main_q = np.ascontiguousarray(fake_quant(main.T, main_params).T)
     return RmsSplitPlan(
         layer_id=layer_id,
         triggered=triggered,
@@ -119,6 +129,8 @@ def build_split_plan(
         main_params=main_params,
         split_params=split_params,
         split_bits=split_bits,
+        main_q=main_q,
+        split_q=split_q,
     )
 
 
@@ -131,9 +143,10 @@ def rms_forward(
     """Down-projection forward through a split plan.
 
     Computes x @ main + x[:, 0] (x) split_row, with the main kernel and the
-    split row fake-quantized on their own grids when quantize_weights is on,
-    and the activation fake-quantized when a_params is given.  With both off
-    this reproduces x @ (H @ w_original) up to addition reordering.
+    split row taken fake-quantized on their own grids (the plan's frozen
+    main_q and split_q) when quantize_weights is on, and the activation
+    fake-quantized when a_params is given.  With both off this reproduces
+    x @ (H @ w_original) up to addition reordering.
 
     Args:
         x: rotated activations, shape (t, n).
@@ -150,15 +163,9 @@ def rms_forward(
             f"{plan.layer_id}: input width {x.shape[1]} != weight rows {plan.main_weight.shape[0]}"
         )
     xa = fake_quant(x, a_params) if a_params is not None else x
-    if quantize_weights:
-        main = fake_quant(plan.main_weight.T, plan.main_params).T
-    else:
-        main = plan.main_weight
-    out = matmul(xa, main)
+    out = matmul(xa, plan.main_q if quantize_weights else plan.main_weight)
     if plan.triggered:
-        row = plan.split_row
-        if quantize_weights:
-            row = fake_quant(row[None, :], plan.split_params)[0]
+        row = plan.split_q if quantize_weights else plan.split_row
         out += xa[:, 0:1] * row[None, :]
     return check_finite(out, "rms_forward result")
 

@@ -245,7 +245,7 @@ def test_eval_rejects_samples_of_another_width(workdir, capsys):
 def test_model_width_comes_from_the_model_not_the_config(workdir):
     """A 16-wide model quantizes, evaluates and benches without --config
     (whose defaults say 64 wide), and the qmodel echoes the config of the
-    model it holds, including a --seed that does not match the model."""
+    model it holds."""
     tmp, cfg = workdir
     model = str(tmp / "m16.json")
     samples = str(tmp / "s16.mqs")
@@ -254,7 +254,7 @@ def test_model_width_comes_from_the_model_not_the_config(workdir):
     run("gen-samples", "--out", samples, "--count", "3", "--length", "6",
         "--d-model", "16")
     assert run("quantize", "--model", model, "--samples", samples,
-               "--seed", "5", "--out", str(qmodel)) == 0
+               "--out", str(qmodel)) == 0
     assert run("eval", "--qmodel", str(qmodel), "--samples", samples,
                "--report", str(tmp / "r.json")) == 0
     assert run("bench", "--qmodel", str(qmodel), "--lengths", "1,8",
@@ -264,3 +264,25 @@ def test_model_width_comes_from_the_model_not_the_config(workdir):
     assert q["config"]["seed"] == q["float_model"]["config"]["seed"] == 0
     rep = json.loads((tmp / "r.json").read_text())
     assert rep["config"] == q["config"]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "quantize"])
+def test_model_keys_that_disagree_with_the_model_fail(workdir, capsys, command):
+    """--seed and the model keys of --config cannot change a stored model,
+    so a value that differs from the model's own is an error, not ignored."""
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    wide = tmp / "wide.json"
+    wide.write_text(json.dumps({"d_model": 32, "n_heads": 2}))
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "3", "--length", "6",
+        "--d-model", "16")
+    capsys.readouterr()
+    base = [command, "--model", model, "--samples", samples, "--out", str(tmp / "o.json")]
+    assert run(*base, "--seed", "5") == 2
+    assert "seed=5 disagrees with the model's seed=0" in capsys.readouterr().err
+    assert run(*base, "--config", str(wide)) == 2
+    assert "d_model=32 disagrees with the model's d_model=16" in capsys.readouterr().err
+    assert not (tmp / "o.json").exists()
+    assert run(*base, "--config", cfg, "--seed", "0") == 0

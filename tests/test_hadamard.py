@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquant.hadamard import (
     fht,
@@ -48,6 +50,51 @@ def test_fht_matches_dense_both_axes():
         np.testing.assert_allclose(fht(x, axis=0), matmul(h, x), atol=1e-10)
         y = rng.normal(size=(5, n))
         np.testing.assert_allclose(fht(y, axis=1), matmul(y, h), atol=1e-10)
+
+
+def block_loop_fht(x, axis=0):
+    """Reference for the vectorized fht: one slice update per butterfly
+    block, n - 1 of them over the log2(n) stages."""
+    work = np.array(x, dtype=np.float64)
+    if axis == 1:
+        work = work.T.copy()
+    n = work.shape[0]
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            a = work[start : start + h].copy()
+            b = work[start + h : start + 2 * h]
+            work[start : start + h] = a + b
+            work[start + h : start + 2 * h] = a - b
+        h *= 2
+    work /= np.sqrt(n)
+    return work if axis == 0 else work.T
+
+
+def test_fht_equals_block_loop_bitwise_up_to_1024():
+    rng = np.random.default_rng(4)
+    for log_n in range(11):
+        n = 2**log_n
+        x = rng.normal(size=(n, 3))
+        assert np.array_equal(fht(x, axis=0), block_loop_fht(x, axis=0))
+        assert np.array_equal(fht(x.T, axis=1), block_loop_fht(x.T, axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_n=st.integers(0, 7),
+    cols=st.integers(1, 9),
+    axis=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fht_equals_block_loop_oracle_bitwise(log_n, cols, axis, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**log_n
+    shape = (n, cols) if axis == 0 else (cols, n)
+    x = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3], size=shape)
+    got = fht(x, axis=axis)
+    assert np.array_equal(got, block_loop_fht(x, axis=axis))
+    assert got.shape == shape
 
 
 def test_fht_involutory():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mquant import msq_aifs
 from mquant.msq_aifs import (
     TEXT,
     VISUAL,
@@ -132,6 +133,19 @@ def test_unified_mask_matches_conjugation_all_single_spans():
                 assert np.array_equal(got, want), (length, m, n)
 
 
+def test_unified_mask_matches_conjugation_on_long_sequences():
+    rng = np.random.default_rng(11)
+    length = 300
+    for m, n in [(0, length - 1), (0, -1), (length, length - 1), (37, 201)] + [
+        tuple(sorted(rng.integers(0, length, size=2))) for _ in range(6)
+    ]:
+        tags = np.zeros(length, dtype=np.int64)
+        tags[m : n + 1] = VISUAL
+        plan = build_aifs_plan(ModalityLayout(tags))
+        want = permuted_mask_oracle(plan.perm, length)
+        assert np.array_equal(unified_causal_mask(m, n, length), want), (m, n)
+
+
 def test_mask_for_plan_multi_span_uses_conjugation():
     plan = build_aifs_plan(layout_from_string("vtvt"))
     want = permuted_mask_oracle(plan.perm, 4)
@@ -248,6 +262,40 @@ def test_aifs_attention_all_text_is_bit_identical():
     )
     got = aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads=2)
     assert np.array_equal(got, want)
+
+
+def test_attention_checks_the_mask_once_per_call(monkeypatch):
+    rng = np.random.default_rng(8)
+    d, length, heads = 16, 6, 4
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    x = rng.normal(size=(length, d))
+    calls = []
+    real = msq_aifs.check_mask
+
+    def counting(mask):
+        calls.append(mask.shape)
+        real(mask)
+
+    monkeypatch.setattr(msq_aifs, "check_mask", counting)
+    attention_forward(
+        x, wq, bq, wk, bk, wv, bv, wo, bo,
+        n_heads=heads, mask=standard_causal_mask(length), positions=np.arange(length),
+    )
+    assert calls == [(length, length)]
+
+    bad = standard_causal_mask(length)
+    bad[2, 0] = -1.0
+    blocked = standard_causal_mask(length)
+    blocked[3, :] = MASK_BLOCKED
+    for mask, match in [
+        (bad, "mask entries"),
+        (blocked, "row 3"),
+        (standard_causal_mask(length - 1), "mask shape"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            attention_forward(
+                x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads=heads, mask=mask
+            )
 
 
 # ===== modality-split calibration =====

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquant.numerics import (
     MASK_BLOCKED,
@@ -27,14 +29,70 @@ def triple_loop_matmul(a, b):
     return out
 
 
+def rank1_loop_matmul(a, b):
+    """Reference for the BLAS matmul: one rank-1 update per inner index,
+    accumulated strictly left to right."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
 def test_matmul_matches_triple_loop_bitwise():
+    """The rank-1 loop oracle sums in the triple loop's order, bit for bit."""
     rng = np.random.default_rng(0)
     for _ in range(10):
         a = rng.normal(size=(5, 7))
         b = rng.normal(size=(7, 3))
-        got = matmul(a, b)
+        got = rank1_loop_matmul(a, b)
         want = triple_loop_matmul(a, b)
         assert np.array_equal(got, want)
+
+
+# Two summation orders of k products differ by at most
+# 2(k-1) * eps * sum|a_i b_i| <= 2 k^2 * max|a| * max|b| * eps.  On
+# random-sign operands the rounding errors mostly cancel, so the tolerance is
+# fixed beforehand at 4 k * max|a| * max|b| * eps.
+MATMUL_TOL_FACTOR = 4.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    k=st.integers(1, 40),
+    n=st.integers(1, 12),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_matches_loop_oracle_within_rounding(m, k, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, k)) * scale
+    b = rng.normal(size=(k, n))
+    got = matmul(a, b)
+    want = rank1_loop_matmul(a, b)
+    assert got.shape == (m, n) and got.flags.c_contiguous
+    bound = MATMUL_TOL_FACTOR * k * np.abs(a).max() * np.abs(b).max()
+    bound *= np.finfo(np.float64).eps
+    assert np.abs(got - want).max() <= bound
+    assert np.array_equal(matmul(a, b), got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    k=st.integers(1, 6),
+    n=st.integers(1, 6),
+    extra=st.integers(1, 3),
+)
+def test_matmul_checks_shapes_and_finiteness(m, k, n, extra):
+    with pytest.raises(ValueError, match="matmul shape mismatch"):
+        matmul(np.ones((m, k)), np.ones((k + extra, n)))
+    a = np.full((m, k), 1e200)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="matmul result contains non-finite"):
+            matmul(a, np.full((k, n), 1e200))
 
 
 def test_matmul_known_values():

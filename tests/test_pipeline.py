@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquant.model import (
     ToyMllmConfig,
@@ -195,6 +197,55 @@ def test_set_calibration_checks_settings(setup):
         stage_rotate_llm(state)
         with pytest.raises(ValueError, match=field):
             stage_set_calibration(state, calib)
+
+
+IDENTITY = st.fixed_dictionaries({
+    "bits_a": st.sampled_from([4, 8]),
+    "aifs": st.booleans(),
+    "symmetric_activations": st.booleans(),
+    "seed": st.sampled_from([0, 1]),
+})
+
+# What a rejection says for each identity field; the model seed shows up
+# as a fingerprint mismatch.
+REJECTION_NAMES = {
+    "seed": "calibration was made for model",
+    "bits_a": "bits_a=",
+    "aifs": "aifs=",
+    "symmetric_activations": "symmetric=",
+}
+
+@pytest.fixture(scope="module")
+def calibrations():
+    """Calibration for an identity, made on first use and kept for the module."""
+    made = {}
+    samples = generate_synthetic_samples(2, 6, seed=3, d_model=16)
+
+    def get(identity):
+        key = tuple(sorted(identity.items()))
+        if key not in made:
+            pcfg = small_pcfg(llm_blocks=1, **identity)
+            made[key] = calibrate_pipeline(build_toy_mllm(pcfg.model), samples, pcfg)
+        return made[key]
+
+    return get
+
+
+@settings(max_examples=40, deadline=None)
+@given(made_with=IDENTITY, used_with=IDENTITY)
+def test_calibration_is_accepted_iff_its_identity_matches(
+    calibrations, made_with, used_with
+):
+    calib = calibrations(made_with)
+    pcfg = small_pcfg(llm_blocks=1, **used_with)
+    model = build_toy_mllm(pcfg.model)
+    differing = [k for k in made_with if made_with[k] != used_with[k]]
+    if not differing:
+        assert mquant_quantize(model, pcfg, calib=calib).calib is calib
+        return
+    with pytest.raises(ValueError) as err:
+        mquant_quantize(model, pcfg, calib=calib)
+    assert any(REJECTION_NAMES[k] in str(err.value) for k in differing)
 
 
 def test_exactly_one_calibration_source(setup):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquant.hadamard import fht, walsh_hadamard
 from mquant.numerics import matmul
@@ -229,3 +231,33 @@ def test_compliance_table():
     assert table["vision"]["layers"] == 2 and table["vision"]["triggered"] == 2
     assert table["vision"]["ratio"] == 1.0
     assert table["llm"] == {"layers": 1, "triggered": 0, "ratio": 0.0, "columns": {}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_n=st.integers(1, 6),
+    d=st.integers(1, 8),
+    bias=st.sampled_from([0.0, 0.03, 0.3]),
+    bits=st.sampled_from([4, 8]),
+    split_bits=st.sampled_from([None, 4, 8, 16]),
+)
+def test_frozen_weights_equal_a_fresh_fake_quant(seed, log_n, d, bias, bits, split_bits):
+    """main_q and split_q are exactly what fake-quantizing the plan's
+    weights on its grids gives, so rms_forward need not redo it per call."""
+    rng = np.random.default_rng(seed)
+    n = 2**log_n
+    w = rng.normal(0, 0.02, (n, d)) + bias
+    plan = build_split_plan("t", fht(w, axis=0), w, bits=bits, split_bits=split_bits)
+    fresh = fake_quant(plan.main_weight.T, plan.main_params).T
+    assert np.array_equal(plan.main_q, fresh)
+    if plan.triggered:
+        row = fake_quant(plan.split_row[None, :], plan.split_params)[0]
+        assert np.array_equal(plan.split_q, row)
+    else:
+        assert plan.split_q is None
+    x = rng.normal(size=(3, n))
+    want = matmul(x, fresh)
+    if plan.triggered:
+        want += x[:, 0:1] * row[None, :]
+    assert np.array_equal(rms_forward(x, plan), want)

@@ -94,17 +94,37 @@ def _load_model(path):
     return model_from_dict(_read_json(path))
 
 
-def _load_samples(path) -> list:
-    """Load one batch file, or every file inside a directory of batches."""
+def _load_samples(path, d_model: int) -> list:
+    """Load one batch file, or every file inside a directory of batches.
+
+    Every sample must be as wide as the first one and as the model, so a
+    wrong batch fails here, naming the file and the sample, before any
+    forward runs.
+    """
     p = Path(path)
     if p.is_dir():
         files = sorted(child for child in p.iterdir() if child.is_file())
         if not files:
             raise ValueError(f"sample directory {path} is empty")
-        raw = [pair for f in files for pair in fileio.load_samples(f)]
     else:
-        raw = fileio.load_samples(p)
-    return [(tensor, ModalityLayout(mod)) for tensor, mod in raw]
+        files = [p]
+    samples, first = [], None
+    for f in files:
+        for i, (tensor, mod) in enumerate(fileio.load_samples(f)):
+            width = tensor.shape[1]
+            if first is None:
+                first = (f, i, width)
+            elif width != first[2]:
+                raise ValueError(
+                    f"{f}: sample {i} has width {width}, "
+                    f"but {first[0]}: sample {first[1]} has width {first[2]}"
+                )
+            samples.append((tensor, ModalityLayout(mod)))
+    if first is not None and first[2] != d_model:
+        raise ValueError(
+            f"{first[0]}: sample width {first[2]} != model d_model {d_model}"
+        )
+    return samples
 
 
 def cmd_gen_model(args: argparse.Namespace) -> int:
@@ -133,7 +153,7 @@ def cmd_gen_samples(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     pcfg = _pcfg_for_model(args, model)
-    samples = _load_samples(args.samples)
+    samples = _load_samples(args.samples, model.config.d_model)
     calib = calibrate_pipeline(model, samples, pcfg)
     _write_json(args.out, calib.to_dict())
     print(
@@ -152,7 +172,8 @@ def cmd_quantize(args: argparse.Namespace) -> int:
         calib = CalibrationResult.from_dict(_read_json(args.calib))
         qm = mquant_quantize(model, pcfg, calib=calib)
     else:
-        qm = mquant_quantize(model, pcfg, samples=_load_samples(args.samples))
+        samples = _load_samples(args.samples, model.config.d_model)
+        qm = mquant_quantize(model, pcfg, samples=samples)
     _write_json(args.out, qmodel_to_dict(qm))
     triggered = sum(1 for p in qm.plans.values() if p.triggered)
     print(f"wrote {args.out}")
@@ -167,7 +188,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     qm = qmodel_from_dict(_read_json(args.qmodel))
-    samples = _load_samples(args.samples)
+    samples = _load_samples(args.samples, qm.model.config.d_model)
     report = evaluate(qm, samples, dynamic=args.dynamic)
     _write_json(args.out, report)
     m = report["metrics"]

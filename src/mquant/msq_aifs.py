@@ -130,9 +130,12 @@ def standard_causal_mask(length: int) -> np.ndarray:
     """Lower-triangular additive mask for the natural token order."""
     if length < 1:
         raise ValueError(f"mask length must be >= 1, got {length}")
-    mask = np.full((length, length), MASK_BLOCKED)
-    mask[np.tril_indices(length)] = MASK_FREE
-    return mask
+    return np.where(_causal_free(length), MASK_FREE, MASK_BLOCKED)
+
+
+def _causal_free(length: int) -> np.ndarray:
+    """Boolean lower triangle: slot i sees slot j iff j <= i."""
+    return np.arange(length)[None, :] <= np.arange(length)[:, None]
 
 
 def unified_causal_mask(m: int, n: int, length: int) -> np.ndarray:
@@ -164,7 +167,7 @@ def unified_causal_mask(m: int, n: int, length: int) -> np.ndarray:
     if not (m - 1 <= n < length):
         raise ValueError(f"span end {n} outside [{m - 1}, {length - 1}]")
     width = n - m
-    free = np.arange(length)[None, :] <= np.arange(length)[:, None]  # j <= i
+    free = _causal_free(length)
     free[width + 1 : n + 1, : width + 1] = False  # earlier text: no visual slot
     free[: width + 1, width + 1 : n + 1] = True  # visual rows: all earlier text
     return np.where(free, MASK_FREE, MASK_BLOCKED)
@@ -249,6 +252,10 @@ def rope_rotate(
 
 # ===== attention primitive =====
 
+# Query rows per attention tile.  32, 64 and 128 rows time alike on an
+# L=1024 forward; a sequence of at most this many tokens is a single tile.
+ATTENTION_TILE_ROWS = 64
+
 
 def attention_forward(
     x: np.ndarray,
@@ -268,8 +275,14 @@ def attention_forward(
     """Multi-head attention over a pre-normalized input.
 
     positions=None skips rotary phases (bidirectional vision blocks use a
-    free mask and no positional rotation).  The mask is checked and the
-    rotary tables are built once per call, then shared by every head.
+    free mask and no positional rotation).  Once per call, the mask is
+    checked, q and k are rotated and k is transposed, and the query rows
+    are cut into tiles of ATTENTION_TILE_ROWS, each with a column band from
+    the first to one past the last column that any of its rows may attend
+    to.  Each head then runs the scores, mask add, softmax and P.V product
+    of a tile over its band only: the columns outside it are blocked for
+    every row of the tile and would get exactly zero probability.  A causal
+    mask thus skips about half the score block, and a free mask nothing.
 
     Args:
         x: input of shape (tokens, d_model).
@@ -291,23 +304,35 @@ def attention_forward(
     if mask.shape != (tokens, tokens):
         raise ValueError(f"mask shape {mask.shape} != ({tokens}, {tokens})")
     check_mask(mask)
-    if positions is not None:
-        c, s = _rope_tables(d_head, positions, tokens, theta_base)
+    # seen[t, j]: some row of tile t may attend to column j; the tile's
+    # band runs from its first seen column to one past its last
+    starts = np.arange(0, tokens, ATTENTION_TILE_ROWS)
+    seen = np.logical_or.reduceat(mask == MASK_FREE, starts)
+    lo = seen.argmax(axis=1)
+    hi = tokens - seen[:, ::-1].argmax(axis=1)
+    tiles = list(zip(starts.tolist(), lo.tolist(), hi.tolist()))
     q = matmul(x, wq) + bq
     k = matmul(x, wk) + bk
     v = matmul(x, wv) + bv
+    if positions is not None:
+        # every head turns its pairs by the same angles
+        c, s = _rope_tables(d_head, positions, tokens, theta_base)
+        c, s = np.tile(c, n_heads), np.tile(s, n_heads)
+        q = _rotate_pairs(q, c, s)
+        k = _rotate_pairs(k, c, s)
+    kt = np.ascontiguousarray(k.T)
     out = np.empty_like(x)
     inv_sqrt = 1.0 / np.sqrt(d_head)
     for h in range(n_heads):
         sl = slice(h * d_head, (h + 1) * d_head)
-        qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-        if positions is not None:
-            qh = _rotate_pairs(qh, c, s)
-            kh = _rotate_pairs(kh, c, s)
-        scores = matmul(qh, np.ascontiguousarray(kh.T))
-        scores *= inv_sqrt
-        scores += mask
-        out[:, sl] = matmul(softmax_rows(scores), vh)
+        qh, kth = np.ascontiguousarray(q[:, sl]), kt[sl]
+        vh = np.ascontiguousarray(v[:, sl])
+        for r0, c0, c1 in tiles:
+            rows = slice(r0, r0 + ATTENTION_TILE_ROWS)
+            scores = matmul(qh[rows], kth[:, c0:c1])
+            scores *= inv_sqrt
+            scores += mask[rows, c0:c1]
+            out[rows, sl] = matmul(softmax_rows(scores), vh[c0:c1])
     return matmul(out, wo) + bo
 
 

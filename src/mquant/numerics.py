@@ -99,7 +99,8 @@ def softmax_rows(s: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction of already-masked scores.
 
     The caller has added a mask that passed check_mask; masked_softmax_rows
-    is the checked entry point.
+    is the checked entry point.  attention_forward calls it once per head
+    and row tile, on the tile's column band only.
     """
     e = s - s.max(axis=1, keepdims=True)
     np.exp(e, out=e)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mquant.cli import main
+from mquant.fileio import save_samples
 from mquant.pipeline import qmodel_from_dict
 
 
@@ -240,6 +241,71 @@ def test_eval_rejects_samples_of_another_width(workdir, capsys):
                "--report", str(tmp / "r.json"))
     assert code == 2
     assert "sample width 32 != model d_model 16" in capsys.readouterr().err
+
+
+def write_batch(path, widths, seed=0):
+    rng = np.random.default_rng(seed)
+    tags = np.array([0, 1, 1, 0, 1, 0])
+    save_samples(path, [(rng.normal(size=(6, w)), tags) for w in widths])
+
+
+def test_batch_file_with_mixed_sample_widths_fails(workdir, capsys):
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    batch = tmp / "mixed.mqs"
+    run("gen-model", "--config", cfg, "--out", model)
+    write_batch(batch, [16, 16, 32])
+    capsys.readouterr()
+    code = run("calibrate", "--model", model, "--samples", str(batch),
+               "--out", str(tmp / "c.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{batch}: sample 2 has width 32, but {batch}: sample 0 has width 16" in err
+    assert not (tmp / "c.json").exists()
+
+
+def test_batch_directory_with_mixed_sample_widths_fails(workdir, capsys):
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    sdir = tmp / "batches"
+    sdir.mkdir()
+    run("gen-model", "--config", cfg, "--out", model)
+    write_batch(sdir / "a.mqs", [16, 16])
+    write_batch(sdir / "b.mqs", [32])
+    capsys.readouterr()
+    code = run("quantize", "--model", model, "--samples", str(sdir),
+               "--out", str(tmp / "q.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (
+        f"{sdir / 'b.mqs'}: sample 0 has width 32, "
+        f"but {sdir / 'a.mqs'}: sample 0 has width 16"
+    ) in err
+    assert not (tmp / "q.json").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "quantize", "eval"])
+def test_samples_of_another_width_fail_at_load(workdir, capsys, command):
+    """The width check names the batch file, which the check in the forward
+    cannot, so a pass here shows no forward ran first."""
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    qmodel = str(tmp / "q.json")
+    wide = tmp / "wide.mqs"
+    run("gen-model", "--config", cfg, "--out", model)
+    write_batch(samples, [16, 16])
+    write_batch(wide, [32, 32])
+    assert run("quantize", "--model", model, "--samples", samples, "--out", qmodel) == 0
+    capsys.readouterr()
+    argv = {
+        "calibrate": ["--model", model, "--out", str(tmp / "o.json")],
+        "quantize": ["--model", model, "--out", str(tmp / "o.json")],
+        "eval": ["--qmodel", qmodel, "--report", str(tmp / "o.json")],
+    }[command]
+    assert run(command, *argv, "--samples", str(wide)) == 2
+    assert f"{wide}: sample width 32 != model d_model 16" in capsys.readouterr().err
+    assert not (tmp / "o.json").exists()
 
 
 def test_model_width_comes_from_the_model_not_the_config(workdir):

@@ -1,6 +1,9 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every function the benchmark tracer looks up by name exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import mquant
@@ -32,3 +35,19 @@ def test_no_unused_module_level_imports():
     unused = set().union(*(unused_imports(p) for p in modules))
     assert unused - ALLOWED == set()
     assert ALLOWED <= unused, "allowlisted import is now used; drop it from ALLOWED"
+
+
+def test_benchmark_trace_targets_resolve():
+    """perfbench/spans.py finds each traced function with getattr on
+    mquant.<module>, so a missing one would crash `run.py --trace 1`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.TARGETS) > 20
+    missing = [
+        f"mquant.{module}.{name}"
+        for module, name, *_ in spans.TARGETS
+        if not callable(getattr(importlib.import_module(f"mquant.{module}"), name, None))
+    ]
+    assert missing == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquant import msq_aifs
 from mquant.msq_aifs import (
@@ -21,7 +23,14 @@ from mquant.msq_aifs import (
     standard_causal_mask,
     unified_causal_mask,
 )
-from mquant.numerics import MASK_BLOCKED, MASK_FREE
+from mquant.numerics import (
+    MASK_BLOCKED,
+    MASK_FREE,
+    as_tensor,
+    check_mask,
+    matmul,
+    softmax_rows,
+)
 from mquant.quantizer import fake_quant
 
 
@@ -95,6 +104,15 @@ def test_standard_causal_mask_small():
     np.testing.assert_array_equal(
         free, [[True, False, False], [True, True, False], [True, True, True]]
     )
+
+
+def test_standard_causal_mask_equals_tril_definition_bitwise():
+    for length in range(1, 301):
+        tril = np.tril(np.ones((length, length), dtype=bool))
+        want = np.where(tril, MASK_FREE, MASK_BLOCKED)
+        got = standard_causal_mask(length)
+        assert got.dtype == np.float64 and got.shape == want.shape, length
+        assert got.tobytes() == want.tobytes(), length
 
 
 def test_unified_mask_empty_span_is_standard_causal():
@@ -296,6 +314,128 @@ def test_attention_checks_the_mask_once_per_call(monkeypatch):
             attention_forward(
                 x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads=heads, mask=mask
             )
+
+
+def dense_attention_forward(
+    x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, mask, positions=None, theta_base=10000.0
+):
+    """Reference kernel: every head scores, masks and normalizes the whole
+    tokens x tokens block, blocked entries included."""
+    x = as_tensor(x)
+    tokens, d = x.shape
+    if d % n_heads != 0:
+        raise ValueError(f"n_heads={n_heads} must divide d_model={d}")
+    d_head = d // n_heads
+    mask = as_tensor(mask)
+    if mask.shape != (tokens, tokens):
+        raise ValueError(f"mask shape {mask.shape} != ({tokens}, {tokens})")
+    check_mask(mask)
+    if positions is not None:
+        c, s = msq_aifs._rope_tables(d_head, positions, tokens, theta_base)
+    q = matmul(x, wq) + bq
+    k = matmul(x, wk) + bk
+    v = matmul(x, wv) + bv
+    out = np.empty_like(x)
+    inv_sqrt = 1.0 / np.sqrt(d_head)
+    for h in range(n_heads):
+        sl = slice(h * d_head, (h + 1) * d_head)
+        qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
+        if positions is not None:
+            qh = msq_aifs._rotate_pairs(qh, c, s)
+            kh = msq_aifs._rotate_pairs(kh, c, s)
+        scores = matmul(qh, np.ascontiguousarray(kh.T))
+        scores *= inv_sqrt
+        scores += mask
+        out[:, sl] = matmul(softmax_rows(scores), vh)
+    return matmul(out, wo) + bo
+
+
+def oracle_case(rng, kind, length):
+    """A (mask, positions) pair of one of the mask families the model uses."""
+    if kind == "causal":
+        return standard_causal_mask(length), np.arange(length)
+    if kind == "unified":
+        m = int(rng.integers(0, length + 1))
+        n = int(rng.integers(m - 1, length))
+        tags = np.full(length, TEXT)
+        tags[m : n + 1] = VISUAL
+        plan = build_aifs_plan(ModalityLayout(tags))
+        return unified_causal_mask(m, n, length), plan.position_ids
+    if kind == "permuted":
+        perm = rng.permutation(length)
+        return permuted_mask_oracle(perm, length), perm
+    if kind == "free":
+        return np.zeros((length, length)), np.arange(length)
+    real = int(rng.integers(1, length + 1))
+    ps = multibatch_masks(
+        [real, length], [random_layout(rng, real), random_layout(rng, length)]
+    )[0]
+    return ps.mask, ps.position_ids
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    length=st.one_of(
+        st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 191, 193, 300]),
+        st.integers(1, 300),
+    ),
+    kind=st.sampled_from(["causal", "unified", "permuted", "free", "padded"]),
+    rotary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_attention_matches_dense_oracle(length, kind, rotary, seed):
+    """Skipping the columns a tile's mask blocks changes only the summation
+    order: max |tiled - dense| <= 1e-12 * max |dense|."""
+    rng = np.random.default_rng(seed)
+    d, heads = 16, 4
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    x = rng.normal(size=(length, d))
+    mask, positions = oracle_case(rng, kind, length)
+    if not rotary:
+        positions = None
+    args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
+    got = attention_forward(*args, n_heads=heads, mask=mask, positions=positions)
+    want = dense_attention_forward(*args, n_heads=heads, mask=mask, positions=positions)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def score_entries_per_head(monkeypatch, length, mask):
+    """Score entries one attention call computes, per head, counted at the
+    q.k^T products (the only products with d_head as inner dimension)."""
+    rng = np.random.default_rng(18)
+    d, heads = 32, 2
+    d_head = d // heads
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    counted = []
+    real = msq_aifs.matmul
+
+    def counting(a, b):
+        out = real(a, b)
+        if np.shape(a)[1] == d_head:
+            counted.append(out.size)
+        return out
+
+    monkeypatch.setattr(msq_aifs, "matmul", counting)
+    attention_forward(
+        rng.normal(size=(length, d)), wq, bq, wk, bk, wv, bv, wo, bo,
+        n_heads=heads, mask=mask, positions=np.arange(length),
+    )
+    return sum(counted) / heads
+
+
+def test_causal_attention_skips_the_blocked_tiles(monkeypatch):
+    """64-row tiles over a causal mask: tile t scores 64 * 64 (t + 1)
+    entries, not 64 * L."""
+    length = 512
+    got = score_entries_per_head(monkeypatch, length, standard_causal_mask(length))
+    assert got == length * (length + 64) / 2
+
+
+def test_free_attention_scores_every_entry_once(monkeypatch):
+    length = 200
+    got = score_entries_per_head(monkeypatch, length, np.zeros((length, length)))
+    assert got == length * length
 
 
 # ===== modality-split calibration =====

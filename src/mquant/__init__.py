@@ -26,12 +26,10 @@ from .msq_aifs import (
     ModalityLayout,
     MsqParams,
     ScaleOpCounter,
-    aifs_attention,
     attention_forward,
     build_aifs_plan,
     calibrate_msq,
     layout_from_string,
-    mask_for_plan,
     multibatch_masks,
     permuted_mask_oracle,
     quantize_dynamic_per_token,

@@ -41,10 +41,9 @@ from .msq_aifs import (
     build_aifs_plan,
     calibrate_msq,
     layout_from_string,
-    mask_for_plan,
+    permuted_mask_oracle,
     quantize_dynamic_per_token,
     quantize_msq,
-    standard_causal_mask,
 )
 from .norm_rewrite import preln_to_rmsnorm
 from .numerics import as_tensor, matmul
@@ -250,14 +249,13 @@ def _llm_order(
 
     Returns (perm, mask, visual_rows): perm[i] is the original index of the
     token in slot i and is also its rotary position, mask is the causal mask
-    in that order, and visual_rows marks the visual slots.  AIFS runs
+    of the original order carried into that order (permuted_mask_oracle's
+    position rule), and visual_rows marks the visual slots.  AIFS runs
     visual-first, so visual_rows is a prefix; otherwise the natural order.
     """
-    if aifs:
-        plan = build_aifs_plan(layout)
-        return plan.perm, mask_for_plan(plan), plan.visual_rows
-    length = len(layout)
-    return np.arange(length), standard_causal_mask(length), layout.modality == VISUAL
+    perm = build_aifs_plan(layout).perm if aifs else np.arange(len(layout))
+    mask = permuted_mask_oracle(perm, len(layout))
+    return perm, mask, layout.modality[perm] == VISUAL
 
 
 def calibrate_rotated(
@@ -508,16 +506,15 @@ class QuantizedModel:
     calib: CalibrationResult
     stage_log: list
     counter: ScaleOpCounter = field(default_factory=ScaleOpCounter)
-    eff_weights: dict = field(default_factory=dict)
+    eff_weights: dict = field(init=False)
     msq: list = field(init=False)
 
     def __post_init__(self):
         self.msq = self.calib.msq
-        if not self.eff_weights:
-            self.eff_weights = {
-                name: np.ascontiguousarray(dequantize(qt).T)
-                for name, qt in self.weight_q.items()
-            }
+        self.eff_weights = {
+            name: np.ascontiguousarray(dequantize(qt).T)
+            for name, qt in self.weight_q.items()
+        }
 
     def forward(
         self,

@@ -137,21 +137,18 @@ def build_split_plan(
 def rms_forward(
     x: np.ndarray,
     plan: RmsSplitPlan,
-    a_params: QuantParams | None = None,
     quantize_weights: bool = True,
 ) -> np.ndarray:
     """Down-projection forward through a split plan.
 
     Computes x @ main + x[:, 0] (x) split_row, with the main kernel and the
     split row taken fake-quantized on their own grids (the plan's frozen
-    main_q and split_q) when quantize_weights is on, and the activation
-    fake-quantized when a_params is given.  With both off this reproduces
-    x @ (H @ w_original) up to addition reordering.
+    main_q and split_q) when quantize_weights is on.  With it off this
+    reproduces x @ (H @ w_original) up to addition reordering.
 
     Args:
         x: rotated activations, shape (t, n).
         plan: split plan for this layer.
-        a_params: optional activation quantization params.
         quantize_weights: disable to get the float reference path.
 
     Returns:
@@ -162,11 +159,10 @@ def rms_forward(
         raise ValueError(
             f"{plan.layer_id}: input width {x.shape[1]} != weight rows {plan.main_weight.shape[0]}"
         )
-    xa = fake_quant(x, a_params) if a_params is not None else x
-    out = matmul(xa, plan.main_q if quantize_weights else plan.main_weight)
+    out = matmul(x, plan.main_q if quantize_weights else plan.main_weight)
     if plan.triggered:
         row = plan.split_q if quantize_weights else plan.split_row
-        out += xa[:, 0:1] * row[None, :]
+        out += x[:, 0:1] * row[None, :]
     return check_finite(out, "rms_forward result")
 
 

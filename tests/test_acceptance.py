@@ -27,12 +27,11 @@ from mquant.msq_aifs import (
     ModalityLayout,
     TEXT,
     VISUAL,
-    aifs_attention,
     attention_forward,
     build_aifs_plan,
     calibrate_msq,
-    mask_for_plan,
     multibatch_masks,
+    permuted_mask_oracle,
     quantize_msq,
     standard_causal_mask,
     unified_causal_mask,
@@ -69,6 +68,19 @@ def _span_perm(m: int, n: int, length: int) -> np.ndarray:
         list(range(m, n + 1)) + list(range(0, m)) + list(range(n + 1, length)),
         dtype=np.int64,
     )
+
+
+def _aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """Visual-first reorder, mask of the original order, original rotary
+    positions, then the rows restored to the original order."""
+    plan = build_aifs_plan(layout)
+    out_r = attention_forward(
+        x[plan.perm], wq, bq, wk, bk, wv, bv, wo, bo,
+        n_heads=n_heads,
+        mask=permuted_mask_oracle(plan.perm, len(layout)),
+        positions=plan.position_ids,
+    )
+    return out_r[plan.inverse]
 
 
 def test_single_span_masks_match_conjugation_exhaustively():
@@ -112,7 +124,7 @@ def test_reordered_attention_matches_natural_order_on_random_layouts():
             mask=standard_causal_mask(length),
             positions=np.arange(length),
         )
-        reordered = aifs_attention(
+        reordered = _aifs_attention(
             x, layout,
             ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
             n_heads=heads,
@@ -215,7 +227,7 @@ def test_outlier_split_is_float_lossless_and_helps_low_bit_mse():
         x = srng.normal(size=(256, 64))
         a_params = compute_params_absmax(x, 8, Granularity.PER_TENSOR)
         ref = matmul(x, w_rot)
-        with_split = rms_forward(x, plan, a_params=a_params, quantize_weights=True)
+        with_split = rms_forward(fake_quant(x, a_params), plan, quantize_weights=True)
         p = compute_params_absmax(
             np.ascontiguousarray(w_rot.T), 4, Granularity.PER_CHANNEL
         )
@@ -371,7 +383,7 @@ def test_padded_batch_members_match_their_unpadded_runs():
             quantize_msq(x_r, ps.plan.visual_rows, params),
             ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
             n_heads=heads,
-            mask=mask_for_plan(ps.plan),
+            mask=permuted_mask_oracle(ps.plan.perm, len(ps.plan.perm)),
             positions=ps.plan.position_ids,
         )
         x_pad = np.vstack([np.zeros((ps.pad, d)), x_r])

@@ -9,12 +9,10 @@ from mquant.msq_aifs import (
     VISUAL,
     ModalityLayout,
     ScaleOpCounter,
-    aifs_attention,
     attention_forward,
     build_aifs_plan,
     calibrate_msq,
     layout_from_string,
-    mask_for_plan,
     multibatch_masks,
     permuted_mask_oracle,
     quantize_dynamic_per_token,
@@ -31,6 +29,7 @@ from mquant.numerics import (
     matmul,
     softmax_rows,
 )
+from mquant.pipeline import _llm_order
 from mquant.quantizer import fake_quant
 
 
@@ -43,6 +42,26 @@ def random_attn_weights(rng, d):
     ws = [rng.normal(0, d ** -0.5, (d, d)) for _ in range(4)]
     bs = [rng.normal(0, 0.01, d) for _ in range(4)]
     return ws, bs
+
+
+def conjugation_oracle(perm, length):
+    """The definition of the reordered mask: the natural causal mask
+    conjugated by perm, M'[i, j] = M[perm[i], perm[j]]."""
+    tril = np.tril(np.ones((length, length), dtype=bool))
+    return np.where(tril, MASK_FREE, MASK_BLOCKED)[np.ix_(perm, perm)]
+
+
+def aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """The AIFS path written out: reorder visual-first, mask by the
+    original order, rotate by original positions, restore the order."""
+    plan = build_aifs_plan(layout)
+    out_r = attention_forward(
+        x[plan.perm], wq, bq, wk, bk, wv, bv, wo, bo,
+        n_heads=n_heads,
+        mask=permuted_mask_oracle(plan.perm, len(layout)),
+        positions=plan.position_ids,
+    )
+    return out_r[plan.inverse]
 
 
 # ===== layouts and plans =====
@@ -164,10 +183,34 @@ def test_unified_mask_matches_conjugation_on_long_sequences():
         assert np.array_equal(unified_causal_mask(m, n, length), want), (m, n)
 
 
-def test_mask_for_plan_multi_span_uses_conjugation():
-    plan = build_aifs_plan(layout_from_string("vtvt"))
-    want = permuted_mask_oracle(plan.perm, 4)
-    assert np.array_equal(mask_for_plan(plan), want)
+def test_llm_order_multi_span_mask_is_conjugation():
+    layout = layout_from_string("vtvt")
+    plan = build_aifs_plan(layout)
+    want = conjugation_oracle(plan.perm, 4)
+    _, mask, _ = _llm_order(layout, aifs=True)
+    assert np.array_equal(mask, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    length=st.one_of(st.sampled_from([1, 2, 63, 64, 65, 300]), st.integers(1, 300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_position_rule_equals_conjugation(length, seed):
+    perm = np.random.default_rng(seed).permutation(length)
+    got = permuted_mask_oracle(perm, length)
+    want = conjugation_oracle(perm, length)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_llm_order_without_aifs_is_standard_causal():
+    rng = np.random.default_rng(12)
+    for length in (1, 2, 63, 64, 65, 300):
+        layout = random_layout(rng, length)
+        perm, mask, visual_rows = _llm_order(layout, aifs=False)
+        np.testing.assert_array_equal(perm, np.arange(length))
+        np.testing.assert_array_equal(visual_rows, layout.modality == VISUAL)
+        assert mask.tobytes() == standard_causal_mask(length).tobytes()
 
 
 def test_mask_bounds_checked():
@@ -179,13 +222,17 @@ def test_mask_bounds_checked():
         unified_causal_mask(0, 4, 4)
     with pytest.raises(ValueError, match="permutation"):
         permuted_mask_oracle(np.array([0, 0, 1]), 3)
+    with pytest.raises(ValueError, match="permutation"):
+        permuted_mask_oracle(np.array([0, 2, 2]), 3)
+    with pytest.raises(ValueError, match="permutation"):
+        permuted_mask_oracle(np.arange(4), 3)
 
 
 def test_every_mask_row_has_a_free_slot():
     rng = np.random.default_rng(1)
     for _ in range(30):
         plan = build_aifs_plan(random_layout(rng, int(rng.integers(1, 16))))
-        mask = mask_for_plan(plan)
+        mask = permuted_mask_oracle(plan.perm, len(plan.perm))
         assert np.all((mask == MASK_FREE).any(axis=1))
 
 
@@ -580,7 +627,7 @@ def test_multibatch_mask_structure():
     # no real query ever sees a pad key
     assert not free[2:, :2].any()
     # the real block is the single-sequence reordered mask
-    assert np.array_equal(ps.mask[2:, 2:], mask_for_plan(ps.plan))
+    assert np.array_equal(ps.mask[2:, 2:], permuted_mask_oracle(ps.plan.perm, 3))
     # pads take position 0, real tokens keep original positions
     np.testing.assert_array_equal(ps.position_ids[:2], [0, 0])
     np.testing.assert_array_equal(ps.position_ids[2:], ps.plan.position_ids)
@@ -611,7 +658,7 @@ def test_padded_rows_do_not_disturb_real_outputs():
     for x, ps in zip(xs, batch):
         unpadded = attention_forward(
             x[ps.plan.perm], wq, bq, wk, bk, wv, bv, wo, bo,
-            n_heads=4, mask=mask_for_plan(ps.plan),
+            n_heads=4, mask=permuted_mask_oracle(ps.plan.perm, len(ps.plan.perm)),
             positions=ps.plan.position_ids,
         )
         x_pad = np.vstack([np.zeros((ps.pad, d)), x[ps.plan.perm]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mquant import pipeline
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
@@ -362,6 +363,27 @@ def test_natural_order_passthrough_is_the_float_forward(setup):
     for rows, layout in samples:
         out = qm.forward(rows, layout.modality, weights_on=False, acts_on=False)
         assert np.array_equal(out, model_forward(qm.model, rows, layout.modality))
+
+
+@pytest.mark.parametrize("aifs", [True, False])
+def test_forward_builds_its_mask_with_one_rule_call(setup, monkeypatch, aifs):
+    """The benchmark asserts that one forward calls permuted_mask_oracle
+    exactly once, whatever the layout."""
+    _, model, samples = setup
+    qm = mquant_quantize(model, small_pcfg(aifs=aifs), samples=samples)
+    build = pipeline.permuted_mask_oracle
+    calls = []
+
+    def counted(perm, length):
+        calls.append(length)
+        return build(perm, length)
+
+    monkeypatch.setattr(pipeline, "permuted_mask_oracle", counted)
+    rows = samples[0][0]
+    for spec in ("tttttttttt", "ttvvvvtttt", "tvvttvvvtt"):
+        calls.clear()
+        qm.forward(rows, layout_from_string(spec).modality)
+        assert calls == [10], spec
 
 
 # ===== evaluate / bench =====

@@ -198,19 +198,6 @@ def test_wider_split_grid_helps_the_split_row():
     assert err16 < err4
 
 
-def test_activation_params_are_applied():
-    w = biased_matrix(9)
-    w_rot = fht(w, axis=0)
-    plan = build_split_plan("t", w_rot, w, bits=8)
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(4, 64))
-    a = compute_params_absmax(x, 8)
-    out_q = rms_forward(x, plan, a_params=a, quantize_weights=False)
-    expect = matmul(fake_quant(x, a), plan.main_weight)
-    expect += fake_quant(x, a)[:, 0:1] * plan.split_row[None, :]
-    np.testing.assert_allclose(out_q, expect, atol=1e-12)
-
-
 def test_forward_width_mismatch():
     w = biased_matrix(11)
     plan = build_split_plan("t", fht(w, axis=0), w, bits=8)

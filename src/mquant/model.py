@@ -10,7 +10,9 @@ never trigger the split.
 
 Forward passes accept hook functions so the quantized pipeline can swap in
 fake-quantized weights, activation grids, and split-kernel down-projections
-without duplicating the control flow.
+without duplicating the control flow.  They also accept a pack: the rows of
+several samples stacked in order plus their lengths.  Every row-wise step
+runs once over the pack, and attention stays inside each sample.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from scipy.special import erf
 
 from . import fileio
 from .hadamard import fht
-from .msq_aifs import TEXT, VISUAL, attention_forward, standard_causal_mask
+from .msq_aifs import (
+    TEXT,
+    VISUAL,
+    attention_forward,
+    pack_lengths,
+    standard_causal_mask,
+)
 from .numerics import (
     MASK_FREE,
     NormParams,
@@ -306,11 +314,12 @@ def block_forward(
     block: Block,
     x: np.ndarray,
     n_heads: int,
-    mask: np.ndarray,
+    mask: np.ndarray | list,
     positions: np.ndarray | None,
     hooks: ForwardHooks | None = None,
 ) -> np.ndarray:
-    """One pre-norm transformer block over a (tokens, d_model) input."""
+    """One pre-norm transformer block over a (tokens, d_model) input; mask
+    is one mask or the per-sample list attention_forward takes."""
     hooks = hooks or ForwardHooks()
     x = hooks.act_fn(f"{name}.input", x)
 
@@ -342,18 +351,25 @@ def block_forward(
 
 
 def vision_encode(
-    model: ToyMllm, rows: np.ndarray, hooks: ForwardHooks | None = None
+    model: ToyMllm,
+    rows: np.ndarray,
+    hooks: ForwardHooks | None = None,
+    lengths: list[int] | None = None,
 ) -> np.ndarray:
-    """Visual token rows through embed, blocks, final norm, projector."""
+    """Visual token rows through embed, blocks, final norm, projector.
+
+    lengths splits rows into the visual rows of each sample of a pack
+    (None: one sample); attention is bidirectional within each sample.
+    """
     hooks = hooks or ForwardHooks()
     cfg = model.config
     rows = as_tensor(rows)
+    masks = [np.full((n, n), MASK_FREE) for n in pack_lengths(lengths, rows.shape[0])]
     x = matmul(rows, hooks.weight_fn("vision_embed", model.vision_embed.w))
     x = x + model.vision_embed.b
-    mask = np.full((x.shape[0], x.shape[0]), MASK_FREE)
     for i, blk in enumerate(model.vision_blocks):
         x = block_forward(
-            f"vision.{i}", blk, x, cfg.n_heads, mask, positions=None, hooks=hooks
+            f"vision.{i}", blk, x, cfg.n_heads, masks, positions=None, hooks=hooks
         )
     x = norm_forward(model.vision_post_norm, x)
     x = matmul(x, hooks.weight_fn("projector", model.projector.w)) + model.projector.b
@@ -365,9 +381,14 @@ def embed_tokens(
     sample: np.ndarray,
     modality: np.ndarray,
     hooks: ForwardHooks | None = None,
+    lengths: list[int] | None = None,
 ) -> np.ndarray:
     """Per-token embedding: visual rows via the vision path, text rows via
-    the text projection, reassembled in original order."""
+    the text projection, reassembled in original order.
+
+    sample may be a pack with per-sample row counts lengths (None: one
+    sequence); the visual rows of all samples go through one vision pass.
+    """
     hooks = hooks or ForwardHooks()
     sample = as_tensor(sample)
     modality = np.asarray(modality, dtype=np.int64).reshape(-1)
@@ -379,11 +400,17 @@ def embed_tokens(
         raise ValueError(
             f"sample width {sample.shape[1]} != model d_model {model.config.d_model}"
         )
+    lengths = pack_lengths(lengths, sample.shape[0])
     out = np.zeros((sample.shape[0], model.config.d_model))
-    vis_idx = np.flatnonzero(modality == VISUAL)
+    is_vis = modality == VISUAL
+    vis_idx = np.flatnonzero(is_vis)
     txt_idx = np.flatnonzero(modality == TEXT)
     if vis_idx.size:
-        out[vis_idx] = vision_encode(model, sample[vis_idx], hooks)
+        starts = np.cumsum([0] + lengths[:-1])
+        counts = np.add.reduceat(is_vis, starts, dtype=np.int64)
+        out[vis_idx] = vision_encode(
+            model, sample[vis_idx], hooks, lengths=counts[counts > 0].tolist()
+        )
     if txt_idx.size:
         w = hooks.weight_fn("text_embed", model.text_embed.w)
         out[txt_idx] = matmul(sample[txt_idx], w) + model.text_embed.b
@@ -393,11 +420,12 @@ def embed_tokens(
 def llm_stack(
     model: ToyMllm,
     x: np.ndarray,
-    mask: np.ndarray,
+    mask: np.ndarray | list,
     positions: np.ndarray,
     hooks: ForwardHooks | None = None,
 ) -> np.ndarray:
-    """LLM blocks, final norm, head over an already-embedded sequence."""
+    """LLM blocks, final norm, head over an already-embedded sequence or
+    pack; mask is one mask or the per-sample list attention_forward takes."""
     hooks = hooks or ForwardHooks()
     cfg = model.config
     for i, blk in enumerate(model.llm_blocks):
@@ -414,15 +442,23 @@ def model_forward(
     sample: np.ndarray,
     modality: np.ndarray,
     hooks: ForwardHooks | None = None,
+    lengths: list[int] | None = None,
 ) -> np.ndarray:
-    """Full reference pass in natural token order with a causal mask."""
-    x = embed_tokens(model, sample, modality, hooks)
-    length = x.shape[0]
+    """Full reference pass in natural token order with a causal mask.
+
+    sample may be a pack: the rows of several samples stacked in order, with
+    their row counts in lengths.  lengths=None is one sequence, a pack of
+    one.  Norms, linears and the MLP run once over the pack; each sample
+    gets its own causal mask and rotary positions from 0, so its output rows
+    match its lone forward up to the rounding of a taller GEMM.
+    """
+    x = embed_tokens(model, sample, modality, hooks, lengths)
+    lengths = pack_lengths(lengths, x.shape[0])
     return llm_stack(
         model,
         x,
-        mask=standard_causal_mask(length),
-        positions=np.arange(length),
+        mask=[standard_causal_mask(n) for n in lengths],
+        positions=np.concatenate([np.arange(n) for n in lengths]),
         hooks=hooks,
     )
 

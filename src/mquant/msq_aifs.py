@@ -248,6 +248,59 @@ def rope_rotate(
 ATTENTION_TILE_ROWS = 64
 
 
+def pack_lengths(lengths, rows: int) -> list[int]:
+    """Per-sample row counts of a pack, checked against its row count.
+
+    A pack is the rows of several samples stacked in order; lengths says
+    where each one ends.  None means one sequence of all rows.
+    """
+    if lengths is None:
+        return [rows]
+    lengths = list(lengths)
+    if not lengths or not all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
+        for n in lengths
+    ):
+        raise ValueError(f"lengths must be positive ints, got {lengths}")
+    lengths = [int(n) for n in lengths]
+    if sum(lengths) != rows:
+        raise ValueError(f"lengths sum to {sum(lengths)}, but the pack has {rows} rows")
+    return lengths
+
+
+def _attention_tiles(masks: list, tokens: int) -> list:
+    """(query rows, key band, mask tile) of every query tile of every sample.
+
+    Each sample's mask is checked once.  Its query rows are cut into tiles
+    of ATTENTION_TILE_ROWS from the sample's first row, each with a column
+    band from the first to one past the last column that any of its rows
+    may attend to, so no tile or band ever leaves its sample.
+    """
+    sizes = [m.shape[0] for m in masks]
+    if any(m.shape != (n, n) for m, n in zip(masks, sizes)) or sum(sizes) != tokens:
+        got = [m.shape for m in masks]
+        raise ValueError(
+            f"mask shape {got[0] if len(got) == 1 else got} does not cover "
+            f"({tokens}, {tokens}) with square per-sample blocks"
+        )
+    tiles = []
+    offset = 0
+    for m, n in zip(masks, sizes):
+        check_mask(m)
+        # seen[t, j]: some row of tile t may attend to column j
+        starts = np.arange(0, n, ATTENTION_TILE_ROWS)
+        seen = np.logical_or.reduceat(m == MASK_FREE, starts)
+        lo = seen.argmax(axis=1)
+        hi = n - seen[:, ::-1].argmax(axis=1)
+        for r0, c0, c1 in zip(starts.tolist(), lo.tolist(), hi.tolist()):
+            r1 = min(r0 + ATTENTION_TILE_ROWS, n)
+            rows = slice(offset + r0, offset + r1)
+            cols = slice(offset + c0, offset + c1)
+            tiles.append((rows, cols, m[r0:r1, c0:c1]))
+        offset += n
+    return tiles
+
+
 def attention_forward(
     x: np.ndarray,
     wq: np.ndarray,
@@ -259,27 +312,33 @@ def attention_forward(
     wo: np.ndarray,
     bo: np.ndarray,
     n_heads: int,
-    mask: np.ndarray,
+    mask: np.ndarray | list,
     positions: np.ndarray | None = None,
     theta_base: float = 10000.0,
 ) -> np.ndarray:
     """Multi-head attention over a pre-normalized input.
 
-    positions=None skips rotary phases (bidirectional vision blocks use a
-    free mask and no positional rotation).  Once per call, the mask is
-    checked, q and k are rotated and k is transposed, and the query rows
-    are cut into tiles of ATTENTION_TILE_ROWS, each with a column band from
-    the first to one past the last column that any of its rows may attend
-    to.  Each head then runs the scores, mask add, softmax and P.V product
-    of a tile over its band only: the columns outside it are blocked for
-    every row of the tile and would get exactly zero probability.  A causal
-    mask thus skips about half the score block, and a free mask nothing.
+    x may be one sequence or a pack: several samples' rows stacked in order,
+    with one square mask per sample.  Attention never crosses a sample: the
+    masks are the diagonal blocks of the pack, and the blocks between
+    samples are never built or scored.  positions=None skips rotary phases
+    (bidirectional vision blocks use a free mask and no positional
+    rotation).  Once per call, q, k and v are projected and q and k rotated
+    over the whole pack; once per sample, its mask is checked and its query
+    rows are cut into tiles of ATTENTION_TILE_ROWS, each with a column band
+    from the first to one past the last column that any of its rows may
+    attend to.  Each head then runs the scores, mask add, softmax and P.V
+    product of a tile over its band only: the columns outside it are
+    blocked for every row of the tile and would get exactly zero
+    probability.  A causal mask thus skips about half the score block, and
+    a free mask nothing.
 
     Args:
         x: input of shape (tokens, d_model).
         wq..bo: projection weights, (d_model, d_model) and (d_model,) each.
         n_heads: head count, must divide d_model.
-        mask: additive mask of shape (tokens, tokens).
+        mask: one additive mask of shape (tokens, tokens), or a list of
+            per-sample square additive masks whose sizes sum to tokens.
         positions: per-token rotary positions, or None.
         theta_base: rotary frequency base.
 
@@ -291,17 +350,8 @@ def attention_forward(
     if d % n_heads != 0:
         raise ValueError(f"n_heads={n_heads} must divide d_model={d}")
     d_head = d // n_heads
-    mask = as_tensor(mask)
-    if mask.shape != (tokens, tokens):
-        raise ValueError(f"mask shape {mask.shape} != ({tokens}, {tokens})")
-    check_mask(mask)
-    # seen[t, j]: some row of tile t may attend to column j; the tile's
-    # band runs from its first seen column to one past its last
-    starts = np.arange(0, tokens, ATTENTION_TILE_ROWS)
-    seen = np.logical_or.reduceat(mask == MASK_FREE, starts)
-    lo = seen.argmax(axis=1)
-    hi = tokens - seen[:, ::-1].argmax(axis=1)
-    tiles = list(zip(starts.tolist(), lo.tolist(), hi.tolist()))
+    masks = mask if isinstance(mask, (list, tuple)) else [mask]
+    tiles = _attention_tiles([as_tensor(m) for m in masks], tokens)
     q = matmul(x, wq) + bq
     k = matmul(x, wk) + bk
     v = matmul(x, wv) + bv
@@ -318,12 +368,11 @@ def attention_forward(
         sl = slice(h * d_head, (h + 1) * d_head)
         qh, kth = np.ascontiguousarray(q[:, sl]), kt[sl]
         vh = np.ascontiguousarray(v[:, sl])
-        for r0, c0, c1 in tiles:
-            rows = slice(r0, r0 + ATTENTION_TILE_ROWS)
-            scores = matmul(qh[rows], kth[:, c0:c1])
+        for rows, cols, mask_tile in tiles:
+            scores = matmul(qh[rows], kth[:, cols])
             scores *= inv_sqrt
-            scores += mask[rows, c0:c1]
-            out[rows, sl] = matmul(softmax_rows(scores), vh[c0:c1])
+            scores += mask_tile
+            out[rows, sl] = matmul(softmax_rows(scores), vh[cols])
     return matmul(out, wo) + bo
 
 

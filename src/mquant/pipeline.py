@@ -41,6 +41,7 @@ from .msq_aifs import (
     build_aifs_plan,
     calibrate_msq,
     layout_from_string,
+    pack_lengths,
     permuted_mask_oracle,
     quantize_dynamic_per_token,
     quantize_msq,
@@ -258,6 +259,72 @@ def _llm_order(
     return perm, mask, layout.modality[perm] == VISUAL
 
 
+# Rows per pack in evaluate and calibrate_rotated.  Consecutive samples are
+# stacked up to this many rows; a longer sample is a pack of its own.  It
+# bounds the peak memory of a forward by a pack, not by the batch.
+PACK_ROWS = 1024
+
+
+def _packs(samples: list, d_model: int):
+    """Consecutive samples stacked into packs of at most PACK_ROWS rows.
+
+    Yields (rows, modality, lengths) per pack: the samples' rows and tags
+    stacked in order, and each sample's row count.
+    """
+    pack: list = []
+    size = 0
+    for i, (rows, layout) in enumerate(samples):
+        rows = as_tensor(rows)
+        if rows.shape[0] != len(layout):
+            raise ValueError(
+                f"sample {i} has {rows.shape[0]} rows but its layout tags "
+                f"{len(layout)} tokens"
+            )
+        if rows.shape[1] != d_model:
+            raise ValueError(f"sample width {rows.shape[1]} != model d_model {d_model}")
+        if pack and size + rows.shape[0] > PACK_ROWS:
+            yield _stack(pack)
+            pack, size = [], 0
+        pack.append((rows, layout))
+        size += rows.shape[0]
+    if pack:
+        yield _stack(pack)
+
+
+def _stack(pack: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    return (
+        np.vstack([rows for rows, _ in pack]),
+        np.concatenate([layout.modality for _, layout in pack]),
+        [len(layout) for _, layout in pack],
+    )
+
+
+def _pack_order(
+    modality: np.ndarray, lengths: list[int], aifs: bool
+) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+    """The order the LLM stack runs a pack in: each sample in _llm_order's
+    order, in its own rows.
+
+    Returns (perm, positions, masks, visual_rows): perm[i] is the pack row
+    of the token in slot i, positions its rotary position within its
+    sample, masks one causal mask per sample, and visual_rows marks the
+    visual slots of the whole pack.
+    """
+    orders = []
+    offset = 0
+    for n in lengths:
+        orders.append(_llm_order(ModalityLayout(modality[offset : offset + n]), aifs))
+        offset += n
+    positions = np.concatenate([perm for perm, _, _ in orders])
+    starts = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
+    return (
+        starts + positions,
+        positions,
+        [mask for _, mask, _ in orders],
+        np.concatenate([vis for _, _, vis in orders]),
+    )
+
+
 def calibrate_rotated(
     work: ToyMllm, fingerprint: str, samples: list, pcfg: PipelineConfig
 ) -> CalibrationResult:
@@ -266,7 +333,9 @@ def calibrate_rotated(
     work has its LLM part rotated, so block inputs live in their final
     coordinates, and its vision path still float and untouched, which is
     the calibration contract for the LLM grids.  fingerprint names the
-    float model work was derived from.
+    float model work was derived from.  The samples run as packs of up to
+    PACK_ROWS rows, one float forward each.  The grids are min/max over
+    every recorded row, so they do not depend on how the rows are packed.
     """
     if len(samples) == 0:
         raise ValueError("calibration needs at least one sample")
@@ -283,11 +352,11 @@ def calibrate_rotated(
 
     hooks = ForwardHooks(act_fn=recorder)
     run_layouts = []
-    for rows, layout in samples:
-        x = embed_tokens(work, rows, layout.modality, hooks)
-        perm, mask, _ = _llm_order(layout, pcfg.aifs)
-        run_layouts.append(ModalityLayout(layout.modality[perm]))
-        llm_stack(work, x[perm], mask, perm, hooks)
+    for rows, modality, lengths in _packs(samples, work.config.d_model):
+        x = embed_tokens(work, rows, modality, hooks, lengths)
+        perm, positions, masks, _ = _pack_order(modality, lengths, pcfg.aifs)
+        run_layouts.append(ModalityLayout(modality[perm]))
+        llm_stack(work, x[perm], masks, positions, hooks)
 
     msq = [
         calibrate_msq(
@@ -523,16 +592,24 @@ class QuantizedModel:
         dynamic: bool = False,
         weights_on: bool = True,
         acts_on: bool = True,
+        lengths: list[int] | None = None,
     ) -> np.ndarray:
         """Simulated quantized pass, output rows in the original order.
 
-        dynamic swaps the static modality-split grids for per-token grids
-        computed on the fly.  weights_on/acts_on=False give pass-through
-        paths used by the equivalence tests.
+        sample may be a pack: the rows of several samples stacked in order,
+        with their row counts in lengths (None: one sequence, a pack of
+        one).  Each sample runs in its own _llm_order order within its rows
+        and attends only to itself; every row-wise step runs once over the
+        pack, so the static path applies its 2 scale ops per block once for
+        the whole pack.  dynamic swaps the static modality-split grids for
+        per-token grids computed on the fly.  weights_on/acts_on=False give
+        pass-through paths used by the equivalence tests.
         """
         self.counter.reset()
         pcfg = self.pcfg
-        perm, mask, visual_rows = _llm_order(ModalityLayout(modality), pcfg.aifs)
+        modality = np.asarray(modality, dtype=np.int64).reshape(-1)
+        lengths = pack_lengths(lengths, modality.shape[0])
+        perm, positions, masks, visual_rows = _pack_order(modality, lengths, pcfg.aifs)
 
         def weight_fn(name: str, w: np.ndarray) -> np.ndarray:
             if weights_on and name in self.eff_weights:
@@ -559,9 +636,9 @@ class QuantizedModel:
             return x
 
         hooks = ForwardHooks(weight_fn=weight_fn, act_fn=act_fn, down_fn=down_fn)
-        x = embed_tokens(self.model, sample, modality, hooks)
+        x = embed_tokens(self.model, sample, modality, hooks, lengths)
         out = np.empty_like(x)
-        out[perm] = llm_stack(self.model, x[perm], mask, perm, hooks)
+        out[perm] = llm_stack(self.model, x[perm], masks, positions, hooks)
         return out
 
 
@@ -625,22 +702,34 @@ def cosine_and_mse(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 
 def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
-    """Quantized outputs against the float reference, as a report dict."""
+    """Quantized outputs against the float reference, as a report dict.
+
+    The samples run as packs of up to PACK_ROWS rows: one float and one
+    quantized forward per pack, with attention confined to each sample.
+    Each sample is then scored on its own rows.  Its scale ops are what a
+    lone forward of it counts: on the static path, the pack's 2 per block
+    (every row of the pack passes both grids); on the dynamic path, its own
+    rows per block.
+    """
     if len(samples) == 0:
         raise ValueError("evaluation needs at least one sample")
     per_sample = []
-    for rows, layout in samples:
-        ref = model_forward(qm.float_model, rows, layout.modality)
-        out = qm.forward(rows, layout.modality, dynamic=dynamic)
-        cos, mse = cosine_and_mse(out, ref)
-        per_sample.append(
-            {
-                "length": int(rows.shape[0]),
-                "cosine": cos,
-                "mse": mse,
-                "scale_ops": qm.counter.scale_ops,
-            }
-        )
+    for rows, modality, lengths in _packs(samples, qm.model.config.d_model):
+        ref = model_forward(qm.float_model, rows, modality, lengths=lengths)
+        out = qm.forward(rows, modality, dynamic=dynamic, lengths=lengths)
+        ops = qm.counter.scale_ops
+        offset = 0
+        for n in lengths:
+            cos, mse = cosine_and_mse(out[offset : offset + n], ref[offset : offset + n])
+            per_sample.append(
+                {
+                    "length": n,
+                    "cosine": cos,
+                    "mse": mse,
+                    "scale_ops": ops * n // rows.shape[0] if dynamic else ops,
+                }
+            )
+            offset += n
     cosines = [s["cosine"] for s in per_sample]
     mses = [s["mse"] for s in per_sample]
     return {

@@ -485,6 +485,87 @@ def test_free_attention_scores_every_entry_once(monkeypatch):
     assert got == length * length
 
 
+def block_diagonal(masks):
+    """The pack-wide mask of per-sample masks: every cross-sample entry
+    blocked."""
+    total = sum(m.shape[0] for m in masks)
+    out = np.full((total, total), MASK_BLOCKED)
+    offset = 0
+    for m in masks:
+        n = m.shape[0]
+        out[offset : offset + n, offset : offset + n] = m
+        offset += n
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(
+        st.one_of(st.sampled_from([1, 2, 63, 64, 65, 130]), st.integers(1, 130)),
+        min_size=1,
+        max_size=5,
+    ),
+    kind=st.sampled_from(["causal", "permuted", "free"]),
+    rotary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_list_matches_block_diagonal_dense_oracle(lengths, kind, rotary, seed):
+    """A per-sample mask list is the block-diagonal pack mask, without ever
+    building it: max |packed - dense| <= 1e-12 * max |dense|."""
+    rng = np.random.default_rng(seed)
+    d, heads = 16, 4
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    cases = [oracle_case(rng, kind, n) for n in lengths]
+    masks = [mask for mask, _ in cases]
+    positions = np.concatenate([pos for _, pos in cases]) if rotary else None
+    x = rng.normal(size=(sum(lengths), d))
+    args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
+    got = attention_forward(*args, n_heads=heads, mask=masks, positions=positions)
+    want = dense_attention_forward(
+        *args, n_heads=heads, mask=block_diagonal(masks), positions=positions
+    )
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_mask_list_scores_only_within_samples(monkeypatch):
+    """Free per-sample masks of sizes 100, 70 and 30 score 100^2 + 70^2 +
+    30^2 entries per head: no tile or band crosses a sample."""
+    masks = [np.zeros((n, n)) for n in (100, 70, 30)]
+    got = score_entries_per_head(monkeypatch, 200, masks)
+    assert got == 100**2 + 70**2 + 30**2
+
+
+def test_mask_list_is_checked_per_sample(monkeypatch):
+    rng = np.random.default_rng(9)
+    d, heads = 16, 2
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    x = rng.normal(size=(10, d))
+    args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
+    calls = []
+    real = msq_aifs.check_mask
+
+    def counting(mask):
+        calls.append(mask.shape)
+        real(mask)
+
+    monkeypatch.setattr(msq_aifs, "check_mask", counting)
+    attention_forward(
+        *args, n_heads=heads, mask=[standard_causal_mask(4), standard_causal_mask(6)]
+    )
+    assert calls == [(4, 4), (6, 6)]
+    blocked = standard_causal_mask(6)
+    blocked[5, :] = MASK_BLOCKED
+    for masks, match in [
+        ([standard_causal_mask(4), standard_causal_mask(5)], "mask shape"),
+        ([standard_causal_mask(4), standard_causal_mask(7)], "mask shape"),
+        ([standard_causal_mask(4), np.zeros((6, 5))], "mask shape"),
+        ([], "mask shape"),
+        ([standard_causal_mask(4), blocked], "row 5"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            attention_forward(*args, n_heads=heads, mask=masks)
+
+
 # ===== modality-split calibration =====
 
 

@@ -386,6 +386,30 @@ def test_forward_builds_its_mask_with_one_rule_call(setup, monkeypatch, aifs):
         assert calls == [10], spec
 
 
+@pytest.mark.parametrize("aifs", [True, False])
+def test_packed_forward_builds_one_mask_per_sample(setup, monkeypatch, aifs):
+    """A pack of B samples calls the mask rule once per sample, with that
+    sample's length, and never for the whole pack."""
+    _, model, samples = setup
+    qm = mquant_quantize(model, small_pcfg(aifs=aifs), samples=samples)
+    build = pipeline.permuted_mask_oracle
+    calls = []
+
+    def counted(perm, length):
+        calls.append(length)
+        return build(perm, length)
+
+    monkeypatch.setattr(pipeline, "permuted_mask_oracle", counted)
+    specs = ("tvvt", "v", "tttttt", "vvtvvvtt", "vvv")
+    rows = np.vstack([samples[0][0][: len(spec)] for spec in specs])
+    modality = np.concatenate([layout_from_string(spec).modality for spec in specs])
+    lengths = [len(spec) for spec in specs]
+    for dynamic in (False, True):
+        calls.clear()
+        qm.forward(rows, modality, dynamic=dynamic, lengths=lengths)
+        assert calls == lengths
+
+
 # ===== evaluate / bench =====
 
 

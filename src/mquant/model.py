@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from . import fileio
 from .hadamard import fht
@@ -299,8 +299,81 @@ class ForwardHooks:
     down_fn: Callable | None = None
 
 
+# GELU table: g(b) = erf(b) / 2 on b = |x| / sqrt(2) in [0, GELU_SPAN), one
+# degree GELU_DEGREE polynomial per interval of width 1 / GELU_PER_UNIT.
+# Beyond GELU_SPAN, erf(b) rounds to exactly 1.0 in float64, so the extra
+# last interval is the constant 1/2.
+_SQRT2 = np.sqrt(2.0)
+GELU_SPAN = 6.0
+GELU_PER_UNIT = 128
+GELU_DEGREE = 5
+# elements per pass, so that the pass's temporaries stay in cache
+GELU_CHUNK = 1 << 15
+
+
+def _gelu_table() -> np.ndarray:
+    """Coefficients c[j, k] of g on interval k in the local coordinate
+    t = b * GELU_PER_UNIT - k in [0, 1), lowest degree first: the
+    interpolant of math.erf at the interval's Chebyshev nodes."""
+    n = int(GELU_SPAN * GELU_PER_UNIT)
+    j = np.arange(GELU_DEGREE + 1)
+    t = 0.5 - 0.5 * np.cos((2 * j + 1) * np.pi / (2 * GELU_DEGREE + 2))
+    nodes = (np.arange(n)[:, None] + t) / GELU_PER_UNIT
+    g = np.array([0.5 * math.erf(b) for b in nodes.ravel()])
+    coef = np.zeros((GELU_DEGREE + 1, n + 1))
+    coef[:, :n] = np.linalg.solve(np.vander(t, increasing=True), g.reshape(n, -1).T)
+    coef[0, n] = 0.5
+    coef.setflags(write=False)
+    return coef
+
+
+_GELU_COEF = _gelu_table()
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """Exact (erf) GELU, x * Phi(x) = x * (1/2 + copysign(g(b), x)) with
+    b = |x| / sqrt(2).
+
+    g(b) = erf(b) / 2 comes from a table of degree-5 polynomials on 768
+    intervals of width 1/128 over [0, 6), fitted once at import by
+    interpolating math.erf at each interval's six Chebyshev nodes; past 6,
+    g is exactly 1/2.  The table takes the erf formula's own rounded
+    argument x / sqrt(2), so both approximate the same erf value.  Each
+    element gathers its interval's coefficients and evaluates them by
+    Horner's rule, GELU_CHUNK elements at a time.  Against
+    0.5 * x * (1 + erf(x / sqrt(2))) the error is at most 4e-15 * |x|
+    (measured below 5e-16 * |x|; the tests hold the bound), and
+    gelu(0) = 0 exactly.  NaN propagates, gelu(inf) = inf and gelu(-inf) is
+    NaN, as in the erf formula.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.empty(x.shape)
+    flat_out = out.reshape(-1)
+    m = min(flat.size, GELU_CHUNK)
+    t_buf, p_buf, c_buf = np.empty(m), np.empty(m), np.empty(m)
+    k_buf = np.empty(m, dtype=np.intp)
+    for start in range(0, flat.size, GELU_CHUNK):
+        xs = flat[start:start + GELU_CHUNK]
+        n = xs.size
+        t, p, c, k = t_buf[:n], p_buf[:n], c_buf[:n], k_buf[:n]
+        np.divide(xs, _SQRT2, out=t)
+        np.abs(t, out=t)
+        # fmin maps NaN to the constant interval; x * (...) below keeps it NaN
+        np.fmin(t, GELU_SPAN, out=t)
+        t *= GELU_PER_UNIT
+        np.copyto(k, t, casting="unsafe")
+        t -= k
+        # k is in range by construction; the default mode="raise" would
+        # also copy every gather through a buffer
+        np.take(_GELU_COEF[GELU_DEGREE], k, out=p, mode="clip")
+        for j in range(GELU_DEGREE - 1, -1, -1):
+            p *= t
+            p += np.take(_GELU_COEF[j], k, out=c, mode="clip")
+        np.copysign(p, xs, out=p)
+        p += 0.5
+        np.multiply(xs, p, out=flat_out[start:start + n])
+    return out
 
 
 def norm_forward(norm: Norm, x: np.ndarray) -> np.ndarray:

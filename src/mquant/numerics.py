@@ -98,14 +98,17 @@ def check_mask(mask: np.ndarray) -> None:
 def softmax_rows(s: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction of already-masked scores.
 
-    The caller has added a mask that passed check_mask; masked_softmax_rows
-    is the checked entry point.  attention_forward calls it once per head
-    and row tile, on the tile's column band only.
+    The caller has added a mask that passed check_mask, and checks what
+    comes out: masked_softmax_rows is the checked entry point, and
+    attention_forward, which calls it once per head and row tile on the
+    tile's column band only, checks the P.V product.  Finite scores under
+    such a mask give a finite result: each row's free entry keeps its max
+    finite, and the max adds exp(0) = 1 to the row sum.
     """
     e = s - s.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
-    return check_finite(e, "softmax result")
+    return e
 
 
 def masked_softmax_rows(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -127,7 +130,7 @@ def masked_softmax_rows(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if scores.shape != mask.shape:
         raise ValueError(f"scores shape {scores.shape} != mask shape {mask.shape}")
     check_mask(mask)
-    return softmax_rows(scores + mask)
+    return check_finite(softmax_rows(scores + mask), "softmax result")
 
 
 def layer_norm(x: np.ndarray, params: NormParams) -> np.ndarray:

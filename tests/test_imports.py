@@ -4,6 +4,9 @@ every function the benchmark tracer looks up by name exists."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mquant
@@ -51,3 +54,18 @@ def test_benchmark_trace_targets_resolve():
         if not callable(getattr(importlib.import_module(f"mquant.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_runtime_loads_no_scipy():
+    """scipy is a test-only dependency: importing the package and its CLI in
+    a fresh interpreter loads no scipy module."""
+    code = (
+        "import sys, mquant, mquant.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert done.stdout.strip() == "[]"

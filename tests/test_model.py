@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from mquant.model import (
+    GELU_CHUNK,
     ForwardHooks,
     ToyMllmConfig,
     build_toy_mllm,
@@ -126,6 +128,59 @@ def test_gelu_known_values():
     # gelu(x) -> x for large x, -> 0 for very negative x
     np.testing.assert_allclose(gelu(np.array([[10.0]])), [[10.0]], rtol=1e-6)
     np.testing.assert_allclose(gelu(np.array([[-10.0]])), [[0.0]], atol=1e-12)
+
+
+def gelu_oracle(x):
+    """The erf form of GELU, x * Phi(x), with scipy's erf."""
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def test_gelu_matches_erf_oracle():
+    """|gelu - oracle| <= 4e-15 * |x| elementwise, a bound fixed before the
+    table was measured (it measures below 5e-16 * |x|); at subnormal x the
+    bound is 0, so those must match exactly."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 40.0, -40.0, 1e6, -1e6]
+    x = np.concatenate([np.linspace(-12.0, 12.0, 1_000_001), special])
+    got = gelu(x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - gelu_oracle(x)) <= 4e-15 * np.abs(x))
+    assert gelu(np.array([[0.0]]))[0, 0] == 0.0
+
+
+def test_gelu_chunks_give_the_bits_of_single_rows():
+    """Chunking changes nothing: rows around a chunk boundary, and a width
+    whose rows straddle chunks, give the same bits as each row alone."""
+    rng = np.random.default_rng(11)
+    chunk_rows = GELU_CHUNK // 256
+    for rows, cols in [(chunk_rows - 1, 256), (chunk_rows, 256), (chunk_rows + 1, 256),
+                       (1024, 256), (700, 96)]:
+        x = rng.normal(0.0, 3.0, (rows, cols))
+        got = gelu(x)
+        alone = np.concatenate([gelu(x[i : i + 1]) for i in range(rows)])
+        assert got.tobytes() == alone.tobytes()
+
+
+def test_gelu_never_turns_non_finite_input_finite():
+    """NaN and +-inf entries come back non-finite, in the first chunk and in
+    a later one, and leave every finite entry as it is on its own.  NaN
+    and +inf raise no floating-point error on the way (no NaN is cast to
+    a table index); -inf gives NaN, as in the erf formula."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(0.0, 3.0, (2 * GELU_CHUNK // 64 + 5, 64))
+    spots = [(0, 0), (3, 7), (x.shape[0] - 1, 63), (GELU_CHUNK // 64 + 2, 10)]
+    values = [np.nan, np.inf, -np.inf, np.nan]
+    for spot, value in zip(spots, values):
+        x[spot] = value
+    with np.errstate(all="raise"):
+        quiet = gelu(np.where(np.isneginf(x), np.nan, x))
+    assert np.isnan(quiet[0, 0]) and np.isnan(quiet[spots[3]]) and quiet[3, 7] == np.inf
+    with np.errstate(invalid="ignore"):
+        got = gelu(x)
+    bad = ~np.isfinite(x)
+    assert bad.sum() == len(spots)
+    assert not np.isfinite(got[bad]).any()
+    assert np.isnan(got[0, 0]) and np.isnan(got[spots[2]]) and np.isnan(got[spots[3]])
+    assert got[~bad].tobytes() == gelu(x[~bad]).tobytes()
 
 
 def test_hooks_see_every_block_input():

@@ -363,6 +363,42 @@ def test_attention_checks_the_mask_once_per_call(monkeypatch):
             )
 
 
+@pytest.mark.parametrize(
+    "where", ["x_nan", "x_inf", "wq", "wk", "wv", "bq", "bk", "bv", "huge_scores", "pack"]
+)
+def test_attention_rejects_non_finite_values(where):
+    """softmax_rows no longer checks its own result, so a non-finite value
+    reaching attention still has to raise: on the score product, or on the
+    P.V product after the softmax."""
+    rng = np.random.default_rng(9)
+    d, length, heads = 16, 70, 4
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    x = rng.normal(size=(length, d))
+    mask = standard_causal_mask(length)
+    weights = {"wq": wq, "wk": wk, "wv": wv, "bq": bq, "bk": bk, "bv": bv}
+    if where == "x_nan":
+        x[66, 3] = np.nan
+    elif where == "x_inf":
+        x[5, 0] = -np.inf
+    elif where.startswith("w"):
+        weights[where][2, 7] = np.inf
+    elif where.startswith("b"):
+        weights[where][7] = np.nan
+    elif where == "huge_scores":
+        # finite inputs whose q.k products overflow
+        weights["wq"] *= 1e160
+        weights["wk"] *= 1e160
+    else:
+        bq[3] = np.nan
+        mask = [standard_causal_mask(30), standard_causal_mask(length - 30)]
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        attention_forward(
+            x, weights["wq"], weights["bq"], weights["wk"], weights["bk"],
+            weights["wv"], weights["bv"], wo, bo,
+            n_heads=heads, mask=mask, positions=np.arange(length),
+        )
+
+
 def dense_attention_forward(
     x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, mask, positions=None, theta_base=10000.0
 ):

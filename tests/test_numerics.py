@@ -166,6 +166,16 @@ def test_softmax_rejects_foreign_mask_values():
         masked_softmax_rows(np.zeros((1, 2)), np.array([[0.0, -1.0]]))
 
 
+def test_masked_softmax_rejects_non_finite_scores():
+    mask = np.full((2, 3), MASK_FREE)
+    # a -inf score is a blocked entry, so only NaN and +inf can escape
+    for bad in (np.nan, np.inf):
+        scores = np.zeros((2, 3))
+        scores[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="softmax result"):
+            masked_softmax_rows(scores, mask)
+
+
 def test_softmax_huge_scores_stay_finite():
     scores = np.array([[1e300, 0.0]])
     mask = np.full((1, 2), MASK_FREE)

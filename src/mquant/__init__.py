@@ -22,7 +22,6 @@ from .rms import RmsSplitPlan, build_split_plan, compliance_ratio, detect_outlie
 from .msq_aifs import (
     TEXT,
     VISUAL,
-    AifsPlan,
     ModalityLayout,
     MsqParams,
     ScaleOpCounter,
@@ -30,7 +29,6 @@ from .msq_aifs import (
     build_aifs_plan,
     calibrate_msq,
     layout_from_string,
-    multibatch_masks,
     permuted_mask_oracle,
     quantize_dynamic_per_token,
     quantize_msq,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,15 @@ def tensor_from_b64(text: str) -> np.ndarray:
     if used != len(raw):
         raise ValueError("embedded tensor has trailing bytes")
     return a
+
+
+@contextmanager
+def keys_required(what: str):
+    """Report a key missing from a JSON artifact as a ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} has no {exc.args[0]!r} entry") from None
 
 
 def save_samples(path, samples) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -54,6 +54,34 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# Per field annotation: what a config value must be, the types that pass,
+# and the cast that stores it as a plain Python value.  bool is an int
+# subclass, so only a bool field takes a bool.
+_KINDS = {
+    "bool": ("a bool", bool, bool),
+    "int": ("an int", (int, np.integer), int),
+    "float": ("a real number", (int, float, np.integer, np.floating), float),
+    "str": ("a string", str, str),
+}
+
+
+def check_config_types(cfg) -> None:
+    """Reject a config value of the wrong type, naming its key, and store
+    numpy scalars as plain Python values.  Fields annotated with another
+    type, and None where the annotation allows it, are left alone."""
+    for f in fields(cfg):
+        kind = f.type.removesuffix(" | None")
+        value = getattr(cfg, f.name)
+        if kind not in _KINDS or (value is None and kind != f.type):
+            continue
+        what, types, cast = _KINDS[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+            raise ValueError(
+                f"config key {f.name!r} must be {what}, got {type(value).__name__} {value!r}"
+            )
+        setattr(cfg, f.name, cast(value))
+
+
 @dataclass
 class ToyMllmConfig:
     d_model: int = 64
@@ -65,6 +93,7 @@ class ToyMllmConfig:
     vision_weight_mean_bias: float = 0.02
 
     def __post_init__(self):
+        check_config_types(self)
         if not _is_pow2(self.d_model):
             raise ValueError(f"d_model must be a power of two, got {self.d_model}")
         if not _is_pow2(self.d_model * self.mlp_ratio):
@@ -574,48 +603,49 @@ def model_from_dict(d: dict) -> ToyMllm:
     missing = [k for k in ("config", "tensors", "norms", "flags") if k not in d]
     if missing:
         raise ValueError(f"not a model file: missing sections {missing}")
-    cfg = ToyMllmConfig(**d["config"])
-    flags = d["flags"]
+    with fileio.keys_required("model file"):
+        cfg = ToyMllmConfig(**d["config"])
+        flags = d["flags"]
 
-    def lin(name: str) -> Linear:
-        w = fileio.tensor_from_b64(d["tensors"][f"{name}.w"])
-        b = fileio.tensor_from_b64(d["tensors"][f"{name}.b"])[0]
-        return Linear(w=w, b=b)
+        def lin(name: str) -> Linear:
+            w = fileio.tensor_from_b64(d["tensors"][f"{name}.w"])
+            b = fileio.tensor_from_b64(d["tensors"][f"{name}.b"])[0]
+            return Linear(w=w, b=b)
 
-    def norm(name: str) -> Norm:
-        nd = d["norms"][name]
-        return Norm(
-            kind=nd["kind"],
-            params=NormParams(
-                alpha=fileio.tensor_from_b64(nd["alpha"])[0],
-                beta=fileio.tensor_from_b64(nd["beta"])[0],
-                eps=nd["eps"],
-            ),
-        )
-
-    def blocks(part: str, count: int, rope: bool) -> list:
-        return [
-            Block(
-                attn_norm=norm(f"{part}.{i}.attn_norm"),
-                mlp_norm=norm(f"{part}.{i}.mlp_norm"),
-                rope=rope,
-                online_fht=flags["online_fht"].get(f"{part}.{i}", False),
-                **{tag: lin(f"{part}.{i}.{tag}") for tag in BLOCK_LINEARS},
+        def norm(name: str) -> Norm:
+            nd = d["norms"][name]
+            return Norm(
+                kind=nd["kind"],
+                params=NormParams(
+                    alpha=fileio.tensor_from_b64(nd["alpha"])[0],
+                    beta=fileio.tensor_from_b64(nd["beta"])[0],
+                    eps=nd["eps"],
+                ),
             )
-            for i in range(count)
-        ]
 
-    model = ToyMllm(
-        config=cfg,
-        vision_embed=lin("vision_embed"),
-        vision_blocks=blocks("vision", cfg.vision_blocks, rope=False),
-        vision_post_norm=norm("vision_post_norm"),
-        projector=lin("projector"),
-        text_embed=lin("text_embed"),
-        llm_blocks=blocks("llm", cfg.llm_blocks, rope=True),
-        llm_final_norm=norm("llm_final_norm"),
-        head=lin("head"),
-    )
+        def blocks(part: str, count: int, rope: bool) -> list:
+            return [
+                Block(
+                    attn_norm=norm(f"{part}.{i}.attn_norm"),
+                    mlp_norm=norm(f"{part}.{i}.mlp_norm"),
+                    rope=rope,
+                    online_fht=flags["online_fht"].get(f"{part}.{i}", False),
+                    **{tag: lin(f"{part}.{i}.{tag}") for tag in BLOCK_LINEARS},
+                )
+                for i in range(count)
+            ]
+
+        model = ToyMllm(
+            config=cfg,
+            vision_embed=lin("vision_embed"),
+            vision_blocks=blocks("vision", cfg.vision_blocks, rope=False),
+            vision_post_norm=norm("vision_post_norm"),
+            projector=lin("projector"),
+            text_embed=lin("text_embed"),
+            llm_blocks=blocks("llm", cfg.llm_blocks, rope=True),
+            llm_final_norm=norm("llm_final_norm"),
+            head=lin("head"),
+        )
     expect = d.get("fingerprint")
     actual = model_fingerprint(model)
     if expect is not None and expect != actual:

@@ -86,39 +86,18 @@ def layout_from_string(text: str) -> ModalityLayout:
     return ModalityLayout(np.array(tags))
 
 
-@dataclass
-class AifsPlan:
-    """Stable visual-first permutation for one layout.
-
-    perm[i] is the original index of the token occupying reordered slot i.
-    position_ids equals perm: every token carries its original position into
-    the rotary encoder.
-    """
-
-    perm: np.ndarray
-    inverse: np.ndarray
-    m_count: int
-
-    @property
-    def position_ids(self) -> np.ndarray:
-        return self.perm
-
-    @property
-    def visual_rows(self) -> np.ndarray:
-        """Row mask of the reordered sequence: True on the visual prefix."""
-        return np.arange(self.perm.shape[0]) < self.m_count
-
-
-def build_aifs_plan(layout: ModalityLayout) -> AifsPlan:
+def build_aifs_plan(layout: ModalityLayout) -> np.ndarray:
     """Visual-first stable reorder: visual tokens keep their relative order,
-    then text tokens keep theirs."""
+    then text tokens keep theirs.
+
+    Returns perm: perm[i] is the original index of the token in reordered
+    slot i, and also its rotary position.  The name is kept because the
+    benchmark traces it.
+    """
     tags = layout.modality
-    perm = np.concatenate(
+    return np.concatenate(
         [np.flatnonzero(tags == VISUAL), np.flatnonzero(tags == TEXT)]
     ).astype(np.int64)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.shape[0])
-    return AifsPlan(perm=perm, inverse=inverse, m_count=layout.visual_count)
 
 
 # ===== masks =====
@@ -401,14 +380,6 @@ class MsqParams:
     visual: QuantParams
     text: QuantParams
 
-    @property
-    def s_v(self) -> float:
-        return float(self.visual.scales[0])
-
-    @property
-    def s_t(self) -> float:
-        return float(self.text.scales[0])
-
 
 def _segment_params(lo: float, hi: float, bits: int, symmetric: bool) -> QuantParams:
     probe = np.array([[lo, hi]])
@@ -486,8 +457,7 @@ def quantize_msq(
     Args:
         x: activations, shape (tokens, d).
         visual_rows: boolean row mask, shape (tokens,), True on visual rows
-            wherever they sit (a visual-first reorder makes it a prefix;
-            padded batches mark their pad rows visual).
+            wherever they sit (a visual-first reorder makes it a prefix).
         params: calibrated segment grids.
         counter: optional scale-application counter.
 
@@ -523,75 +493,3 @@ def quantize_dynamic_per_token(
     if counter is not None:
         counter.bump(x.shape[0])
     return fake_quant(x, params)
-
-
-# ===== batched padding =====
-
-
-@dataclass
-class PaddedSeq:
-    """One sequence of a left-padded batch, in reordered coordinates.
-
-    Slots [0, pad) are pad rows that only self-attend; the per-sequence
-    reordered mask sits in the bottom-right block.  Pad rows are tagged
-    visual, so visual_rows, the row mask for segment quantization, is True
-    on the first pad + m_count rows.
-    """
-
-    pad: int
-    plan: AifsPlan
-    mask: np.ndarray
-    position_ids: np.ndarray
-    visual_rows: np.ndarray
-
-
-def multibatch_masks(
-    lengths: list[int], layouts: list[ModalityLayout]
-) -> list[PaddedSeq]:
-    """Left-pad a batch to its max length with leak-free masks.
-
-    Pad keys are blocked for every real query, and each pad query attends
-    only to itself, so no softmax row is ever empty.  Real rows keep their
-    single-sequence mask and original rotary positions, which is what makes
-    padded outputs match unpadded runs on the real positions.
-
-    Args:
-        lengths: per-sequence token counts.
-        layouts: per-sequence modality layouts, aligned with lengths.
-
-    Returns:
-        One PaddedSeq per input sequence.
-    """
-    if len(lengths) == 0:
-        raise ValueError("batch is empty")
-    if len(lengths) != len(layouts):
-        raise ValueError(
-            f"got {len(lengths)} lengths but {len(layouts)} layouts"
-        )
-    for i, (length, layout) in enumerate(zip(lengths, layouts)):
-        if length != len(layout):
-            raise ValueError(
-                f"sequence {i}: length {length} != layout size {len(layout)}"
-            )
-    l_max = max(lengths)
-    out = []
-    for length, layout in zip(lengths, layouts):
-        pad = l_max - length
-        plan = build_aifs_plan(layout)
-        mask = np.full((l_max, l_max), MASK_BLOCKED)
-        for p in range(pad):
-            mask[p, p] = MASK_FREE
-        mask[pad:, pad:] = permuted_mask_oracle(plan.perm, length)
-        positions = np.concatenate(
-            [np.zeros(pad, dtype=np.int64), plan.position_ids]
-        )
-        out.append(
-            PaddedSeq(
-                pad=pad,
-                plan=plan,
-                mask=mask,
-                position_ids=positions,
-                visual_rows=np.arange(l_max) < pad + plan.m_count,
-            )
-        )
-    return out

@@ -20,10 +20,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import fileio
 from .model import (
     ForwardHooks,
     ToyMllm,
     ToyMllmConfig,
+    check_config_types,
     embed_tokens,
     iter_linears,
     llm_stack,
@@ -87,6 +89,7 @@ class PipelineConfig:
     split_bits: int | None = None
 
     def __post_init__(self):
+        check_config_types(self)
         if self.bits_w not in SUPPORTED_BITS:
             raise ValueError(f"bits_w must be one of {SUPPORTED_BITS}, got {self.bits_w}")
         if self.bits_a not in SUPPORTED_BITS:
@@ -223,24 +226,25 @@ class CalibrationResult:
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationResult":
         _check_header(d, "calibration", "calibration")
-        msq = [
-            MsqParams(
-                bits=d["bits_a"],
+        with fileio.keys_required("calibration file"):
+            msq = [
+                MsqParams(
+                    bits=d["bits_a"],
+                    symmetric=d["symmetric"],
+                    visual=params_from_dict(m["visual"]),
+                    text=params_from_dict(m["text"]),
+                )
+                for m in d["msq"]
+            ]
+            return cls(
+                fingerprint=d["fingerprint"],
+                msq=msq,
+                vision_act=[params_from_dict(p) for p in d["vision_act"]],
+                sample_count=d["sample_count"],
+                bits_a=d["bits_a"],
                 symmetric=d["symmetric"],
-                visual=params_from_dict(m["visual"]),
-                text=params_from_dict(m["text"]),
+                aifs=d["aifs"],
             )
-            for m in d["msq"]
-        ]
-        return cls(
-            fingerprint=d["fingerprint"],
-            msq=msq,
-            vision_act=[params_from_dict(p) for p in d["vision_act"]],
-            sample_count=d["sample_count"],
-            bits_a=d["bits_a"],
-            symmetric=d["symmetric"],
-            aifs=d["aifs"],
-        )
 
 
 def _llm_order(
@@ -254,7 +258,7 @@ def _llm_order(
     position rule), and visual_rows marks the visual slots.  AIFS runs
     visual-first, so visual_rows is a prefix; otherwise the natural order.
     """
-    perm = build_aifs_plan(layout).perm if aifs else np.arange(len(layout))
+    perm = build_aifs_plan(layout) if aifs else np.arange(len(layout))
     mask = permuted_mask_oracle(perm, len(layout))
     return perm, mask, layout.modality[perm] == VISUAL
 
@@ -422,32 +426,25 @@ def stage_rotate_llm(state: QuantizeState) -> None:
     state.mark("rotate_llm")
 
 
-def _quantize_weight(state: QuantizeState, name: str, w: np.ndarray) -> None:
+def _quantize_weights(state: QuantizeState, parts: tuple) -> None:
+    """Freeze the symmetric weight grid of every linear of the given parts,
+    per output channel (or per group of them)."""
     pcfg = state.pcfg
-    if pcfg.weight_granularity == "per_group":
+    for name, lin in iter_linears(state.model):
+        if name.split(".")[0] not in parts:
+            continue
+        if name.endswith(".w_down") and pcfg.rms:
+            continue  # covered by its split plan
+        w_t = np.ascontiguousarray(lin.w.T)
         params = compute_params_absmax(
-            np.ascontiguousarray(w.T),
-            pcfg.bits_w,
-            Granularity.PER_GROUP,
-            symmetric=True,
-            group_size=pcfg.group_size,
+            w_t, pcfg.bits_w, Granularity(pcfg.weight_granularity), group_size=pcfg.group_size
         )
-    else:
-        params = compute_params_absmax(
-            np.ascontiguousarray(w.T), pcfg.bits_w, Granularity.PER_CHANNEL, symmetric=True
-        )
-    state.weight_q[name] = quantize(np.ascontiguousarray(w.T), params)
+        state.weight_q[name] = quantize(w_t, params)
 
 
 def stage_quantize_llm_weights(state: QuantizeState) -> None:
     state.require("rotate_llm")
-    for name, lin in iter_linears(state.model):
-        part = name.split(".")[0]
-        if part not in ("llm", "text_embed", "head"):
-            continue
-        if name.endswith(".w_down") and state.pcfg.rms:
-            continue  # covered by its split plan
-        _quantize_weight(state, name, lin.w)
+    _quantize_weights(state, ("llm", "text_embed", "head"))
     state.mark("quantize_llm_weights")
 
 
@@ -501,6 +498,11 @@ def stage_set_calibration(state: QuantizeState, calib: CalibrationResult) -> Non
             f"calibration used symmetric={calib.symmetric}, config says "
             f"symmetric_activations={state.pcfg.symmetric_activations}"
         )
+    for key, part in (("msq", "llm"), ("vision_act", "vision")):
+        held = len(getattr(calib, key))
+        blocks = getattr(state.float_model.config, f"{part}_blocks")
+        if held != blocks:
+            raise ValueError(f"calibration holds {held} {key} grids for {blocks} {part} blocks")
     state.calib = calib
     state.mark("calibrate")
 
@@ -519,13 +521,7 @@ def stage_rotate_vision(state: QuantizeState) -> None:
 
 def stage_quantize_vision_weights(state: QuantizeState) -> None:
     state.require("rotate_vision")
-    for name, lin in iter_linears(state.model):
-        part = name.split(".")[0]
-        if part not in ("vision", "vision_embed", "projector"):
-            continue
-        if name.endswith(".w_down") and state.pcfg.rms:
-            continue
-        _quantize_weight(state, name, lin.w)
+    _quantize_weights(state, ("vision", "vision_embed", "projector"))
     state.mark("quantize_vision_weights")
 
 
@@ -590,8 +586,6 @@ class QuantizedModel:
         sample: np.ndarray,
         modality: np.ndarray,
         dynamic: bool = False,
-        weights_on: bool = True,
-        acts_on: bool = True,
         lengths: list[int] | None = None,
     ) -> np.ndarray:
         """Simulated quantized pass, output rows in the original order.
@@ -602,8 +596,7 @@ class QuantizedModel:
         and attends only to itself; every row-wise step runs once over the
         pack, so the static path applies its 2 scale ops per block once for
         the whole pack.  dynamic swaps the static modality-split grids for
-        per-token grids computed on the fly.  weights_on/acts_on=False give
-        pass-through paths used by the equivalence tests.
+        per-token grids computed on the fly.
         """
         self.counter.reset()
         pcfg = self.pcfg
@@ -611,31 +604,25 @@ class QuantizedModel:
         lengths = pack_lengths(lengths, modality.shape[0])
         perm, positions, masks, visual_rows = _pack_order(modality, lengths, pcfg.aifs)
 
-        def weight_fn(name: str, w: np.ndarray) -> np.ndarray:
-            if weights_on and name in self.eff_weights:
-                return self.eff_weights[name]
-            return w
-
-        down_fn = None
-        if self.plans:
-            def down_fn(name: str, u: np.ndarray) -> np.ndarray:
-                return rms_forward(u, self.plans[name], quantize_weights=weights_on)
+        def down_fn(name: str, u: np.ndarray) -> np.ndarray:
+            return rms_forward(u, self.plans[name])
 
         def act_fn(name: str, x: np.ndarray) -> np.ndarray:
-            if not acts_on or not name.endswith(".input"):
-                return x
+            # name is "<part>.<i>.input" of a vision or llm block
             part, idx = name.split(".")[0], int(name.split(".")[1])
             if part == "vision":
                 return fake_quant(x, self.calib.vision_act[idx])
-            if part == "llm":
-                if dynamic:
-                    return quantize_dynamic_per_token(
-                        x, pcfg.bits_a, pcfg.symmetric_activations, self.counter
-                    )
-                return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
-            return x
+            if dynamic:
+                return quantize_dynamic_per_token(
+                    x, pcfg.bits_a, pcfg.symmetric_activations, self.counter
+                )
+            return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
 
-        hooks = ForwardHooks(weight_fn=weight_fn, act_fn=act_fn, down_fn=down_fn)
+        hooks = ForwardHooks(
+            weight_fn=self.eff_weights.get,
+            act_fn=act_fn,
+            down_fn=down_fn if self.plans else None,
+        )
         x = embed_tokens(self.model, sample, modality, hooks, lengths)
         out = np.empty_like(x)
         out[perm] = llm_stack(self.model, x[perm], masks, positions, hooks)
@@ -814,8 +801,10 @@ def qmodel_from_dict(d: dict) -> QuantizedModel:
     """Re-run the pipeline on the stored float model and calibration, so the
     calibration's pairing checks apply on every load."""
     _check_header(d, "qmodel", "quantized model")
+    with fileio.keys_required("quantized model file"):
+        model, config, calib = d["float_model"], d["config"], d["calibration"]
     return mquant_quantize(
-        model_from_dict(d["float_model"]),
-        PipelineConfig.from_dict(d["config"]),
-        calib=CalibrationResult.from_dict(d["calibration"]),
+        model_from_dict(model),
+        PipelineConfig.from_dict(config),
+        calib=CalibrationResult.from_dict(calib),
     )

@@ -113,7 +113,9 @@ def _slice_count(granularity: Granularity, rows: int, cols: int, group_size: int
 
 
 def _elementwise(params: QuantParams, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-slice scales and zero points to full (rows, cols) arrays."""
+    """Scales and zero points shaped to broadcast against a (rows, cols)
+    tensor: one column for per-tensor and per-row grids, each group's value
+    repeated over its columns for per-group grids."""
     g = params.granularity
     expect = _slice_count(g, rows, cols, params.group_size)
     if params.scales.shape != expect:
@@ -121,17 +123,11 @@ def _elementwise(params: QuantParams, rows: int, cols: int) -> tuple[np.ndarray,
             f"params cover {params.scales.shape} slices, tensor of shape "
             f"({rows}, {cols}) needs {expect}"
         )
-    if g is Granularity.PER_TENSOR:
-        s = np.full((rows, cols), params.scales[0])
-        z = np.full((rows, cols), params.zero_points[0], dtype=np.int64)
-    elif g in (Granularity.PER_TOKEN, Granularity.PER_CHANNEL):
-        s = np.repeat(params.scales[:, None], cols, axis=1)
-        z = np.repeat(params.zero_points[:, None], cols, axis=1)
-    else:
-        reps = np.repeat(params.scales, params.group_size, axis=1)[:, :cols]
-        zeps = np.repeat(params.zero_points, params.group_size, axis=1)[:, :cols]
-        s, z = reps, zeps
-    return s, z
+    if g is Granularity.PER_GROUP:
+        s = np.repeat(params.scales, params.group_size, axis=1)[:, :cols]
+        z = np.repeat(params.zero_points, params.group_size, axis=1)[:, :cols]
+        return s, z
+    return params.scales.reshape(-1, 1), params.zero_points.reshape(-1, 1)
 
 
 def _slice_minmax(x: np.ndarray, granularity: Granularity, group_size: int | None):
@@ -194,7 +190,7 @@ def compute_params_absmax(
         zeros = np.zeros_like(scales, dtype=np.int64)
     else:
         # Widening to include 0 keeps the zero point inside the grid and
-        # makes 0.0 exactly representable, which padding relies on.
+        # makes 0.0 exactly representable.
         lo = np.minimum(lo, 0.0)
         hi = np.maximum(hi, 0.0)
         span = hi - lo

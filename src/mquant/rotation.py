@@ -90,45 +90,32 @@ def rotate_model_offline(
     q = walsh_hadamard(out.config.d_model)
     q_t = np.ascontiguousarray(q.T)
     snapshots: dict = {}
-
-    if "llm" in parts:
-        if any(blk.online_fht for blk in out.llm_blocks):
-            raise ValueError("llm part is already rotated")
+    # Per part, llm first: its blocks, its final norm, the linears that
+    # write into its stream, and the linear that reads its final norm.
+    table = (
+        ("llm", out.llm_blocks, "llm_final_norm", (out.text_embed, out.projector), out.head),
+        ("vision", out.vision_blocks, "vision_post_norm", (out.vision_embed,), out.projector),
+    )
+    for part, blocks, norm_name, producers, consumer in table:
+        if part not in parts:
+            continue
+        if any(blk.online_fht for blk in blocks):
+            raise ValueError(f"{part} part is already rotated")
         bad = [
-            f"llm.{i}" for i, blk in enumerate(out.llm_blocks)
+            f"{part}.{i}" for i, blk in enumerate(blocks)
             if blk.attn_norm.kind != RMS_KIND or blk.mlp_norm.kind != RMS_KIND
         ]
-        if out.llm_final_norm.kind != RMS_KIND:
-            bad.append("llm_final_norm")
+        final_norm = getattr(out, norm_name)
+        if final_norm.kind != RMS_KIND:
+            bad.append(norm_name)
         if bad:
-            raise ValueError(f"llm part still contains LayerNorm at: {', '.join(bad)}")
-        _fold_rms_gain(out.llm_final_norm, [out.head])
-        out.text_embed.w = matmul(out.text_embed.w, q)
-        out.text_embed.b = matmul(out.text_embed.b[None, :], q)[0]
-        out.projector.w = matmul(out.projector.w, q)
-        out.projector.b = matmul(out.projector.b[None, :], q)[0]
-        out.head.w = matmul(q_t, out.head.w)
-        for i, blk in enumerate(out.llm_blocks):
-            snapshots[f"llm.{i}.w_down"] = _rotate_block(blk, q)
-
-    if "vision" in parts:
-        if any(blk.online_fht for blk in out.vision_blocks):
-            raise ValueError("vision part is already rotated")
-        bad = [
-            f"vision.{i}" for i, blk in enumerate(out.vision_blocks)
-            if blk.attn_norm.kind != RMS_KIND or blk.mlp_norm.kind != RMS_KIND
-        ]
-        if out.vision_post_norm.kind != RMS_KIND:
-            bad.append("vision_post_norm")
-        if bad:
-            raise ValueError(
-                f"vision part still contains LayerNorm at: {', '.join(bad)}"
-            )
-        _fold_rms_gain(out.vision_post_norm, [out.projector])
-        out.vision_embed.w = matmul(out.vision_embed.w, q)
-        out.vision_embed.b = matmul(out.vision_embed.b[None, :], q)[0]
-        out.projector.w = matmul(q_t, out.projector.w)
-        for i, blk in enumerate(out.vision_blocks):
-            snapshots[f"vision.{i}.w_down"] = _rotate_block(blk, q)
+            raise ValueError(f"{part} part still contains LayerNorm at: {', '.join(bad)}")
+        _fold_rms_gain(final_norm, [consumer])
+        for lin in producers:
+            lin.w = matmul(lin.w, q)
+            lin.b = matmul(lin.b[None, :], q)[0]
+        consumer.w = matmul(q_t, consumer.w)
+        for i, blk in enumerate(blocks):
+            snapshots[f"{part}.{i}.w_down"] = _rotate_block(blk, q)
 
     return out, snapshots

@@ -30,7 +30,6 @@ from mquant.msq_aifs import (
     attention_forward,
     build_aifs_plan,
     calibrate_msq,
-    multibatch_masks,
     permuted_mask_oracle,
     quantize_msq,
     standard_causal_mask,
@@ -73,14 +72,14 @@ def _span_perm(m: int, n: int, length: int) -> np.ndarray:
 def _aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     """Visual-first reorder, mask of the original order, original rotary
     positions, then the rows restored to the original order."""
-    plan = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout)
     out_r = attention_forward(
-        x[plan.perm], wq, bq, wk, bk, wv, bv, wo, bo,
+        x[perm], wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=n_heads,
-        mask=permuted_mask_oracle(plan.perm, len(layout)),
-        positions=plan.position_ids,
+        mask=permuted_mask_oracle(perm, len(layout)),
+        positions=perm,
     )
-    return out_r[plan.inverse]
+    return out_r[np.argsort(perm)]
 
 
 def test_single_span_masks_match_conjugation_exhaustively():
@@ -354,9 +353,11 @@ def test_static_scale_cost_is_two_per_block_and_dynamic_grows_with_length():
 
 
 def test_padded_batch_members_match_their_unpadded_runs():
-    """Left-padded batch members agree with their single-sequence runs on
-    every real position within 1e-8, through segment quantization and the
-    attention layer."""
+    """Members of a packed batch agree with their single-sequence runs on
+    every position within 1e-8, through segment quantization and the
+    attention layer.  The pack stacks each sample's visual-first rows, with
+    one causal mask per sample and each sample's own rotary positions, and
+    no padding."""
     rng = np.random.default_rng(17)
     d, heads = 16, 4
     ws = [rng.normal(size=(d, d)) * 0.2 for _ in range(4)]
@@ -366,35 +367,37 @@ def test_padded_batch_members_match_their_unpadded_runs():
         ModalityLayout(np.array([1, 0, 1, 0, 1, 1, 0])),
         ModalityLayout(np.array([0, 0, 1])),
     ]
-    lengths = [4, 7, 3]
     calib = []
-    for layout, length in zip(layouts, lengths):
-        x = np.empty((length, d))
+    for layout in layouts:
+        x = np.empty((len(layout), d))
         vis = layout.modality == VISUAL
         x[vis] = rng.uniform(-20.0, 10.0, size=(int(vis.sum()), d))
         x[~vis] = rng.uniform(-0.5, 0.5, size=(int((~vis).sum()), d))
         calib.append((x, layout))
     params = calibrate_msq(calib, bits=8)
 
-    batch = multibatch_masks(lengths, layouts)
-    for (x, layout), ps in zip(calib, batch):
-        x_r = x[ps.plan.perm]
+    perms = [build_aifs_plan(layout) for layout in layouts]
+    rows = [x[perm] for (x, _), perm in zip(calib, perms)]
+    vis_rows = [layout.modality[perm] == VISUAL for layout, perm in zip(layouts, perms)]
+    masks = [permuted_mask_oracle(perm, len(perm)) for perm in perms]
+    packed = attention_forward(
+        quantize_msq(np.vstack(rows), np.concatenate(vis_rows), params),
+        ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
+        n_heads=heads,
+        mask=masks,
+        positions=np.concatenate(perms),
+    )
+    offset = 0
+    for x_r, vis, mask, perm in zip(rows, vis_rows, masks, perms):
         alone = attention_forward(
-            quantize_msq(x_r, ps.plan.visual_rows, params),
+            quantize_msq(x_r, vis, params),
             ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
             n_heads=heads,
-            mask=permuted_mask_oracle(ps.plan.perm, len(ps.plan.perm)),
-            positions=ps.plan.position_ids,
+            mask=mask,
+            positions=perm,
         )
-        x_pad = np.vstack([np.zeros((ps.pad, d)), x_r])
-        padded = attention_forward(
-            quantize_msq(x_pad, ps.visual_rows, params),
-            ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
-            n_heads=heads,
-            mask=ps.mask,
-            positions=ps.position_ids,
-        )
-        assert np.abs(padded[ps.pad :] - alone).max() <= 1e-8
+        assert np.abs(packed[offset : offset + len(perm)] - alone).max() <= 1e-8
+        offset += len(perm)
 
 
 def test_default_pipeline_quality_matches_frozen_values():

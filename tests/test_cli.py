@@ -352,3 +352,89 @@ def test_model_keys_that_disagree_with_the_model_fail(workdir, capsys, command):
     assert "d_model=32 disagrees with the model's d_model=16" in capsys.readouterr().err
     assert not (tmp / "o.json").exists()
     assert run(*base, "--config", cfg, "--seed", "0") == 0
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("gen-model", "seed", "0"),
+        ("gen-model", "n_heads", 2.0),
+        ("gen-model", "vision_weight_mean_bias", "0.02"),
+        ("quantize", "rms", "false"),
+        ("quantize", "symmetric_activations", "no"),
+        ("quantize", "group_size", "8"),
+    ],
+)
+def test_config_values_of_the_wrong_type_fail(workdir, capsys, command, key, value):
+    """A string "false" is not false, nor 2.0 an int: the key is named and
+    nothing runs."""
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps({**json.loads((tmp / "config.json").read_text()), key: value}))
+    capsys.readouterr()
+    out = tmp / "o.json"
+    if command == "gen-model":
+        code = run("gen-model", "--config", str(bad), "--out", str(out))
+    else:
+        code = run("quantize", "--config", str(bad), "--model", model,
+                   "--samples", samples, "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: config key '{key}' must be" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def _drop_last_msq(q):
+    q["calibration"]["msq"].pop()
+
+
+def _drop_vision_act(c):
+    del c["vision_act"]
+
+
+def _drop_head_weight(m):
+    del m["tensors"]["head.w"]
+
+
+@pytest.mark.parametrize(
+    "artifact, tamper, command, named",
+    [
+        ("qmodel", _drop_last_msq, "eval", "0 msq grids for 1 llm blocks"),
+        ("calib", _drop_vision_act, "quantize", "calibration file has no 'vision_act'"),
+        ("model", _drop_head_weight, "calibrate", "model file has no 'head.w'"),
+    ],
+    ids=["qmodel-short-msq", "calib-no-vision_act", "model-no-head.w"],
+)
+def test_artifact_mismatches_fail_at_load(workdir, capsys, artifact, tamper, command, named):
+    """An artifact missing a field, or holding grids for fewer blocks than
+    its model, fails when it is loaded, with the field named."""
+    tmp, cfg = workdir
+    paths = {name: tmp / f"{name}.json" for name in ("model", "calib", "qmodel")}
+    samples = str(tmp / "s.mqs")
+    run("gen-model", "--config", cfg, "--out", str(paths["model"]))
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("calibrate", "--model", str(paths["model"]), "--samples", samples,
+        "--out", str(paths["calib"]))
+    run("quantize", "--model", str(paths["model"]), "--calib", str(paths["calib"]),
+        "--out", str(paths["qmodel"]))
+    d = json.loads(paths[artifact].read_text())
+    tamper(d)
+    paths[artifact].write_text(json.dumps(d))
+    capsys.readouterr()
+    out = str(tmp / "o.json")
+    argv = {
+        "eval": ["eval", "--qmodel", str(paths["qmodel"]), "--samples", samples,
+                 "--report", out],
+        "quantize": ["quantize", "--model", str(paths["model"]),
+                     "--calib", str(paths["calib"]), "--out", out],
+        "calibrate": ["calibrate", "--model", str(paths["model"]),
+                      "--samples", samples, "--out", out],
+    }[command]
+    assert run(*argv) == 2
+    assert named in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every function the benchmark tracer looks up by name exists."""
+"""Every module-level import in the package is used by its module, every
+definition is named by production code, and every function the benchmark
+tracer looks up by name exists."""
 
 import ast
 import importlib
@@ -18,9 +19,29 @@ SRC = Path(mquant.__file__).parent
 # never call them.
 ALLOWED = {("hadamard", "matmul"), ("pipeline", "matmul")}
 
+# Definitions that no production code names, each with the reason it stays.
+UNREFERENCED = {
+    "msq_aifs.unified_causal_mask": "the paper's closed form: acceptance test 1 "
+    "certifies it and the benchmark traces it",
+    "msq_aifs.rope_rotate": "the tests' rotary oracle; the benchmark traces it",
+    "numerics.masked_softmax_rows": "the tests' softmax oracle; the benchmark traces it",
+    "msq_aifs.ModalityLayout.visual_spans": "the benchmark checks its layouts with it",
+    "msq_aifs.ModalityLayout.visual_count": "the benchmark checks its layouts with it",
+    "pipeline.apply_lossless_stack": "acceptance test 8's float-equivalent stack",
+    "hadamard.incoherence_ratio": "waits for the per-layer incoherence report "
+    "(ROADMAP item 5)",
+}
 
-def unused_imports(path: Path) -> set:
-    tree = ast.parse(path.read_text())
+
+def production_trees() -> dict:
+    return {
+        p.stem: ast.parse(p.read_text())
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+
+
+def unused_imports(module: str, tree: ast.Module) -> set:
     imported = set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -29,15 +50,52 @@ def unused_imports(path: Path) -> set:
             for alias in node.names:
                 imported.add((alias.asname or alias.name).split(".")[0])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return {(path.stem, name) for name in imported - used}
+    return {(module, name) for name in imported - used}
 
 
 def test_no_unused_module_level_imports():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) > 5
-    unused = set().union(*(unused_imports(p) for p in modules))
+    trees = production_trees()
+    assert len(trees) > 5
+    unused = set().union(*(unused_imports(m, t) for m, t in trees.items()))
     assert unused - ALLOWED == set()
     assert ALLOWED <= unused, "allowlisted import is now used; drop it from ALLOWED"
+
+
+def definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name) of every module-level function and class
+    and of every non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name
+
+
+def test_every_definition_is_named_by_production_code():
+    """No production helper that only tests or the benchmark use: each
+    definition's name appears in production code outside the definition
+    itself, as a name or an attribute.  The package __init__'s re-exports
+    do not count."""
+    trees = production_trees()
+    named = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    unreferenced = {
+        qual
+        for module, tree in trees.items()
+        for qual, name in definitions(module, tree)
+        if name not in named
+    }
+    assert unreferenced - UNREFERENCED.keys() == set()
+    assert UNREFERENCED.keys() <= unreferenced, (
+        "allowlisted definition is now named by production code; "
+        "drop it from UNREFERENCED"
+    )
 
 
 def test_benchmark_trace_targets_resolve():

@@ -13,7 +13,6 @@ from mquant.msq_aifs import (
     build_aifs_plan,
     calibrate_msq,
     layout_from_string,
-    multibatch_masks,
     permuted_mask_oracle,
     quantize_dynamic_per_token,
     quantize_msq,
@@ -54,14 +53,14 @@ def conjugation_oracle(perm, length):
 def aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     """The AIFS path written out: reorder visual-first, mask by the
     original order, rotate by original positions, restore the order."""
-    plan = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout)
     out_r = attention_forward(
-        x[plan.perm], wq, bq, wk, bk, wv, bv, wo, bo,
+        x[perm], wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=n_heads,
-        mask=permuted_mask_oracle(plan.perm, len(layout)),
-        positions=plan.position_ids,
+        mask=permuted_mask_oracle(perm, len(layout)),
+        positions=perm,
     )
-    return out_r[plan.inverse]
+    return out_r[np.argsort(perm)]
 
 
 # ===== layouts and plans =====
@@ -88,21 +87,17 @@ def test_visual_spans():
 
 
 def test_plan_tvvt():
-    plan = build_aifs_plan(layout_from_string("tvvt"))
-    np.testing.assert_array_equal(plan.perm, [1, 2, 0, 3])
-    np.testing.assert_array_equal(plan.inverse, [2, 0, 1, 3])
-    assert plan.m_count == 2
-    np.testing.assert_array_equal(plan.position_ids, plan.perm)
-    np.testing.assert_array_equal(plan.visual_rows, [True, True, False, False])
+    perm = build_aifs_plan(layout_from_string("tvvt"))
+    np.testing.assert_array_equal(perm, [1, 2, 0, 3])
 
 
 def test_plan_is_stable():
     rng = np.random.default_rng(0)
     for _ in range(20):
         layout = random_layout(rng, int(rng.integers(1, 20)))
-        plan = build_aifs_plan(layout)
-        vis = plan.perm[: plan.m_count]
-        txt = plan.perm[plan.m_count :]
+        perm = build_aifs_plan(layout)
+        vis = perm[: layout.visual_count]
+        txt = perm[layout.visual_count :]
         assert np.all(np.diff(vis) > 0) if len(vis) > 1 else True
         assert np.all(np.diff(txt) > 0) if len(txt) > 1 else True
         assert np.all(layout.modality[vis] == VISUAL)
@@ -110,8 +105,8 @@ def test_plan_is_stable():
 
 
 def test_all_text_plan_is_identity():
-    plan = build_aifs_plan(layout_from_string("tttt"))
-    np.testing.assert_array_equal(plan.perm, [0, 1, 2, 3])
+    perm = build_aifs_plan(layout_from_string("tttt"))
+    np.testing.assert_array_equal(perm, [0, 1, 2, 3])
 
 
 # ===== masks =====
@@ -164,8 +159,8 @@ def test_unified_mask_matches_conjugation_all_single_spans():
                 tags = np.zeros(length, dtype=np.int64)
                 if n >= m:
                     tags[m : n + 1] = VISUAL
-                plan = build_aifs_plan(ModalityLayout(tags))
-                want = permuted_mask_oracle(plan.perm, length)
+                perm = build_aifs_plan(ModalityLayout(tags))
+                want = permuted_mask_oracle(perm, length)
                 got = unified_causal_mask(m, n, length)
                 assert np.array_equal(got, want), (length, m, n)
 
@@ -178,15 +173,14 @@ def test_unified_mask_matches_conjugation_on_long_sequences():
     ]:
         tags = np.zeros(length, dtype=np.int64)
         tags[m : n + 1] = VISUAL
-        plan = build_aifs_plan(ModalityLayout(tags))
-        want = permuted_mask_oracle(plan.perm, length)
+        perm = build_aifs_plan(ModalityLayout(tags))
+        want = permuted_mask_oracle(perm, length)
         assert np.array_equal(unified_causal_mask(m, n, length), want), (m, n)
 
 
 def test_llm_order_multi_span_mask_is_conjugation():
     layout = layout_from_string("vtvt")
-    plan = build_aifs_plan(layout)
-    want = conjugation_oracle(plan.perm, 4)
+    want = conjugation_oracle(build_aifs_plan(layout), 4)
     _, mask, _ = _llm_order(layout, aifs=True)
     assert np.array_equal(mask, want)
 
@@ -231,8 +225,8 @@ def test_mask_bounds_checked():
 def test_every_mask_row_has_a_free_slot():
     rng = np.random.default_rng(1)
     for _ in range(30):
-        plan = build_aifs_plan(random_layout(rng, int(rng.integers(1, 16))))
-        mask = permuted_mask_oracle(plan.perm, len(plan.perm))
+        perm = build_aifs_plan(random_layout(rng, int(rng.integers(1, 16))))
+        mask = permuted_mask_oracle(perm, len(perm))
         assert np.all((mask == MASK_FREE).any(axis=1))
 
 
@@ -281,16 +275,16 @@ def test_remap_rope_conjugates_scores():
     permuted score matrix of the natural pass."""
     rng = np.random.default_rng(5)
     layout = layout_from_string("tvtvvt")
-    plan = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout)
     q = rng.normal(size=(6, 8))
     k = rng.normal(size=(6, 8))
     qn = rope_rotate(q, np.arange(6))
     kn = rope_rotate(k, np.arange(6))
     natural = qn @ kn.T
-    qr = rope_rotate(q[plan.perm], plan.position_ids)
-    kr = rope_rotate(k[plan.perm], plan.position_ids)
+    qr = rope_rotate(q[perm], perm)
+    kr = rope_rotate(k[perm], perm)
     reordered = qr @ kr.T
-    np.testing.assert_allclose(reordered, natural[np.ix_(plan.perm, plan.perm)], atol=1e-12)
+    np.testing.assert_allclose(reordered, natural[np.ix_(perm, perm)], atol=1e-12)
 
 
 # ===== attention equivalence =====
@@ -442,18 +436,26 @@ def oracle_case(rng, kind, length):
         n = int(rng.integers(m - 1, length))
         tags = np.full(length, TEXT)
         tags[m : n + 1] = VISUAL
-        plan = build_aifs_plan(ModalityLayout(tags))
-        return unified_causal_mask(m, n, length), plan.position_ids
+        return unified_causal_mask(m, n, length), build_aifs_plan(ModalityLayout(tags))
     if kind == "permuted":
         perm = rng.permutation(length)
         return permuted_mask_oracle(perm, length), perm
     if kind == "free":
         return np.zeros((length, length)), np.arange(length)
+    return padded_case(rng, length)
+
+
+def padded_case(rng, length):
+    """One sequence left-padded to length: each pad slot sees only itself
+    at position 0, and the real rows keep their visual-first causal mask and
+    original positions, blocked from every pad key."""
     real = int(rng.integers(1, length + 1))
-    ps = multibatch_masks(
-        [real, length], [random_layout(rng, real), random_layout(rng, length)]
-    )[0]
-    return ps.mask, ps.position_ids
+    pad = length - real
+    perm = build_aifs_plan(random_layout(rng, real))
+    mask = np.full((length, length), MASK_BLOCKED)
+    mask[np.arange(pad), np.arange(pad)] = MASK_FREE
+    mask[pad:, pad:] = permuted_mask_oracle(perm, real)
+    return mask, np.concatenate([np.zeros(pad, dtype=np.int64), perm])
 
 
 @settings(max_examples=120, deadline=None)
@@ -620,10 +622,11 @@ def test_calibrate_msq_separates_scales():
     rng = np.random.default_rng(8)
     samples = designed_stream(rng)
     params = calibrate_msq(samples, bits=8)
-    assert params.s_v <= 20.0 / 127 + 1e-12
-    assert params.s_t <= 0.5 / 127 + 1e-12
+    s_v, s_t = params.visual.scales[0], params.text.scales[0]
+    assert s_v <= 20.0 / 127 + 1e-12
+    assert s_t <= 0.5 / 127 + 1e-12
     # the scale gap is the whole point: more than an order of magnitude
-    assert params.s_v / params.s_t > 10.0
+    assert s_v / s_t > 10.0
 
 
 def test_calibrate_msq_order_invariant():
@@ -631,7 +634,8 @@ def test_calibrate_msq_order_invariant():
     samples = designed_stream(rng)
     a = calibrate_msq(samples, bits=8)
     b = calibrate_msq(samples[::-1], bits=8)
-    assert a.s_v == b.s_v and a.s_t == b.s_t
+    assert a.visual.scales[0] == b.visual.scales[0]
+    assert a.text.scales[0] == b.text.scales[0]
 
 
 def test_calibrate_msq_missing_modality_warns():
@@ -639,7 +643,7 @@ def test_calibrate_msq_missing_modality_warns():
     layout = layout_from_string("ttt")
     with pytest.warns(UserWarning, match="no visual tokens"):
         params = calibrate_msq([(x, layout)], bits=8)
-    assert params.s_v == 1.0  # absent modality gets the zero-range sentinel
+    assert params.visual.scales[0] == 1.0  # absent modality gets the zero-range sentinel
 
 
 def test_calibrate_msq_row_count_mismatch():
@@ -658,10 +662,10 @@ def test_quantize_msq_counts_two_ops():
     params = calibrate_msq(samples, bits=8)
     counter = ScaleOpCounter()
     x, layout = samples[0]
-    plan = build_aifs_plan(layout)
-    quantize_msq(x[plan.perm], plan.visual_rows, params, counter)
+    vis = layout.modality == VISUAL
+    quantize_msq(x, vis, params, counter)
     assert counter.scale_ops == 2
-    quantize_msq(x[plan.perm], plan.visual_rows, params, counter)
+    quantize_msq(x, vis, params, counter)
     assert counter.scale_ops == 4
 
 
@@ -670,10 +674,10 @@ def test_quantize_msq_applies_segment_grids():
     samples = designed_stream(rng)
     params = calibrate_msq(samples, bits=8)
     x, layout = samples[1]
-    plan = build_aifs_plan(layout)
-    xr = x[plan.perm]
-    out = quantize_msq(xr, plan.visual_rows, params)
-    m = plan.m_count
+    perm = build_aifs_plan(layout)
+    m = layout.visual_count
+    xr = x[perm]
+    out = quantize_msq(xr, np.arange(len(perm)) < m, params)
     np.testing.assert_array_equal(out[:m], fake_quant(xr[:m], params.visual))
     np.testing.assert_array_equal(out[m:], fake_quant(xr[m:], params.text))
 
@@ -685,8 +689,9 @@ def test_quantize_msq_mask_matches_prefix_form():
     samples = designed_stream(rng)
     params = calibrate_msq(samples, bits=8)
     x, layout = samples[2]
-    plan = build_aifs_plan(layout)
-    prefix = quantize_msq(x[plan.perm], plan.visual_rows, params)[plan.inverse]
+    perm = build_aifs_plan(layout)
+    prefix_rows = np.arange(len(perm)) < layout.visual_count
+    prefix = quantize_msq(x[perm], prefix_rows, params)[np.argsort(perm)]
     scattered = quantize_msq(x, layout.modality == VISUAL, params)
     assert np.array_equal(prefix, scattered)
 
@@ -727,72 +732,3 @@ def test_static_cost_is_length_free():
         x = rng.normal(size=(length, 4))
         quantize_msq(x, np.arange(length) < 3, params, counter)
         assert counter.scale_ops == 2
-
-
-# ===== padded batches =====
-
-
-def test_multibatch_mask_structure():
-    layouts = [layout_from_string("tvt"), layout_from_string("tvvtt")]
-    batch = multibatch_masks([3, 5], layouts)
-    assert batch[0].pad == 2 and batch[1].pad == 0
-    ps = batch[0]
-    free = ps.mask == MASK_FREE
-    # pads self-attend only
-    assert free[0, 0] and not free[0, 1:].any()
-    assert free[1, 1] and not free[1, 0] and not free[1, 2:].any()
-    # no real query ever sees a pad key
-    assert not free[2:, :2].any()
-    # the real block is the single-sequence reordered mask
-    assert np.array_equal(ps.mask[2:, 2:], permuted_mask_oracle(ps.plan.perm, 3))
-    # pads take position 0, real tokens keep original positions
-    np.testing.assert_array_equal(ps.position_ids[:2], [0, 0])
-    np.testing.assert_array_equal(ps.position_ids[2:], ps.plan.position_ids)
-    # pads count as visual, then the real visual-first prefix
-    np.testing.assert_array_equal(ps.visual_rows, [True, True, True, False, False])
-
-
-def test_multibatch_validation():
-    with pytest.raises(ValueError, match="empty"):
-        multibatch_masks([], [])
-    with pytest.raises(ValueError, match="lengths"):
-        multibatch_masks([3], [])
-    with pytest.raises(ValueError, match="sequence 0"):
-        multibatch_masks([2], [layout_from_string("tvt")])
-
-
-def test_padded_rows_do_not_disturb_real_outputs():
-    """Left-pad with zero rows: every real output row must be bit-identical
-    to the unpadded run, because blocked probabilities are exactly zero and
-    leading zero terms do not change the accumulation."""
-    rng = np.random.default_rng(16)
-    d = 16
-    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
-    layouts = [layout_from_string("tvvt"), layout_from_string("vtvtvvt")]
-    lengths = [4, 7]
-    batch = multibatch_masks(lengths, layouts)
-    xs = [rng.normal(size=(n, d)) for n in lengths]
-    for x, ps in zip(xs, batch):
-        unpadded = attention_forward(
-            x[ps.plan.perm], wq, bq, wk, bk, wv, bv, wo, bo,
-            n_heads=4, mask=permuted_mask_oracle(ps.plan.perm, len(ps.plan.perm)),
-            positions=ps.plan.position_ids,
-        )
-        x_pad = np.vstack([np.zeros((ps.pad, d)), x[ps.plan.perm]])
-        padded = attention_forward(
-            x_pad, wq, bq, wk, bk, wv, bv, wo, bo,
-            n_heads=4, mask=ps.mask, positions=ps.position_ids,
-        )
-        assert np.array_equal(padded[ps.pad :], unpadded)
-
-
-def test_padded_segment_quantization_uses_padded_prefix():
-    rng = np.random.default_rng(17)
-    params = calibrate_msq(designed_stream(rng), bits=8)
-    layouts = [layout_from_string("tv"), layout_from_string("tvvt")]
-    batch = multibatch_masks([2, 4], layouts)
-    ps = batch[0]
-    x_pad = np.vstack([np.zeros((ps.pad, 4)), rng.normal(size=(2, 4))])
-    out = quantize_msq(x_pad, ps.visual_rows, params)
-    # pad zeros quantize to zero on any grid, so they stay inert
-    np.testing.assert_array_equal(out[: ps.pad], 0.0)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,38 @@ def test_config_validates_values():
         PipelineConfig(split_bits=5)
     with pytest.raises(ValueError, match="group_size"):
         PipelineConfig(group_size=0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rms", "false"),
+        ("aifs", 1),
+        ("symmetric_activations", "no"),
+        ("seed", "0"),
+        ("group_size", "8"),
+        ("bits_w", True),
+        ("n_heads", 4.0),
+        ("d_model", np.float64(16)),
+        ("split_bits", "8"),
+        ("weight_granularity", 1),
+        ("vision_weight_mean_bias", "0.02"),
+        ("vision_weight_mean_bias", True),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        PipelineConfig.from_dict({key: value})
+
+
+def test_config_stores_numpy_scalars_as_python_values():
+    pcfg = small_pcfg(seed=np.int64(3), group_size=np.int32(8), split_bits=None,
+                      vision_weight_mean_bias=np.float32(0.5))
+    d = pcfg.to_dict()
+    assert (d["seed"], d["group_size"], d["vision_weight_mean_bias"]) == (3, 8, 0.5)
+    assert type(d["seed"]) is int and type(d["vision_weight_mean_bias"]) is float
+    assert d["split_bits"] is None
+    json.dumps(d)
 
 
 def test_config_roundtrip():
@@ -198,6 +231,17 @@ def test_set_calibration_checks_settings(setup):
         stage_rotate_llm(state)
         with pytest.raises(ValueError, match=field):
             stage_set_calibration(state, calib)
+
+
+def test_set_calibration_checks_grid_counts(setup):
+    pcfg, model, samples = setup
+    calib = calibrate_pipeline(model, samples, pcfg)
+    for key, part in (("msq", "llm"), ("vision_act", "vision")):
+        short = replace(calib, **{key: getattr(calib, key)[:-1]})
+        state = new_state(model, pcfg)
+        stage_rotate_llm(state)
+        with pytest.raises(ValueError, match=f"{key} grids for .* {part} blocks"):
+            stage_set_calibration(state, short)
 
 
 IDENTITY = st.fixed_dictionaries({
@@ -346,22 +390,35 @@ def test_counters_exact(setup):
         assert qm.counter.scale_ops == length * blocks
 
 
-def test_passthrough_matches_transformed_float(setup):
+def without_grids(qm, monkeypatch):
+    """qm with identity activation grids, float weights and no split plans,
+    so its forward runs the transformed float model in its own order."""
+    monkeypatch.setattr(pipeline, "quantize_msq", lambda x, rows, params, counter: x)
+    monkeypatch.setattr(pipeline, "fake_quant", lambda x, params: x)
+    qm.eff_weights = {}
+    qm.plans = {}
+    return qm
+
+
+def test_passthrough_matches_transformed_float(setup, monkeypatch):
     pcfg, model, samples = setup
-    qm = mquant_quantize(model, pcfg, samples=samples)
+    qm = without_grids(mquant_quantize(model, pcfg, samples=samples), monkeypatch)
     rows, layout = samples[0]
-    out = qm.forward(rows, layout.modality, weights_on=False, acts_on=False)
+    out = qm.forward(rows, layout.modality)
     ref = model_forward(qm.model, rows, layout.modality)
     np.testing.assert_allclose(out, ref, atol=1e-9)
 
 
-def test_natural_order_passthrough_is_the_float_forward(setup):
+def test_natural_order_passthrough_is_the_float_forward(setup, monkeypatch):
     """With AIFS off, the pass-through path runs model_forward's order, mask
     and positions, so it reproduces it bit for bit."""
     pcfg, model, samples = setup
-    qm = mquant_quantize(model, small_pcfg(aifs=False, rms=False), samples=samples)
+    qm = without_grids(
+        mquant_quantize(model, small_pcfg(aifs=False, rms=False), samples=samples),
+        monkeypatch,
+    )
     for rows, layout in samples:
-        out = qm.forward(rows, layout.modality, weights_on=False, acts_on=False)
+        out = qm.forward(rows, layout.modality)
         assert np.array_equal(out, model_forward(qm.model, rows, layout.modality))
 
 

@@ -60,6 +60,8 @@ def tensor_to_b64(a: np.ndarray) -> str:
 
 
 def tensor_from_b64(text: str) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ValueError(f"embedded tensor must be a base64 string, got {type(text).__name__}")
     raw = base64.b64decode(text.encode("ascii"))
     a, used = tensor_from_bytes(raw)
     if used != len(raw):

@@ -30,7 +30,9 @@ from .hadamard import fht
 from .msq_aifs import (
     TEXT,
     VISUAL,
+    AttentionPlan,
     attention_forward,
+    build_attention_plan,
     pack_lengths,
     standard_causal_mask,
 )
@@ -416,12 +418,12 @@ def block_forward(
     block: Block,
     x: np.ndarray,
     n_heads: int,
-    mask: np.ndarray | list,
+    mask: np.ndarray | list | AttentionPlan,
     positions: np.ndarray | None,
     hooks: ForwardHooks | None = None,
 ) -> np.ndarray:
     """One pre-norm transformer block over a (tokens, d_model) input; mask
-    is one mask or the per-sample list attention_forward takes."""
+    is the forward's attention plan, or masks attention_forward takes."""
     hooks = hooks or ForwardHooks()
     x = hooks.act_fn(f"{name}.input", x)
 
@@ -466,12 +468,13 @@ def vision_encode(
     hooks = hooks or ForwardHooks()
     cfg = model.config
     rows = as_tensor(rows)
-    masks = [np.full((n, n), MASK_FREE) for n in pack_lengths(lengths, rows.shape[0])]
+    sizes = pack_lengths(lengths, rows.shape[0])
+    plan = build_attention_plan([np.full((n, n), MASK_FREE) for n in sizes], rows.shape[0])
     x = matmul(rows, hooks.weight_fn("vision_embed", model.vision_embed.w))
     x = x + model.vision_embed.b
     for i, blk in enumerate(model.vision_blocks):
         x = block_forward(
-            f"vision.{i}", blk, x, cfg.n_heads, masks, positions=None, hooks=hooks
+            f"vision.{i}", blk, x, cfg.n_heads, plan, positions=None, hooks=hooks
         )
     x = norm_forward(model.vision_post_norm, x)
     x = matmul(x, hooks.weight_fn("projector", model.projector.w)) + model.projector.b
@@ -522,12 +525,12 @@ def embed_tokens(
 def llm_stack(
     model: ToyMllm,
     x: np.ndarray,
-    mask: np.ndarray | list,
+    mask: np.ndarray | list | AttentionPlan,
     positions: np.ndarray,
     hooks: ForwardHooks | None = None,
 ) -> np.ndarray:
     """LLM blocks, final norm, head over an already-embedded sequence or
-    pack; mask is one mask or the per-sample list attention_forward takes."""
+    pack; mask is its attention plan, or masks attention_forward takes."""
     hooks = hooks or ForwardHooks()
     cfg = model.config
     for i, blk in enumerate(model.llm_blocks):
@@ -559,7 +562,7 @@ def model_forward(
     return llm_stack(
         model,
         x,
-        mask=[standard_causal_mask(n) for n in lengths],
+        mask=build_attention_plan([standard_causal_mask(n) for n in lengths], x.shape[0]),
         positions=np.concatenate([np.arange(n) for n in lengths]),
         hooks=hooks,
     )
@@ -596,6 +599,13 @@ def model_to_dict(model: ToyMllm) -> dict:
     }
 
 
+def _require_object(value, what: str) -> dict:
+    """value, if it is a JSON object; otherwise a ValueError naming what."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def model_from_dict(d: dict) -> ToyMllm:
     # A model file carries no kind tag; every other artifact does.
     if "kind" in d:
@@ -603,9 +613,19 @@ def model_from_dict(d: dict) -> ToyMllm:
     missing = [k for k in ("config", "tensors", "norms", "flags") if k not in d]
     if missing:
         raise ValueError(f"not a model file: missing sections {missing}")
+    for key in ("config", "tensors", "norms", "flags"):
+        _require_object(d[key], f"model file section {key!r}")
+    unknown = sorted(set(d["config"]) - {f.name for f in fields(ToyMllmConfig)})
+    if unknown:
+        raise ValueError(f"model file config has unknown keys {unknown}")
     with fileio.keys_required("model file"):
         cfg = ToyMllmConfig(**d["config"])
-        flags = d["flags"]
+        online_fht = _require_object(d["flags"]["online_fht"], "model file flag 'online_fht'")
+        for key, value in online_fht.items():
+            if not isinstance(value, bool):
+                raise ValueError(
+                    f"model file flag online_fht[{key!r}] must be a bool, got {value!r}"
+                )
 
         def lin(name: str) -> Linear:
             w = fileio.tensor_from_b64(d["tensors"][f"{name}.w"])
@@ -613,7 +633,7 @@ def model_from_dict(d: dict) -> ToyMllm:
             return Linear(w=w, b=b)
 
         def norm(name: str) -> Norm:
-            nd = d["norms"][name]
+            nd = _require_object(d["norms"][name], f"model file norm {name!r}")
             return Norm(
                 kind=nd["kind"],
                 params=NormParams(
@@ -629,7 +649,7 @@ def model_from_dict(d: dict) -> ToyMllm:
                     attn_norm=norm(f"{part}.{i}.attn_norm"),
                     mlp_norm=norm(f"{part}.{i}.mlp_norm"),
                     rope=rope,
-                    online_fht=flags["online_fht"].get(f"{part}.{i}", False),
+                    online_fht=online_fht.get(f"{part}.{i}", False),
                     **{tag: lin(f"{part}.{i}.{tag}") for tag in BLOCK_LINEARS},
                 )
                 for i in range(count)

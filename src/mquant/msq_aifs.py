@@ -247,14 +247,27 @@ def pack_lengths(lengths, rows: int) -> list[int]:
     return lengths
 
 
-def _attention_tiles(masks: list, tokens: int) -> list:
-    """(query rows, key band, mask tile) of every query tile of every sample.
+@dataclass
+class AttentionPlan:
+    """(rows, cols, tiles) of each stacked product over a pack, with copied
+    mask tiles: slices and a (rows, band) tile for a long sample's tile, or
+    index arrays (G, n), (G, band) and (G, n, band) tiles for G stacked
+    short samples."""
 
-    Each sample's mask is checked once.  Its query rows are cut into tiles
-    of ATTENTION_TILE_ROWS from the sample's first row, each with a column
-    band from the first to one past the last column that any of its rows
-    may attend to, so no tile or band ever leaves its sample.
+    tokens: int
+    groups: list
+
+
+def build_attention_plan(mask: np.ndarray | list, tokens: int) -> AttentionPlan:
+    """The plan of one mask, or of per-sample square masks summing to tokens.
+
+    Each query tile gets the column band from the first to one past the last
+    column any of its rows may attend to.  Samples of at most
+    ATTENTION_TILE_ROWS rows are one tile each, stacked by tile shape; a
+    longer sample's tiles stay apart, as stacking them would gather whole
+    key bands.  One check_mask call per stacked group or long sample.
     """
+    masks = [as_tensor(m) for m in (mask if isinstance(mask, (list, tuple)) else [mask])]
     sizes = [m.shape[0] for m in masks]
     if any(m.shape != (n, n) for m, n in zip(masks, sizes)) or sum(sizes) != tokens:
         got = [m.shape for m in masks]
@@ -262,22 +275,38 @@ def _attention_tiles(masks: list, tokens: int) -> list:
             f"mask shape {got[0] if len(got) == 1 else got} does not cover "
             f"({tokens}, {tokens}) with square per-sample blocks"
         )
-    tiles = []
+    groups = []
+    short: dict = {}  # (rows, band) -> [(first row, first column, mask)]
     offset = 0
     for m, n in zip(masks, sizes):
-        check_mask(m)
+        if n > ATTENTION_TILE_ROWS:
+            check_mask(m)
         # seen[t, j]: some row of tile t may attend to column j
         starts = np.arange(0, n, ATTENTION_TILE_ROWS)
         seen = np.logical_or.reduceat(m == MASK_FREE, starts)
         lo = seen.argmax(axis=1)
         hi = n - seen[:, ::-1].argmax(axis=1)
         for r0, c0, c1 in zip(starts.tolist(), lo.tolist(), hi.tolist()):
-            r1 = min(r0 + ATTENTION_TILE_ROWS, n)
-            rows = slice(offset + r0, offset + r1)
-            cols = slice(offset + c0, offset + c1)
-            tiles.append((rows, cols, m[r0:r1, c0:c1]))
+            tile = m[r0 : r0 + ATTENTION_TILE_ROWS, c0:c1]
+            if n <= ATTENTION_TILE_ROWS:
+                short.setdefault(tile.shape, []).append((offset, c0, m))
+            else:
+                rows = slice(offset + r0, offset + r0 + tile.shape[0])
+                groups.append((rows, slice(offset + c0, offset + c1), tile.copy()))
         offset += n
-    return tiles
+    for (n, band), members in short.items():
+        check_mask(np.vstack([m for _, _, m in members]))
+        first = np.array([(row, row + c0) for row, c0, _ in members])
+        tiles = np.stack([m[:, c0 : c0 + band] for _, c0, m in members])
+        groups.append((first[:, :1] + np.arange(n), first[:, 1:] + np.arange(band), tiles))
+    return AttentionPlan(tokens, groups)
+
+
+def _take(a: np.ndarray, index, axis: int) -> np.ndarray:
+    """A view for a slice; for indices a C-ordered take (a[:, idx] lays k out transposed)."""
+    if isinstance(index, slice):
+        return a[(slice(None),) * axis + (index,)]
+    return np.take(a, index, axis=axis)
 
 
 def attention_forward(
@@ -291,7 +320,7 @@ def attention_forward(
     wo: np.ndarray,
     bo: np.ndarray,
     n_heads: int,
-    mask: np.ndarray | list,
+    mask: np.ndarray | list | AttentionPlan,
     positions: np.ndarray | None = None,
     theta_base: float = 10000.0,
 ) -> np.ndarray:
@@ -302,13 +331,12 @@ def attention_forward(
     masks are the diagonal blocks of the pack, and the blocks between
     samples are never built or scored.  positions=None skips rotary phases
     (bidirectional vision blocks use a free mask and no positional
-    rotation).  Once per call, q, k and v are projected and q and k rotated
-    over the whole pack; once per sample, its mask is checked and its query
-    rows are cut into tiles of ATTENTION_TILE_ROWS, each with a column band
-    from the first to one past the last column that any of its rows may
-    attend to.  Each head then runs the scores, mask add, softmax and P.V
-    product of a tile over its band only: the columns outside it are
-    blocked for every row of the tile and would get exactly zero
+    rotation).  A forward builds its plan once and passes it to every
+    block; given masks, this call builds it.  q, k and v are projected, q
+    and k rotated, and all three copied head-major.  Each group of the plan
+    then runs the scores, mask add, softmax and P.V product of all heads
+    and samples as stacked products over its column band only: the columns
+    outside it are blocked for every row and would get exactly zero
     probability.  A causal mask thus skips about half the score block, and
     a free mask nothing.
 
@@ -316,8 +344,9 @@ def attention_forward(
         x: input of shape (tokens, d_model).
         wq..bo: projection weights, (d_model, d_model) and (d_model,) each.
         n_heads: head count, must divide d_model.
-        mask: one additive mask of shape (tokens, tokens), or a list of
-            per-sample square additive masks whose sizes sum to tokens.
+        mask: one additive mask of shape (tokens, tokens), a list of
+            per-sample square additive masks whose sizes sum to tokens, or
+            the AttentionPlan built from either.
         positions: per-token rotary positions, or None.
         theta_base: rotary frequency base.
 
@@ -329,8 +358,9 @@ def attention_forward(
     if d % n_heads != 0:
         raise ValueError(f"n_heads={n_heads} must divide d_model={d}")
     d_head = d // n_heads
-    masks = mask if isinstance(mask, (list, tuple)) else [mask]
-    tiles = _attention_tiles([as_tensor(m) for m in masks], tokens)
+    plan = mask if isinstance(mask, AttentionPlan) else build_attention_plan(mask, tokens)
+    if plan.tokens != tokens:
+        raise ValueError(f"attention plan covers {plan.tokens} rows, the input has {tokens}")
     q = matmul(x, wq) + bq
     k = matmul(x, wk) + bk
     v = matmul(x, wv) + bv
@@ -340,19 +370,23 @@ def attention_forward(
         c, s = np.tile(c, n_heads), np.tile(s, n_heads)
         q = _rotate_pairs(q, c, s)
         k = _rotate_pairs(k, c, s)
-    kt = np.ascontiguousarray(k.T)
-    out = np.empty_like(x)
+    qh = q.reshape(tokens, n_heads, d_head).transpose(1, 0, 2).copy()
+    kth = k.reshape(tokens, n_heads, d_head).transpose(1, 2, 0).copy()
+    vh = v.reshape(tokens, n_heads, d_head).transpose(1, 0, 2).copy()
+    out = np.empty_like(qh)
     inv_sqrt = 1.0 / np.sqrt(d_head)
-    for h in range(n_heads):
-        sl = slice(h * d_head, (h + 1) * d_head)
-        qh, kth = np.ascontiguousarray(q[:, sl]), kt[sl]
-        vh = np.ascontiguousarray(v[:, sl])
-        for rows, cols, mask_tile in tiles:
-            scores = matmul(qh[rows], kth[:, cols])
-            scores *= inv_sqrt
-            scores += mask_tile
-            out[rows, sl] = matmul(softmax_rows(scores), vh[cols])
-    return matmul(out, wo) + bo
+    for rows, cols, tiles in plan.groups:
+        qg = _take(qh, rows, 1)
+        ktg = np.moveaxis(_take(kth, cols, 2), 1, -2)
+        if qg.shape[-2] == 1:
+            # numpy runs a one-row product as gemv, whose rounding depends
+            # on the row stride of k: keep the stride of a copied band
+            ktg = np.ascontiguousarray(ktg)
+        scores = check_finite(qg @ ktg, "attention scores")
+        scores *= inv_sqrt
+        scores += tiles
+        out[:, rows] = check_finite(softmax_rows(scores) @ _take(vh, cols, 1), "attention output")
+    return matmul(out.transpose(1, 0, 2).reshape(tokens, d), wo) + bo
 
 
 # ===== modality-split static quantization =====

@@ -1,11 +1,11 @@
 """Deterministic float64 tensor primitives shared by every other module.
 
-All tensors are 2-D C-contiguous float64 numpy arrays.  matmul delegates to
-BLAS, so its summation order is the library's: results repeat within a
-process but may differ in the last bits across BLAS builds.  The exact
-left-to-right loop it replaced is kept in the tests as its oracle.  Masks use
-a large finite sentinel instead of -inf so that no operation ever produces
-NaN.
+All tensors are 2-D C-contiguous float64 numpy arrays (softmax_rows also
+takes stacked attention scores).  matmul delegates to BLAS, so its
+summation order is the library's: results repeat within a process but may
+differ in the last bits across BLAS builds.  The exact left-to-right loop
+it replaced is kept in the tests as its oracle.  Masks use a large finite
+sentinel instead of -inf so that no operation ever produces NaN.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class NormParams:
             raise ValueError(
                 f"alpha and beta length mismatch: {self.alpha.shape[0]} vs {self.beta.shape[0]}"
             )
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not isinstance(self.eps, (int, float, np.integer, np.floating)) or not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps!r}")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,19 +96,20 @@ def check_mask(mask: np.ndarray) -> None:
 
 
 def softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction of already-masked scores.
+    """Softmax along the last axis, in place, with max subtraction of
+    already-masked scores; s may have any rank and is overwritten.
 
     The caller has added a mask that passed check_mask, and checks what
     comes out: masked_softmax_rows is the checked entry point, and
-    attention_forward, which calls it once per head and row tile on the
-    tile's column band only, checks the P.V product.  Finite scores under
-    such a mask give a finite result: each row's free entry keeps its max
-    finite, and the max adds exp(0) = 1 to the row sum.
+    attention_forward, which calls it once per group of its plan on stacked
+    (heads, ..., rows, band) scores, checks the P.V product.  Finite scores
+    under such a mask give a finite result: each row's free entry keeps its
+    max finite, and the max adds exp(0) = 1 to the row sum.
     """
-    e = s - s.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def masked_softmax_rows(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:

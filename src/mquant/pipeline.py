@@ -37,10 +37,12 @@ from .model import (
 from .msq_aifs import (
     TEXT,
     VISUAL,
+    AttentionPlan,
     ModalityLayout,
     MsqParams,
     ScaleOpCounter,
     build_aifs_plan,
+    build_attention_plan,
     calibrate_msq,
     layout_from_string,
     pack_lengths,
@@ -305,14 +307,14 @@ def _stack(pack: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
 def _pack_order(
     modality: np.ndarray, lengths: list[int], aifs: bool
-) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, AttentionPlan, np.ndarray]:
     """The order the LLM stack runs a pack in: each sample in _llm_order's
     order, in its own rows.
 
-    Returns (perm, positions, masks, visual_rows): perm[i] is the pack row
+    Returns (perm, positions, plan, visual_rows): perm[i] is the pack row
     of the token in slot i, positions its rotary position within its
-    sample, masks one causal mask per sample, and visual_rows marks the
-    visual slots of the whole pack.
+    sample, plan the attention plan of the samples' causal masks (which
+    are dropped here), and visual_rows marks the pack's visual slots.
     """
     orders = []
     offset = 0
@@ -324,7 +326,7 @@ def _pack_order(
     return (
         starts + positions,
         positions,
-        [mask for _, mask, _ in orders],
+        build_attention_plan([mask for _, mask, _ in orders], len(positions)),
         np.concatenate([vis for _, _, vis in orders]),
     )
 
@@ -358,9 +360,9 @@ def calibrate_rotated(
     run_layouts = []
     for rows, modality, lengths in _packs(samples, work.config.d_model):
         x = embed_tokens(work, rows, modality, hooks, lengths)
-        perm, positions, masks, _ = _pack_order(modality, lengths, pcfg.aifs)
+        perm, positions, plan, _ = _pack_order(modality, lengths, pcfg.aifs)
         run_layouts.append(ModalityLayout(modality[perm]))
-        llm_stack(work, x[perm], masks, positions, hooks)
+        llm_stack(work, x[perm], plan, positions, hooks)
 
     msq = [
         calibrate_msq(
@@ -602,7 +604,7 @@ class QuantizedModel:
         pcfg = self.pcfg
         modality = np.asarray(modality, dtype=np.int64).reshape(-1)
         lengths = pack_lengths(lengths, modality.shape[0])
-        perm, positions, masks, visual_rows = _pack_order(modality, lengths, pcfg.aifs)
+        perm, positions, plan, visual_rows = _pack_order(modality, lengths, pcfg.aifs)
 
         def down_fn(name: str, u: np.ndarray) -> np.ndarray:
             return rms_forward(u, self.plans[name])
@@ -625,7 +627,7 @@ class QuantizedModel:
         )
         x = embed_tokens(self.model, sample, modality, hooks, lengths)
         out = np.empty_like(x)
-        out[perm] = llm_stack(self.model, x[perm], masks, positions, hooks)
+        out[perm] = llm_stack(self.model, x[perm], plan, positions, hooks)
         return out
 
 

@@ -134,22 +134,16 @@ def build_split_plan(
     )
 
 
-def rms_forward(
-    x: np.ndarray,
-    plan: RmsSplitPlan,
-    quantize_weights: bool = True,
-) -> np.ndarray:
+def rms_forward(x: np.ndarray, plan: RmsSplitPlan) -> np.ndarray:
     """Down-projection forward through a split plan.
 
     Computes x @ main + x[:, 0] (x) split_row, with the main kernel and the
-    split row taken fake-quantized on their own grids (the plan's frozen
-    main_q and split_q) when quantize_weights is on.  With it off this
-    reproduces x @ (H @ w_original) up to addition reordering.
+    split row taken fake-quantized on their own grids: the plan's frozen
+    main_q and split_q.
 
     Args:
         x: rotated activations, shape (t, n).
         plan: split plan for this layer.
-        quantize_weights: disable to get the float reference path.
 
     Returns:
         Output of shape (t, m).
@@ -159,10 +153,9 @@ def rms_forward(
         raise ValueError(
             f"{plan.layer_id}: input width {x.shape[1]} != weight rows {plan.main_weight.shape[0]}"
         )
-    out = matmul(x, plan.main_q if quantize_weights else plan.main_weight)
+    out = matmul(x, plan.main_q)
     if plan.triggered:
-        row = plan.split_q if quantize_weights else plan.split_row
-        out += x[:, 0:1] * row[None, :]
+        out += x[:, 0:1] * plan.split_q[None, :]
     return check_finite(out, "rms_forward result")
 
 

@@ -60,6 +60,14 @@ FROZEN_W4A8_COSINE = 0.9615586495864614
 FROZEN_BAND = 0.002
 
 
+def float_split_forward(x, plan):
+    """The split path with float weights: x @ main + x[:, 0] (x) split_row."""
+    out = x @ plan.main_weight
+    if plan.triggered:
+        out = out + x[:, :1] * plan.split_row[None, :]
+    return out
+
+
 def _span_perm(m: int, n: int, length: int) -> np.ndarray:
     """Definitional visual-first order for one visual span [m, n]: the span
     moves to the front, everything else keeps its relative order."""
@@ -210,7 +218,7 @@ def test_outlier_split_is_float_lossless_and_helps_low_bit_mse():
         assert plan.triggered
         x = rng.normal(size=(8, 64))
         ref = matmul(x, w_rot)
-        out = rms_forward(x, plan, quantize_weights=False)
+        out = float_split_forward(x, plan)
         assert np.abs(out - ref).max() <= 1e-9
 
     wins = 0
@@ -226,7 +234,7 @@ def test_outlier_split_is_float_lossless_and_helps_low_bit_mse():
         x = srng.normal(size=(256, 64))
         a_params = compute_params_absmax(x, 8, Granularity.PER_TENSOR)
         ref = matmul(x, w_rot)
-        with_split = rms_forward(fake_quant(x, a_params), plan, quantize_weights=True)
+        with_split = rms_forward(fake_quant(x, a_params), plan)
         p = compute_params_absmax(
             np.ascontiguousarray(w_rot.T), 4, Granularity.PER_CHANNEL
         )

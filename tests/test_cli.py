@@ -438,3 +438,33 @@ def test_artifact_mismatches_fail_at_load(workdir, capsys, artifact, tamper, com
     }[command]
     assert run(*argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, value, match",
+    [
+        ("config", {"bogus": 1}, "unknown keys ['bogus']"),
+        ("tensors", "abc", "section 'tensors' must be an object"),
+        ("norms", [], "section 'norms' must be an object"),
+        ("flags", {"online_fht": "yes"}, "flag 'online_fht' must be an object"),
+    ],
+)
+def test_malformed_model_file_fails_at_the_boundary(workdir, capsys, section, value, match):
+    tmp, cfg = workdir
+    model = tmp / "m.json"
+    samples = str(tmp / "s.mqs")
+    run("gen-model", "--config", cfg, "--out", str(model))
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    d = json.loads(model.read_text())
+    if section == "config":
+        d["config"].update(value)
+    else:
+        d[section] = value
+    model.write_text(json.dumps(d))
+    capsys.readouterr()
+    code = run("calibrate", "--config", cfg, "--model", str(model),
+               "--samples", samples, "--out", str(tmp / "c.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err

@@ -243,6 +243,58 @@ def test_model_from_dict_names_missing_sections():
         model_from_dict({"config": {}, "flags": {}})
 
 
+def _set_config_key(d):
+    d["config"]["bogus"] = 1
+
+
+def _set_tensors(d):
+    d["tensors"] = "abc"
+
+
+def _set_norms(d):
+    d["norms"] = []
+
+
+def _set_online_fht(d):
+    d["flags"]["online_fht"] = "yes"
+
+
+def _set_online_fht_entry(d):
+    d["flags"]["online_fht"]["llm.0"] = "yes"
+
+
+def _set_norm_entry(d):
+    d["norms"]["llm.0.attn_norm"] = [1.0]
+
+
+def _set_tensor_entry(d):
+    d["tensors"]["head.w"] = 5
+
+
+def _set_norm_eps(d):
+    d["norms"]["llm.0.attn_norm"]["eps"] = "x"
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_set_config_key, r"config has unknown keys \['bogus'\]"),
+        (_set_tensors, "section 'tensors' must be an object, got str"),
+        (_set_norms, "section 'norms' must be an object, got list"),
+        (_set_online_fht, "flag 'online_fht' must be an object, got str"),
+        (_set_online_fht_entry, r"online_fht\['llm.0'\] must be a bool"),
+        (_set_norm_entry, "norm 'llm.0.attn_norm' must be an object, got list"),
+        (_set_tensor_entry, "embedded tensor must be a base64 string, got int"),
+        (_set_norm_eps, "eps must be > 0, got 'x'"),
+    ],
+)
+def test_malformed_model_file_raises_value_error_naming_the_field(corrupt, match):
+    d = model_to_dict(build_toy_mllm(small_config()))
+    corrupt(d)
+    with pytest.raises(ValueError, match=match):
+        model_from_dict(d)
+
+
 def test_model_file_with_old_part_flags_still_loads():
     """Older model files also carry vision_rotated, llm_rotated and
     recentered beside the per-block online_fht map.  They load to the same

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mquant import msq_aifs
 from mquant.msq_aifs import (
+    ATTENTION_TILE_ROWS,
     TEXT,
     VISUAL,
     ModalityLayout,
@@ -487,21 +488,18 @@ def test_tiled_attention_matches_dense_oracle(length, kind, rotary, seed):
 
 def score_entries_per_head(monkeypatch, length, mask):
     """Score entries one attention call computes, per head, counted at the
-    q.k^T products (the only products with d_head as inner dimension)."""
+    softmax, which normalizes every score entry once."""
     rng = np.random.default_rng(18)
     d, heads = 32, 2
-    d_head = d // heads
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
     counted = []
-    real = msq_aifs.matmul
+    real = msq_aifs.softmax_rows
 
-    def counting(a, b):
-        out = real(a, b)
-        if np.shape(a)[1] == d_head:
-            counted.append(out.size)
-        return out
+    def counting(s):
+        counted.append(s.size)
+        return real(s)
 
-    monkeypatch.setattr(msq_aifs, "matmul", counting)
+    monkeypatch.setattr(msq_aifs, "softmax_rows", counting)
     attention_forward(
         rng.normal(size=(length, d)), wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=heads, mask=mask, positions=np.arange(length),
@@ -602,6 +600,104 @@ def test_mask_list_is_checked_per_sample(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=match):
             attention_forward(*args, n_heads=heads, mask=masks)
+
+
+def per_tile_attention_reference(
+    x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, masks, positions=None, theta_base=10000.0
+):
+    """The per-head, per-tile kernel the stacked one replaced, kept as its
+    bitwise reference: each sample's query rows in tiles of
+    ATTENTION_TILE_ROWS, each over its column band, and one 2-D product
+    and softmax per head and tile."""
+    x = as_tensor(x)
+    tokens, d = x.shape
+    d_head = d // n_heads
+    tiles = []
+    offset = 0
+    for m in masks:
+        n = m.shape[0]
+        starts = np.arange(0, n, ATTENTION_TILE_ROWS)
+        seen = np.logical_or.reduceat(m == MASK_FREE, starts)
+        lo = seen.argmax(axis=1)
+        hi = n - seen[:, ::-1].argmax(axis=1)
+        for r0, c0, c1 in zip(starts, lo, hi):
+            r1 = min(r0 + ATTENTION_TILE_ROWS, n)
+            rows = slice(offset + r0, offset + r1)
+            tiles.append((rows, slice(offset + c0, offset + c1), m[r0:r1, c0:c1]))
+        offset += n
+    q = matmul(x, wq) + bq
+    k = matmul(x, wk) + bk
+    v = matmul(x, wv) + bv
+    if positions is not None:
+        c, s = msq_aifs._rope_tables(d_head, positions, tokens, theta_base)
+        c, s = np.tile(c, n_heads), np.tile(s, n_heads)
+        q = msq_aifs._rotate_pairs(q, c, s)
+        k = msq_aifs._rotate_pairs(k, c, s)
+    kt = np.ascontiguousarray(k.T)
+    out = np.empty_like(x)
+    inv_sqrt = 1.0 / np.sqrt(d_head)
+    for h in range(n_heads):
+        sl = slice(h * d_head, (h + 1) * d_head)
+        qh, kth = np.ascontiguousarray(q[:, sl]), kt[sl]
+        vh = np.ascontiguousarray(v[:, sl])
+        for rows, cols, mask_tile in tiles:
+            scores = matmul(qh[rows], kth[:, cols])
+            scores *= inv_sqrt
+            scores += mask_tile
+            out[rows, sl] = matmul(softmax_rows(scores), vh[cols])
+    return matmul(out, wo) + bo
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    short=st.integers(1, ATTENTION_TILE_ROWS),
+    repeats=st.integers(2, 4),
+    others=st.lists(st.sampled_from([1, 64, 65, 130]), max_size=3),
+    kind=st.sampled_from(["causal", "permuted", "free"]),
+    heads=st.sampled_from([1, 2, 4]),
+    rotary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_attention_equals_per_tile_reference_bitwise(
+    short, repeats, others, kind, heads, rotary, seed
+):
+    """Samples of equal length up to ATTENTION_TILE_ROWS run stacked, and
+    longer ones tile by tile, but every head and tile still goes through
+    the same BLAS product and row reductions as in the per-tile
+    reference, so the outputs agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    lengths = [short] * repeats + others
+    lengths = [lengths[i] for i in rng.permutation(len(lengths))]
+    d = 32
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    cases = [oracle_case(rng, kind, n) for n in lengths]
+    masks = [mask for mask, _ in cases]
+    positions = np.concatenate([pos for _, pos in cases]) if rotary else None
+    x = rng.normal(size=(sum(lengths), d))
+    args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
+    got = attention_forward(*args, n_heads=heads, mask=masks, positions=positions)
+    want = per_tile_attention_reference(
+        *args, n_heads=heads, masks=masks, positions=positions
+    )
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_one_row_tile_over_a_narrow_band_equals_the_reference_bitwise(heads):
+    """Visual-first order of 'tt' + 63 'v': the 65th row is a tile of one
+    row whose band is the two text slots, inside a taller pack.  numpy runs
+    that product as gemv, whose rounding depends on the row stride of k."""
+    rng = np.random.default_rng(19)
+    d = 32
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
+    perm = build_aifs_plan(layout_from_string("tt" + "v" * 63))
+    masks = [permuted_mask_oracle(perm, 65), standard_causal_mask(5)]
+    args = (rng.normal(size=(70, d)) * 10, wq, bq, wk, bk, wv, bv, wo, bo)
+    for _ in range(20):
+        got = attention_forward(*args, n_heads=heads, mask=masks)
+        want = per_tile_attention_reference(*args, n_heads=heads, masks=masks)
+        assert np.array_equal(got, want)
+        args = (rng.normal(size=(70, d)) * 10, *args[1:])
 
 
 # ===== modality-split calibration =====

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mquant import pipeline
+from mquant import model as model_module
+from mquant import msq_aifs, pipeline
 from mquant.model import (
     ForwardHooks,
     build_toy_mllm,
@@ -377,3 +378,47 @@ def test_tracer_runs_over_packed_evaluate_and_calibrate(float_model, qms):
         assert metrics["numerics.matmul.flop"]["value"] > 0
         assert metrics["model.vision_encode.tokens"]["value"] == passes * visual
         assert metrics["model.vision_encode.calls"]["value"] == passes
+
+
+def test_each_forward_part_builds_one_attention_plan(monkeypatch):
+    """With 3 + 3 blocks, QuantizedModel.forward, model_forward and
+    calibrate_rotated each build one vision and one LLM attention plan per
+    pack, and check_mask runs once per stacked group or long sample per
+    forward, not once per block."""
+    pcfg = small_pcfg(vision_blocks=3, llm_blocks=3)
+    model = build_toy_mllm(pcfg.model)
+    qm = mquant_quantize(
+        model, pcfg, samples=generate_synthetic_samples(4, 10, seed=3, d_model=D)
+    )
+    # two 12-row samples with 4 visual rows stack in both parts; the
+    # 70-row sample with 66 visual rows is long in both
+    samples = [
+        generate_synthetic_samples(1, len(spec), spec, seed=i, d_model=D)[0]
+        for i, spec in enumerate(["v" * 4 + "t" * 8] * 2 + ["tt" + "v" * 66 + "tt"])
+    ]
+    rows, modality, lengths = stack(samples)
+    builds, checks = [], []
+    real_build, real_check = msq_aifs.build_attention_plan, msq_aifs.check_mask
+
+    def counted_build(mask, tokens):
+        builds.append(tokens)
+        return real_build(mask, tokens)
+
+    def counted_check(mask):
+        checks.append(mask.shape)
+        real_check(mask)
+
+    for module in (msq_aifs, model_module, pipeline):
+        monkeypatch.setattr(module, "build_attention_plan", counted_build)
+    monkeypatch.setattr(msq_aifs, "check_mask", counted_check)
+    for run in (
+        lambda: qm.forward(rows, modality, lengths=lengths),
+        lambda: qm.forward(rows, modality, dynamic=True, lengths=lengths),
+        lambda: model_forward(model, rows, modality, lengths=lengths),
+        lambda: pipeline.calibrate_rotated(model, "", samples, pcfg),
+    ):
+        builds.clear()
+        checks.clear()
+        run()
+        assert sorted(builds) == [4 + 4 + 66, 12 + 12 + 70]
+        assert sorted(checks) == [(8, 4), (24, 12), (66, 66), (70, 70)]

@@ -14,6 +14,14 @@ from mquant.rms import (
 )
 
 
+def float_split_forward(x, plan):
+    """The split path with float weights: x @ main + x[:, 0] (x) split_row."""
+    out = x @ plan.main_weight
+    if plan.triggered:
+        out = out + x[:, :1] * plan.split_row[None, :]
+    return out
+
+
 def brute_force_outliers(w):
     """Oracle: rotate densely, flag columns where the first-row entry
     strictly exceeds the original column maximum."""
@@ -107,7 +115,7 @@ def test_untriggered_plan_is_plain_matmul():
     plan = build_split_plan("t.4", w_rot, w, bits=8)
     assert not plan.triggered and plan.split_row is None
     x = rng.normal(size=(5, 16))
-    out = rms_forward(x, plan, quantize_weights=False)
+    out = float_split_forward(x, plan)
     np.testing.assert_allclose(out, matmul(x, w_rot), atol=1e-12)
 
 
@@ -120,7 +128,7 @@ def test_split_float_path_is_lossless():
         plan = build_split_plan("t", w_rot, w, bits=4)
         rng = np.random.default_rng(100 + seed)
         x = rng.normal(size=(7, w.shape[0]))
-        out = rms_forward(x, plan, quantize_weights=False)
+        out = float_split_forward(x, plan)
         np.testing.assert_allclose(out, matmul(x, w_rot), atol=1e-9)
 
 
@@ -145,7 +153,7 @@ def test_split_improves_low_bit_mse():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(256, 64))
     ref = matmul(x, w_rot)
-    with_split = rms_forward(x, plan, quantize_weights=True)
+    with_split = rms_forward(x, plan)
     p = compute_params_absmax(np.ascontiguousarray(w_rot.T), 4, Granularity.PER_CHANNEL)
     plain = matmul(x, np.ascontiguousarray(fake_quant(np.ascontiguousarray(w_rot.T), p).T))
     assert np.mean((with_split - ref) ** 2) < np.mean((plain - ref) ** 2)

@@ -33,7 +33,6 @@ from .msq_aifs import (
     quantize_dynamic_per_token,
     quantize_msq,
     rope_rotate,
-    standard_causal_mask,
     unified_causal_mask,
 )
 from .model import ToyMllm, ToyMllmConfig, build_toy_mllm, model_forward

@@ -61,7 +61,9 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 def _config_dict(args: argparse.Namespace) -> dict:
     """The --config file with the command line flags laid over it."""
-    d = _read_json(args.config) if getattr(args, "config", None) else {}
+    d = {}
+    if getattr(args, "config", None):
+        d = fileio.require(_read_json(args.config), dict, f"--config file {args.config}")
     for key in ("bits_w", "bits_a", "weight_granularity", "group_size", "split_bits"):
         val = getattr(args, key, None)
         if val is not None:

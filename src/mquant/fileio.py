@@ -69,6 +69,15 @@ def tensor_from_b64(text: str) -> np.ndarray:
     return a
 
 
+def require(value, kind: type, what: str):
+    """value, if it is a JSON object (kind dict) or list (kind list);
+    otherwise a ValueError naming what."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {noun}, got {type(value).__name__}")
+    return value
+
+
 @contextmanager
 def keys_required(what: str):
     """Report a key missing from a JSON artifact as a ValueError naming it."""

@@ -34,10 +34,8 @@ from .msq_aifs import (
     attention_forward,
     build_attention_plan,
     pack_lengths,
-    standard_causal_mask,
 )
 from .numerics import (
-    MASK_FREE,
     NormParams,
     as_tensor,
     check_finite,
@@ -67,21 +65,21 @@ _KINDS = {
 }
 
 
-def check_config_types(cfg) -> None:
-    """Reject a config value of the wrong type, naming its key, and store
+def check_field_types(obj, what: str = "config key") -> None:
+    """Reject a field value of the wrong type, naming its key, and store
     numpy scalars as plain Python values.  Fields annotated with another
     type, and None where the annotation allows it, are left alone."""
-    for f in fields(cfg):
+    for f in fields(obj):
         kind = f.type.removesuffix(" | None")
-        value = getattr(cfg, f.name)
+        value = getattr(obj, f.name)
         if kind not in _KINDS or (value is None and kind != f.type):
             continue
-        what, types, cast = _KINDS[kind]
+        must, types, cast = _KINDS[kind]
         if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
             raise ValueError(
-                f"config key {f.name!r} must be {what}, got {type(value).__name__} {value!r}"
+                f"{what} {f.name!r} must be {must}, got {type(value).__name__} {value!r}"
             )
-        setattr(cfg, f.name, cast(value))
+        setattr(obj, f.name, cast(value))
 
 
 @dataclass
@@ -95,7 +93,7 @@ class ToyMllmConfig:
     vision_weight_mean_bias: float = 0.02
 
     def __post_init__(self):
-        check_config_types(self)
+        check_field_types(self)
         if not _is_pow2(self.d_model):
             raise ValueError(f"d_model must be a power of two, got {self.d_model}")
         if not _is_pow2(self.d_model * self.mlp_ratio):
@@ -418,12 +416,12 @@ def block_forward(
     block: Block,
     x: np.ndarray,
     n_heads: int,
-    mask: np.ndarray | list | AttentionPlan,
+    plan: AttentionPlan,
     positions: np.ndarray | None,
     hooks: ForwardHooks | None = None,
 ) -> np.ndarray:
-    """One pre-norm transformer block over a (tokens, d_model) input; mask
-    is the forward's attention plan, or masks attention_forward takes."""
+    """One pre-norm transformer block over a (tokens, d_model) input, with
+    the forward's attention plan."""
     hooks = hooks or ForwardHooks()
     x = hooks.act_fn(f"{name}.input", x)
 
@@ -435,7 +433,7 @@ def block_forward(
         hooks.weight_fn(f"{name}.wv", block.wv.w), block.wv.b,
         hooks.weight_fn(f"{name}.wo", block.wo.w), block.wo.b,
         n_heads=n_heads,
-        mask=mask,
+        plan=plan,
         positions=positions if block.rope else None,
         theta_base=THETA_BASE,
     )
@@ -468,8 +466,7 @@ def vision_encode(
     hooks = hooks or ForwardHooks()
     cfg = model.config
     rows = as_tensor(rows)
-    sizes = pack_lengths(lengths, rows.shape[0])
-    plan = build_attention_plan([np.full((n, n), MASK_FREE) for n in sizes], rows.shape[0])
+    plan = build_attention_plan(pack_lengths(lengths, rows.shape[0]))
     x = matmul(rows, hooks.weight_fn("vision_embed", model.vision_embed.w))
     x = x + model.vision_embed.b
     for i, blk in enumerate(model.vision_blocks):
@@ -525,17 +522,17 @@ def embed_tokens(
 def llm_stack(
     model: ToyMllm,
     x: np.ndarray,
-    mask: np.ndarray | list | AttentionPlan,
+    plan: AttentionPlan,
     positions: np.ndarray,
     hooks: ForwardHooks | None = None,
 ) -> np.ndarray:
     """LLM blocks, final norm, head over an already-embedded sequence or
-    pack; mask is its attention plan, or masks attention_forward takes."""
+    pack, with its attention plan and rotary positions."""
     hooks = hooks or ForwardHooks()
     cfg = model.config
     for i, blk in enumerate(model.llm_blocks):
         x = block_forward(
-            f"llm.{i}", blk, x, cfg.n_heads, mask, positions=positions, hooks=hooks
+            f"llm.{i}", blk, x, cfg.n_heads, plan, positions=positions, hooks=hooks
         )
     x = norm_forward(model.llm_final_norm, x)
     x = matmul(x, hooks.weight_fn("head", model.head.w)) + model.head.b
@@ -549,23 +546,18 @@ def model_forward(
     hooks: ForwardHooks | None = None,
     lengths: list[int] | None = None,
 ) -> np.ndarray:
-    """Full reference pass in natural token order with a causal mask.
+    """Full causal reference pass in natural token order.
 
     sample may be a pack: the rows of several samples stacked in order, with
     their row counts in lengths.  lengths=None is one sequence, a pack of
-    one.  Norms, linears and the MLP run once over the pack; each sample
-    gets its own causal mask and rotary positions from 0, so its output rows
-    match its lone forward up to the rounding of a taller GEMM.
+    one.  Norms, linears and the MLP run once over the pack; each sample's
+    positions from 0 give its causal attention and rotary phases, so its
+    output rows match its lone forward up to the rounding of a taller GEMM.
     """
     x = embed_tokens(model, sample, modality, hooks, lengths)
     lengths = pack_lengths(lengths, x.shape[0])
-    return llm_stack(
-        model,
-        x,
-        mask=build_attention_plan([standard_causal_mask(n) for n in lengths], x.shape[0]),
-        positions=np.concatenate([np.arange(n) for n in lengths]),
-        hooks=hooks,
-    )
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    return llm_stack(model, x, build_attention_plan(lengths, positions), positions, hooks)
 
 
 # ===== file round trip =====
@@ -599,28 +591,22 @@ def model_to_dict(model: ToyMllm) -> dict:
     }
 
 
-def _require_object(value, what: str) -> dict:
-    """value, if it is a JSON object; otherwise a ValueError naming what."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
 def model_from_dict(d: dict) -> ToyMllm:
     # A model file carries no kind tag; every other artifact does.
+    fileio.require(d, dict, "model file")
     if "kind" in d:
         raise ValueError(f"not a model file (kind={d['kind']!r})")
     missing = [k for k in ("config", "tensors", "norms", "flags") if k not in d]
     if missing:
         raise ValueError(f"not a model file: missing sections {missing}")
     for key in ("config", "tensors", "norms", "flags"):
-        _require_object(d[key], f"model file section {key!r}")
+        fileio.require(d[key], dict, f"model file section {key!r}")
     unknown = sorted(set(d["config"]) - {f.name for f in fields(ToyMllmConfig)})
     if unknown:
         raise ValueError(f"model file config has unknown keys {unknown}")
     with fileio.keys_required("model file"):
         cfg = ToyMllmConfig(**d["config"])
-        online_fht = _require_object(d["flags"]["online_fht"], "model file flag 'online_fht'")
+        online_fht = fileio.require(d["flags"]["online_fht"], dict, "model file flag 'online_fht'")
         for key, value in online_fht.items():
             if not isinstance(value, bool):
                 raise ValueError(
@@ -633,7 +619,7 @@ def model_from_dict(d: dict) -> ToyMllm:
             return Linear(w=w, b=b)
 
         def norm(name: str) -> Norm:
-            nd = _require_object(d["norms"][name], f"model file norm {name!r}")
+            nd = fileio.require(d["norms"][name], dict, f"model file norm {name!r}")
             return Norm(
                 kind=nd["kind"],
                 params=NormParams(

@@ -23,7 +23,6 @@ from .numerics import (
     MASK_FREE,
     as_tensor,
     check_finite,
-    check_mask,
     matmul,
     softmax_rows,
 )
@@ -103,13 +102,6 @@ def build_aifs_plan(layout: ModalityLayout) -> np.ndarray:
 # ===== masks =====
 
 
-def standard_causal_mask(length: int) -> np.ndarray:
-    """Lower-triangular additive mask for the natural token order."""
-    if length < 1:
-        raise ValueError(f"mask length must be >= 1, got {length}")
-    return np.where(_causal_free(np.arange(length)), MASK_FREE, MASK_BLOCKED)
-
-
 def _causal_free(positions: np.ndarray) -> np.ndarray:
     """The position rule: slot i sees slot j iff positions[j] <= positions[i]."""
     return positions[None, :] <= positions[:, None]
@@ -160,7 +152,8 @@ def permuted_mask_oracle(perm: np.ndarray, length: int) -> np.ndarray:
 
     perm[i] is the original position of the token in slot i, so this is the
     causal mask of the original order, carried along with the tokens.  It
-    is the one mask builder of the LLM forward, for the natural order
+    is the one causal mask builder of the forward, called by
+    build_attention_plan once per sample, for the natural order
     (perm = arange) and for any visual-first reorder, however many visual
     spans it has.  The name is kept because the benchmark traces it.
     """
@@ -258,29 +251,31 @@ class AttentionPlan:
     groups: list
 
 
-def build_attention_plan(mask: np.ndarray | list, tokens: int) -> AttentionPlan:
-    """The plan of one mask, or of per-sample square masks summing to tokens.
+def build_attention_plan(lengths: list[int], positions: np.ndarray | None = None) -> AttentionPlan:
+    """The plan of a pack of samples with these row counts: the one place
+    the forward builds attention masks.
 
-    Each query tile gets the column band from the first to one past the last
-    column any of its rows may attend to.  Samples of at most
-    ATTENTION_TILE_ROWS rows are one tile each, stacked by tile shape; a
-    longer sample's tiles stay apart, as stacking them would gather whole
-    key bands.  One check_mask call per stacked group or long sample.
+    positions=None makes every sample bidirectional (the vision blocks).
+    Otherwise each sample's slice of positions, a permutation of 0..n-1,
+    gives its causal mask by permuted_mask_oracle's rule.  Each query tile
+    gets the column band from the first to one past the last column any of
+    its rows may attend to.  Samples of at most ATTENTION_TILE_ROWS rows are
+    one tile each, stacked by tile shape; a longer sample's tiles stay
+    apart, as stacking them would gather whole key bands.
     """
-    masks = [as_tensor(m) for m in (mask if isinstance(mask, (list, tuple)) else [mask])]
-    sizes = [m.shape[0] for m in masks]
-    if any(m.shape != (n, n) for m, n in zip(masks, sizes)) or sum(sizes) != tokens:
-        got = [m.shape for m in masks]
-        raise ValueError(
-            f"mask shape {got[0] if len(got) == 1 else got} does not cover "
-            f"({tokens}, {tokens}) with square per-sample blocks"
-        )
+    tokens = sum(lengths)
+    if positions is not None:
+        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        if positions.shape[0] != tokens:
+            raise ValueError(f"positions cover {positions.shape[0]} rows, the samples {tokens}")
     groups = []
     short: dict = {}  # (rows, band) -> [(first row, first column, mask)]
     offset = 0
-    for m, n in zip(masks, sizes):
-        if n > ATTENTION_TILE_ROWS:
-            check_mask(m)
+    for n in lengths:
+        if positions is None:
+            m = np.full((n, n), MASK_FREE)
+        else:
+            m = permuted_mask_oracle(positions[offset : offset + n], n)
         # seen[t, j]: some row of tile t may attend to column j
         starts = np.arange(0, n, ATTENTION_TILE_ROWS)
         seen = np.logical_or.reduceat(m == MASK_FREE, starts)
@@ -295,7 +290,6 @@ def build_attention_plan(mask: np.ndarray | list, tokens: int) -> AttentionPlan:
                 groups.append((rows, slice(offset + c0, offset + c1), tile.copy()))
         offset += n
     for (n, band), members in short.items():
-        check_mask(np.vstack([m for _, _, m in members]))
         first = np.array([(row, row + c0) for row, c0, _ in members])
         tiles = np.stack([m[:, c0 : c0 + band] for _, c0, m in members])
         groups.append((first[:, :1] + np.arange(n), first[:, 1:] + np.arange(band), tiles))
@@ -320,33 +314,27 @@ def attention_forward(
     wo: np.ndarray,
     bo: np.ndarray,
     n_heads: int,
-    mask: np.ndarray | list | AttentionPlan,
+    plan: AttentionPlan,
     positions: np.ndarray | None = None,
     theta_base: float = 10000.0,
 ) -> np.ndarray:
     """Multi-head attention over a pre-normalized input.
 
-    x may be one sequence or a pack: several samples' rows stacked in order,
-    with one square mask per sample.  Attention never crosses a sample: the
-    masks are the diagonal blocks of the pack, and the blocks between
-    samples are never built or scored.  positions=None skips rotary phases
-    (bidirectional vision blocks use a free mask and no positional
-    rotation).  A forward builds its plan once and passes it to every
-    block; given masks, this call builds it.  q, k and v are projected, q
-    and k rotated, and all three copied head-major.  Each group of the plan
-    then runs the scores, mask add, softmax and P.V product of all heads
-    and samples as stacked products over its column band only: the columns
-    outside it are blocked for every row and would get exactly zero
-    probability.  A causal mask thus skips about half the score block, and
-    a free mask nothing.
+    x may be one sequence or a pack: several samples' rows stacked in order.
+    plan, built once per forward and shared by every block, never crosses
+    a sample.  positions=None skips rotary phases (the bidirectional vision
+    blocks).  q, k and v are projected, q and k rotated, and all three
+    copied head-major.  Each group of the plan then runs the scores, mask
+    add, softmax and P.V product of all heads and samples as stacked
+    products over its column band only: the columns outside it are blocked
+    for every row and would get exactly zero probability.  A causal mask
+    thus skips about half the score block, and a free mask nothing.
 
     Args:
         x: input of shape (tokens, d_model).
         wq..bo: projection weights, (d_model, d_model) and (d_model,) each.
         n_heads: head count, must divide d_model.
-        mask: one additive mask of shape (tokens, tokens), a list of
-            per-sample square additive masks whose sizes sum to tokens, or
-            the AttentionPlan built from either.
+        plan: the AttentionPlan of the pack, covering tokens rows.
         positions: per-token rotary positions, or None.
         theta_base: rotary frequency base.
 
@@ -358,7 +346,6 @@ def attention_forward(
     if d % n_heads != 0:
         raise ValueError(f"n_heads={n_heads} must divide d_model={d}")
     d_head = d // n_heads
-    plan = mask if isinstance(mask, AttentionPlan) else build_attention_plan(mask, tokens)
     if plan.tokens != tokens:
         raise ValueError(f"attention plan covers {plan.tokens} rows, the input has {tokens}")
     q = matmul(x, wq) + bq

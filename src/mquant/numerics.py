@@ -99,8 +99,8 @@ def softmax_rows(s: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, in place, with max subtraction of
     already-masked scores; s may have any rank and is overwritten.
 
-    The caller has added a mask that passed check_mask, and checks what
-    comes out: masked_softmax_rows is the checked entry point, and
+    The caller has added a mask with a free entry in every row, and checks
+    what comes out: masked_softmax_rows checks its mask and result, and
     attention_forward, which calls it once per group of its plan on stacked
     (heads, ..., rows, band) scores, checks the P.V product.  Finite scores
     under such a mask give a finite result: each row's free entry keeps its

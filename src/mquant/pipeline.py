@@ -25,7 +25,7 @@ from .model import (
     ForwardHooks,
     ToyMllm,
     ToyMllmConfig,
-    check_config_types,
+    check_field_types,
     embed_tokens,
     iter_linears,
     llm_stack,
@@ -46,7 +46,6 @@ from .msq_aifs import (
     calibrate_msq,
     layout_from_string,
     pack_lengths,
-    permuted_mask_oracle,
     quantize_dynamic_per_token,
     quantize_msq,
 )
@@ -91,7 +90,7 @@ class PipelineConfig:
     split_bits: int | None = None
 
     def __post_init__(self):
-        check_config_types(self)
+        check_field_types(self)
         if self.bits_w not in SUPPORTED_BITS:
             raise ValueError(f"bits_w must be one of {SUPPORTED_BITS}, got {self.bits_w}")
         if self.bits_a not in SUPPORTED_BITS:
@@ -117,6 +116,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        fileio.require(d, dict, "config")
         model_keys = set(ToyMllmConfig().to_dict())
         quant_keys = set(cls._quant_keys())
         unknown = set(d) - model_keys - quant_keys
@@ -182,7 +182,8 @@ def generate_synthetic_samples(
 
 
 def _check_header(d: dict, kind: str, what: str) -> None:
-    """Reject a file of another kind or of another layout version."""
+    """Reject a non-object file, or one of another kind or layout version."""
+    fileio.require(d, dict, f"{what} file")
     if d.get("kind") != kind:
         raise ValueError(f"not a {what} file (kind={d.get('kind')!r})")
     if d.get("schema_version") != SCHEMA_VERSION:
@@ -212,6 +213,9 @@ class CalibrationResult:
     symmetric: bool
     aifs: bool
 
+    def __post_init__(self):
+        check_field_types(self, "calibration key")
+
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -229,40 +233,28 @@ class CalibrationResult:
     def from_dict(cls, d: dict) -> "CalibrationResult":
         _check_header(d, "calibration", "calibration")
         with fileio.keys_required("calibration file"):
-            msq = [
-                MsqParams(
-                    bits=d["bits_a"],
-                    symmetric=d["symmetric"],
-                    visual=params_from_dict(m["visual"]),
-                    text=params_from_dict(m["text"]),
-                )
-                for m in d["msq"]
-            ]
+            msq, vision_act = (
+                fileio.require(d[key], list, f"calibration {key}") for key in ("msq", "vision_act")
+            )
+            pairs = [fileio.require(m, dict, f"calibration msq[{i}]") for i, m in enumerate(msq)]
             return cls(
                 fingerprint=d["fingerprint"],
-                msq=msq,
-                vision_act=[params_from_dict(p) for p in d["vision_act"]],
+                msq=[
+                    MsqParams(d["bits_a"], d["symmetric"], *(
+                        params_from_dict(m[part], f"calibration msq[{i}].{part}")
+                        for part in ("visual", "text")
+                    ))
+                    for i, m in enumerate(pairs)
+                ],
+                vision_act=[
+                    params_from_dict(p, f"calibration vision_act[{i}]")
+                    for i, p in enumerate(vision_act)
+                ],
                 sample_count=d["sample_count"],
                 bits_a=d["bits_a"],
                 symmetric=d["symmetric"],
                 aifs=d["aifs"],
             )
-
-
-def _llm_order(
-    layout: ModalityLayout, aifs: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order the LLM stack runs one sequence in.
-
-    Returns (perm, mask, visual_rows): perm[i] is the original index of the
-    token in slot i and is also its rotary position, mask is the causal mask
-    of the original order carried into that order (permuted_mask_oracle's
-    position rule), and visual_rows marks the visual slots.  AIFS runs
-    visual-first, so visual_rows is a prefix; otherwise the natural order.
-    """
-    perm = build_aifs_plan(layout) if aifs else np.arange(len(layout))
-    mask = permuted_mask_oracle(perm, len(layout))
-    return perm, mask, layout.modality[perm] == VISUAL
 
 
 # Rows per pack in evaluate and calibrate_rotated.  Consecutive samples are
@@ -307,28 +299,23 @@ def _stack(pack: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
 def _pack_order(
     modality: np.ndarray, lengths: list[int], aifs: bool
-) -> tuple[np.ndarray, np.ndarray, AttentionPlan, np.ndarray]:
-    """The order the LLM stack runs a pack in: each sample in _llm_order's
-    order, in its own rows.
+) -> tuple[np.ndarray, np.ndarray, AttentionPlan]:
+    """The order the LLM stack runs a pack in: each sample within its own
+    rows, visual-first (build_aifs_plan) under AIFS, else in natural order.
 
-    Returns (perm, positions, plan, visual_rows): perm[i] is the pack row
-    of the token in slot i, positions its rotary position within its
-    sample, plan the attention plan of the samples' causal masks (which
-    are dropped here), and visual_rows marks the pack's visual slots.
+    Returns (perm, positions, plan): perm[i] is the pack row of the token in
+    slot i, positions[i] its position within its sample (rotary phase and
+    causal order alike), and plan the pack's attention plan.
     """
-    orders = []
-    offset = 0
-    for n in lengths:
-        orders.append(_llm_order(ModalityLayout(modality[offset : offset + n]), aifs))
-        offset += n
-    positions = np.concatenate([perm for perm, _, _ in orders])
-    starts = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
-    return (
-        starts + positions,
-        positions,
-        build_attention_plan([mask for _, mask, _ in orders], len(positions)),
-        np.concatenate([vis for _, _, vis in orders]),
+    starts = np.cumsum([0] + lengths[:-1])
+    positions = np.concatenate(
+        [
+            build_aifs_plan(ModalityLayout(modality[s : s + n])) if aifs else np.arange(n)
+            for s, n in zip(starts.tolist(), lengths)
+        ]
     )
+    perm = np.repeat(starts, lengths) + positions
+    return perm, positions, build_attention_plan(lengths, positions)
 
 
 def calibrate_rotated(
@@ -360,7 +347,7 @@ def calibrate_rotated(
     run_layouts = []
     for rows, modality, lengths in _packs(samples, work.config.d_model):
         x = embed_tokens(work, rows, modality, hooks, lengths)
-        perm, positions, plan, _ = _pack_order(modality, lengths, pcfg.aifs)
+        perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
         run_layouts.append(ModalityLayout(modality[perm]))
         llm_stack(work, x[perm], plan, positions, hooks)
 
@@ -594,7 +581,7 @@ class QuantizedModel:
 
         sample may be a pack: the rows of several samples stacked in order,
         with their row counts in lengths (None: one sequence, a pack of
-        one).  Each sample runs in its own _llm_order order within its rows
+        one).  Each sample runs in its own _pack_order order within its rows
         and attends only to itself; every row-wise step runs once over the
         pack, so the static path applies its 2 scale ops per block once for
         the whole pack.  dynamic swaps the static modality-split grids for
@@ -604,7 +591,8 @@ class QuantizedModel:
         pcfg = self.pcfg
         modality = np.asarray(modality, dtype=np.int64).reshape(-1)
         lengths = pack_lengths(lengths, modality.shape[0])
-        perm, positions, plan, visual_rows = _pack_order(modality, lengths, pcfg.aifs)
+        perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
+        visual_rows = modality[perm] == VISUAL
 
         def down_fn(name: str, u: np.ndarray) -> np.ndarray:
             return rms_forward(u, self.plans[name])
@@ -804,7 +792,10 @@ def qmodel_from_dict(d: dict) -> QuantizedModel:
     calibration's pairing checks apply on every load."""
     _check_header(d, "qmodel", "quantized model")
     with fileio.keys_required("quantized model file"):
-        model, config, calib = d["float_model"], d["config"], d["calibration"]
+        model, config, calib = (
+            fileio.require(d[key], dict, f"quantized model file section {key!r}")
+            for key in ("float_model", "config", "calibration")
+        )
     return mquant_quantize(
         model_from_dict(model),
         PipelineConfig.from_dict(config),

@@ -29,14 +29,13 @@ from mquant.msq_aifs import (
     VISUAL,
     attention_forward,
     build_aifs_plan,
+    build_attention_plan,
     calibrate_msq,
-    permuted_mask_oracle,
     quantize_msq,
-    standard_causal_mask,
     unified_causal_mask,
 )
 from mquant.norm_rewrite import preln_to_rmsnorm
-from mquant.numerics import MASK_FREE, matmul
+from mquant.numerics import MASK_BLOCKED, MASK_FREE, matmul
 from mquant.pipeline import (
     PipelineConfig,
     apply_lossless_stack,
@@ -68,6 +67,12 @@ def float_split_forward(x, plan):
     return out
 
 
+def _causal_mask(length: int) -> np.ndarray:
+    """Definitional causal mask of the natural order: the lower triangle is
+    free."""
+    return np.where(np.tril(np.ones((length, length), dtype=bool)), MASK_FREE, MASK_BLOCKED)
+
+
 def _span_perm(m: int, n: int, length: int) -> np.ndarray:
     """Definitional visual-first order for one visual span [m, n]: the span
     moves to the front, everything else keeps its relative order."""
@@ -84,7 +89,7 @@ def _aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     out_r = attention_forward(
         x[perm], wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=n_heads,
-        mask=permuted_mask_oracle(perm, len(layout)),
+        plan=build_attention_plan([len(layout)], perm),
         positions=perm,
     )
     return out_r[np.argsort(perm)]
@@ -96,7 +101,7 @@ def test_single_span_masks_match_conjugation_exhaustively():
     start = time.perf_counter()
     checked = 0
     for length in range(1, 33):
-        base = standard_causal_mask(length)
+        base = _causal_mask(length)
         for m in range(0, length + 1):
             for n in range(m - 1, length):
                 perm = _span_perm(m, n, length)
@@ -128,7 +133,7 @@ def test_reordered_attention_matches_natural_order_on_random_layouts():
             x,
             ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
             n_heads=heads,
-            mask=standard_causal_mask(length),
+            plan=build_attention_plan([length], np.arange(length)),
             positions=np.arange(length),
         )
         reordered = _aifs_attention(
@@ -261,7 +266,7 @@ def test_norm_rewrite_is_exact_and_centers_the_stream():
 
     rows = rng.uniform(-20.0, 10.0, size=(6, cfg.d_model))
     x = matmul(rows, rewritten.vision_embed.w) + rewritten.vision_embed.b
-    mask = np.full((6, 6), MASK_FREE)
+    plan = build_attention_plan([6])
     for i, blk in enumerate(rewritten.vision_blocks):
         assert np.abs(x.mean(axis=1)).max() <= 1e-8  # attention norm input
         h = norm_forward(blk.attn_norm, x)
@@ -269,10 +274,10 @@ def test_norm_rewrite_is_exact_and_centers_the_stream():
             h,
             blk.wq.w, blk.wq.b, blk.wk.w, blk.wk.b,
             blk.wv.w, blk.wv.b, blk.wo.w, blk.wo.b,
-            n_heads=cfg.n_heads, mask=mask, positions=None,
+            n_heads=cfg.n_heads, plan=plan, positions=None,
         )
         assert np.abs((x + attn).mean(axis=1)).max() <= 1e-8  # mlp norm input
-        x = block_forward(f"vision.{i}", blk, x, cfg.n_heads, mask, positions=None)
+        x = block_forward(f"vision.{i}", blk, x, cfg.n_heads, plan, positions=None)
     assert np.abs(x.mean(axis=1)).max() <= 1e-8  # final norm input
 
 
@@ -387,21 +392,20 @@ def test_padded_batch_members_match_their_unpadded_runs():
     perms = [build_aifs_plan(layout) for layout in layouts]
     rows = [x[perm] for (x, _), perm in zip(calib, perms)]
     vis_rows = [layout.modality[perm] == VISUAL for layout, perm in zip(layouts, perms)]
-    masks = [permuted_mask_oracle(perm, len(perm)) for perm in perms]
     packed = attention_forward(
         quantize_msq(np.vstack(rows), np.concatenate(vis_rows), params),
         ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
         n_heads=heads,
-        mask=masks,
+        plan=build_attention_plan([len(perm) for perm in perms], np.concatenate(perms)),
         positions=np.concatenate(perms),
     )
     offset = 0
-    for x_r, vis, mask, perm in zip(rows, vis_rows, masks, perms):
+    for x_r, vis, perm in zip(rows, vis_rows, perms):
         alone = attention_forward(
             quantize_msq(x_r, vis, params),
             ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
             n_heads=heads,
-            mask=mask,
+            plan=build_attention_plan([len(perm)], perm),
             positions=perm,
         )
         assert np.abs(packed[offset : offset + len(perm)] - alone).max() <= 1e-8

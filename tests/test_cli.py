@@ -468,3 +468,107 @@ def test_malformed_model_file_fails_at_the_boundary(workdir, capsys, section, va
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and match in err
+
+
+def _set(*path_and_value):
+    """A tamper that sets the entry at path (keys and indices) to value; an
+    empty path replaces the whole file."""
+    *path, value = path_and_value
+
+    def tamper(d):
+        if not path:
+            return value
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "artifact, tamper, match",
+    [
+        ("calib", _set("msq", 5), "calibration msq must be a list, got int"),
+        ("calib", _set("msq", 0, []), "calibration msq[0] must be an object, got list"),
+        ("calib", _set("msq", 0, "visual", "x"),
+         "calibration msq[0].visual must be an object, got str"),
+        ("calib", _set("vision_act", None),
+         "calibration vision_act must be a list, got NoneType"),
+        ("calib", _set("msq", 0, "visual", "scales", {"a": 1}),
+         "calibration msq[0].visual: 'scales' must be a list of numbers"),
+        ("calib", _set("vision_act", 0, "zero_points", [True]),
+         "calibration vision_act[0]: 'zero_points' must be a list of ints"),
+        ("calib", _set([]), "calibration file must be an object, got list"),
+        ("qmodel", _set("config", []),
+         "quantized model file section 'config' must be an object, got list"),
+        ("qmodel", _set("calibration", "x"),
+         "quantized model file section 'calibration' must be an object, got str"),
+        ("qmodel", _set([]), "quantized model file must be an object, got list"),
+        ("config", _set([]), "must be an object, got list"),
+    ],
+)
+def test_malformed_artifact_fails_at_the_boundary(workdir, capsys, artifact, tamper, match):
+    """A calibration, qmodel or --config file of the wrong JSON shape ends
+    in an error naming the field and exit 2, not a traceback, and writes
+    nothing."""
+    tmp, cfg = workdir
+    paths = {name: tmp / f"{name}.json" for name in ("model", "calib", "qmodel")}
+    paths["config"] = tmp / "config.json"
+    samples = str(tmp / "s.mqs")
+    run("gen-model", "--config", cfg, "--out", str(paths["model"]))
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("calibrate", "--model", str(paths["model"]), "--samples", samples,
+        "--out", str(paths["calib"]))
+    run("quantize", "--model", str(paths["model"]), "--calib", str(paths["calib"]),
+        "--out", str(paths["qmodel"]))
+    d = json.loads(paths[artifact].read_text())
+    replaced = tamper(d)
+    paths[artifact].write_text(json.dumps(d if replaced is None else replaced))
+    capsys.readouterr()
+    out = tmp / "o.json"
+    if artifact == "qmodel":
+        code = run("eval", "--qmodel", str(paths["qmodel"]), "--samples", samples,
+                   "--report", str(out))
+    else:
+        code = run("quantize", "--config", str(paths["config"]), "--model",
+                   str(paths["model"]), "--calib", str(paths["calib"]), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tamper, match",
+    [
+        (_set("msq", 0, "text", "scales", [1e309]),
+         "calibration msq[0].text: all scales must be finite"),
+        (_set("vision_act", 0, "scales", [float("nan")]),
+         "calibration vision_act[0]: all scales must be finite"),
+        (_set("bits_a", "8"), "calibration key 'bits_a' must be an int, got str '8'"),
+        (_set("sample_count", "x"), "calibration key 'sample_count' must be an int"),
+        (_set("symmetric", 1), "calibration key 'symmetric' must be a bool, got int 1"),
+        (_set("aifs", "yes"), "calibration key 'aifs' must be a bool"),
+        (_set("fingerprint", 7), "calibration key 'fingerprint' must be a string"),
+    ],
+)
+def test_calibration_grids_and_keys_are_checked_on_load(workdir, capsys, tamper, match):
+    """A non-finite grid scale, or a calibration key of the wrong type, fails
+    quantize --calib before any qmodel is written."""
+    tmp, cfg = workdir
+    model, calib, out = tmp / "m.json", tmp / "c.json", tmp / "q.json"
+    samples = str(tmp / "s.mqs")
+    run("gen-model", "--config", cfg, "--out", str(model))
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("calibrate", "--model", str(model), "--samples", samples, "--out", str(calib))
+    d = json.loads(calib.read_text())
+    tamper(d)
+    calib.write_text(json.dumps(d))
+    capsys.readouterr()
+    code = run("quantize", "--model", str(model), "--calib", str(calib), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert not out.exists()

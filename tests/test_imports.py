@@ -1,6 +1,6 @@
 """Every module-level import in the package is used by its module, every
-definition is named by production code, and every function the benchmark
-tracer looks up by name exists."""
+definition is named by production code, only the mask primitives take a
+mask, and every function the benchmark tracer looks up by name exists."""
 
 import ast
 import importlib
@@ -29,7 +29,7 @@ UNREFERENCED = {
     "msq_aifs.ModalityLayout.visual_count": "the benchmark checks its layouts with it",
     "pipeline.apply_lossless_stack": "acceptance test 8's float-equivalent stack",
     "hadamard.incoherence_ratio": "waits for the per-layer incoherence report "
-    "(ROADMAP item 5)",
+    "(ROADMAP item 2)",
 }
 
 
@@ -96,6 +96,28 @@ def test_every_definition_is_named_by_production_code():
         "allowlisted definition is now named by production code; "
         "drop it from UNREFERENCED"
     )
+
+
+# The only production functions that take an additive attention mask: the
+# checked softmax and its check.  The forward passes positions to
+# build_attention_plan, which builds every mask itself.
+MASK_TAKERS = {"numerics.masked_softmax_rows", "numerics.check_mask"}
+
+
+def test_only_the_mask_primitives_take_a_mask():
+    """No other production function, method or nested function has a
+    parameter named mask."""
+    takers = {
+        f"{module}.{node.name}"
+        for module, tree in production_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            arg.arg == "mask"
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    }
+    assert takers == MASK_TAKERS
 
 
 def test_benchmark_trace_targets_resolve():

@@ -12,13 +12,13 @@ from mquant.msq_aifs import (
     ScaleOpCounter,
     attention_forward,
     build_aifs_plan,
+    build_attention_plan,
     calibrate_msq,
     layout_from_string,
     permuted_mask_oracle,
     quantize_dynamic_per_token,
     quantize_msq,
     rope_rotate,
-    standard_causal_mask,
     unified_causal_mask,
 )
 from mquant.numerics import (
@@ -29,7 +29,7 @@ from mquant.numerics import (
     matmul,
     softmax_rows,
 )
-from mquant.pipeline import _llm_order
+from mquant.pipeline import _pack_order
 from mquant.quantizer import fake_quant
 
 
@@ -44,11 +44,30 @@ def random_attn_weights(rng, d):
     return ws, bs
 
 
+def standard_causal_mask(length):
+    """The definition of the natural-order causal mask: the lower triangle
+    is free."""
+    tril = np.tril(np.ones((length, length), dtype=bool))
+    return np.where(tril, MASK_FREE, MASK_BLOCKED)
+
+
 def conjugation_oracle(perm, length):
     """The definition of the reordered mask: the natural causal mask
     conjugated by perm, M'[i, j] = M[perm[i], perm[j]]."""
-    tril = np.tril(np.ones((length, length), dtype=bool))
-    return np.where(tril, MASK_FREE, MASK_BLOCKED)[np.ix_(perm, perm)]
+    return standard_causal_mask(length)[np.ix_(perm, perm)]
+
+
+def plan_mask(plan):
+    """The pack-wide additive mask a plan encodes: its tiles written into a
+    tokens x tokens array that is blocked everywhere else."""
+    out = np.full((plan.tokens, plan.tokens), MASK_BLOCKED)
+    for rows, cols, tiles in plan.groups:
+        if isinstance(rows, slice):
+            out[rows, cols] = tiles
+        else:
+            for r, c, tile in zip(rows, cols, tiles):
+                out[np.ix_(r, c)] = tile
+    return out
 
 
 def aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
@@ -58,7 +77,7 @@ def aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     out_r = attention_forward(
         x[perm], wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=n_heads,
-        mask=permuted_mask_oracle(perm, len(layout)),
+        plan=build_attention_plan([len(layout)], perm),
         positions=perm,
     )
     return out_r[np.argsort(perm)]
@@ -114,18 +133,19 @@ def test_all_text_plan_is_identity():
 
 
 def test_standard_causal_mask_small():
-    mask = standard_causal_mask(3)
-    free = mask == MASK_FREE
+    """The plan of the natural order holds the lower-triangular mask."""
+    free = plan_mask(build_attention_plan([3], np.arange(3))) == MASK_FREE
     np.testing.assert_array_equal(
         free, [[True, False, False], [True, True, False], [True, True, True]]
     )
 
 
 def test_standard_causal_mask_equals_tril_definition_bitwise():
+    """The position rule over the natural order is the causal mask."""
     for length in range(1, 301):
         tril = np.tril(np.ones((length, length), dtype=bool))
         want = np.where(tril, MASK_FREE, MASK_BLOCKED)
-        got = standard_causal_mask(length)
+        got = permuted_mask_oracle(np.arange(length), length)
         assert got.dtype == np.float64 and got.shape == want.shape, length
         assert got.tobytes() == want.tobytes(), length
 
@@ -182,8 +202,8 @@ def test_unified_mask_matches_conjugation_on_long_sequences():
 def test_llm_order_multi_span_mask_is_conjugation():
     layout = layout_from_string("vtvt")
     want = conjugation_oracle(build_aifs_plan(layout), 4)
-    _, mask, _ = _llm_order(layout, aifs=True)
-    assert np.array_equal(mask, want)
+    _, _, plan = _pack_order(layout.modality, [4], aifs=True)
+    assert np.array_equal(plan_mask(plan), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,10 +222,52 @@ def test_llm_order_without_aifs_is_standard_causal():
     rng = np.random.default_rng(12)
     for length in (1, 2, 63, 64, 65, 300):
         layout = random_layout(rng, length)
-        perm, mask, visual_rows = _llm_order(layout, aifs=False)
+        perm, positions, plan = _pack_order(layout.modality, [length], aifs=False)
         np.testing.assert_array_equal(perm, np.arange(length))
-        np.testing.assert_array_equal(visual_rows, layout.modality == VISUAL)
-        assert mask.tobytes() == standard_causal_mask(length).tobytes()
+        np.testing.assert_array_equal(positions, np.arange(length))
+        assert plan_mask(plan).tobytes() == standard_causal_mask(length).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(
+        st.one_of(st.sampled_from([1, 2, 63, 64, 65, 130]), st.integers(1, 130)),
+        min_size=1,
+        max_size=5,
+    ),
+    causal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plan_holds_each_samples_rule_mask_and_nothing_across(lengths, causal, seed):
+    """The mask a plan encodes is the block diagonal of its samples' masks:
+    the conjugated causal mask of each sample's positions, or all free
+    without positions."""
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(n) for n in lengths]
+    if causal:
+        plan = build_attention_plan(lengths, np.concatenate(perms))
+        masks = [conjugation_oracle(perm, n) for perm, n in zip(perms, lengths)]
+    else:
+        plan = build_attention_plan(lengths)
+        masks = [np.full((n, n), MASK_FREE) for n in lengths]
+    assert plan.tokens == sum(lengths)
+    assert plan_mask(plan).tobytes() == block_diagonal(masks).tobytes()
+
+
+def test_attention_plan_must_fit_its_positions_and_input():
+    with pytest.raises(ValueError, match="positions cover 3 rows, the samples 4"):
+        build_attention_plan([2, 2], np.array([0, 1, 0]))
+    # each sample's slice must be a permutation of that sample's positions
+    for positions in ([0, 1, 0, 0], [1, 0, 2, 3], [0, 2, 1, 0]):
+        with pytest.raises(ValueError, match="permutation"):
+            build_attention_plan([2, 2], np.array(positions))
+    rng = np.random.default_rng(8)
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, 16)
+    with pytest.raises(ValueError, match="plan covers 5 rows, the input has 6"):
+        attention_forward(
+            rng.normal(size=(6, 16)), wq, bq, wk, bk, wv, bv, wo, bo,
+            n_heads=4, plan=build_attention_plan([5], np.arange(5)),
+        )
 
 
 def test_mask_bounds_checked():
@@ -301,7 +363,7 @@ def test_aifs_attention_matches_natural_order():
         x = rng.normal(size=(length, d))
         want = attention_forward(
             x, wq, bq, wk, bk, wv, bv, wo, bo,
-            n_heads=4, mask=standard_causal_mask(length),
+            n_heads=4, plan=build_attention_plan([length], np.arange(length)),
             positions=np.arange(length),
         )
         got = aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads=4)
@@ -318,44 +380,10 @@ def test_aifs_attention_all_text_is_bit_identical():
     layout = layout_from_string("ttttt")
     want = attention_forward(
         x, wq, bq, wk, bk, wv, bv, wo, bo,
-        n_heads=2, mask=standard_causal_mask(5), positions=np.arange(5),
+        n_heads=2, plan=build_attention_plan([5], np.arange(5)), positions=np.arange(5),
     )
     got = aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads=2)
     assert np.array_equal(got, want)
-
-
-def test_attention_checks_the_mask_once_per_call(monkeypatch):
-    rng = np.random.default_rng(8)
-    d, length, heads = 16, 6, 4
-    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
-    x = rng.normal(size=(length, d))
-    calls = []
-    real = msq_aifs.check_mask
-
-    def counting(mask):
-        calls.append(mask.shape)
-        real(mask)
-
-    monkeypatch.setattr(msq_aifs, "check_mask", counting)
-    attention_forward(
-        x, wq, bq, wk, bk, wv, bv, wo, bo,
-        n_heads=heads, mask=standard_causal_mask(length), positions=np.arange(length),
-    )
-    assert calls == [(length, length)]
-
-    bad = standard_causal_mask(length)
-    bad[2, 0] = -1.0
-    blocked = standard_causal_mask(length)
-    blocked[3, :] = MASK_BLOCKED
-    for mask, match in [
-        (bad, "mask entries"),
-        (blocked, "row 3"),
-        (standard_causal_mask(length - 1), "mask shape"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            attention_forward(
-                x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads=heads, mask=mask
-            )
 
 
 @pytest.mark.parametrize(
@@ -369,7 +397,7 @@ def test_attention_rejects_non_finite_values(where):
     d, length, heads = 16, 70, 4
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
     x = rng.normal(size=(length, d))
-    mask = standard_causal_mask(length)
+    plan = build_attention_plan([length], np.arange(length))
     weights = {"wq": wq, "wk": wk, "wv": wv, "bq": bq, "bk": bk, "bv": bv}
     if where == "x_nan":
         x[66, 3] = np.nan
@@ -385,12 +413,14 @@ def test_attention_rejects_non_finite_values(where):
         weights["wk"] *= 1e160
     else:
         bq[3] = np.nan
-        mask = [standard_causal_mask(30), standard_causal_mask(length - 30)]
+        plan = build_attention_plan(
+            [30, length - 30], np.concatenate([np.arange(30), np.arange(length - 30)])
+        )
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         attention_forward(
             x, weights["wq"], weights["bq"], weights["wk"], weights["bk"],
             weights["wv"], weights["bv"], wo, bo,
-            n_heads=heads, mask=mask, positions=np.arange(length),
+            n_heads=heads, plan=plan, positions=np.arange(length),
         )
 
 
@@ -429,7 +459,8 @@ def dense_attention_forward(
 
 
 def oracle_case(rng, kind, length):
-    """A (mask, positions) pair of one of the mask families the model uses."""
+    """One sample of one of the mask families the model uses: its mask by
+    definition, and the positions the plan builds it from (None: free)."""
     if kind == "causal":
         return standard_causal_mask(length), np.arange(length)
     if kind == "unified":
@@ -440,23 +471,17 @@ def oracle_case(rng, kind, length):
         return unified_causal_mask(m, n, length), build_aifs_plan(ModalityLayout(tags))
     if kind == "permuted":
         perm = rng.permutation(length)
-        return permuted_mask_oracle(perm, length), perm
-    if kind == "free":
-        return np.zeros((length, length)), np.arange(length)
-    return padded_case(rng, length)
+        return conjugation_oracle(perm, length), perm
+    return np.zeros((length, length)), None
 
 
-def padded_case(rng, length):
-    """One sequence left-padded to length: each pad slot sees only itself
-    at position 0, and the real rows keep their visual-first causal mask and
-    original positions, blocked from every pad key."""
-    real = int(rng.integers(1, length + 1))
-    pad = length - real
-    perm = build_aifs_plan(random_layout(rng, real))
-    mask = np.full((length, length), MASK_BLOCKED)
-    mask[np.arange(pad), np.arange(pad)] = MASK_FREE
-    mask[pad:, pad:] = permuted_mask_oracle(perm, real)
-    return mask, np.concatenate([np.zeros(pad, dtype=np.int64), perm])
+def pack_case(rng, kind, lengths):
+    """Per-sample masks of one family, the plan built from the samples'
+    positions, and their rotary positions (natural order when free)."""
+    cases = [oracle_case(rng, kind, n) for n in lengths]
+    orders = [np.arange(n) if order is None else order for (_, order), n in zip(cases, lengths)]
+    plan = build_attention_plan(lengths, None if kind == "free" else np.concatenate(orders))
+    return [mask for mask, _ in cases], plan, np.concatenate(orders)
 
 
 @settings(max_examples=120, deadline=None)
@@ -465,7 +490,7 @@ def padded_case(rng, length):
         st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 191, 193, 300]),
         st.integers(1, 300),
     ),
-    kind=st.sampled_from(["causal", "unified", "permuted", "free", "padded"]),
+    kind=st.sampled_from(["causal", "unified", "permuted", "free"]),
     rotary=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -476,17 +501,17 @@ def test_tiled_attention_matches_dense_oracle(length, kind, rotary, seed):
     d, heads = 16, 4
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
     x = rng.normal(size=(length, d))
-    mask, positions = oracle_case(rng, kind, length)
+    (mask,), plan, positions = pack_case(rng, kind, [length])
     if not rotary:
         positions = None
     args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
-    got = attention_forward(*args, n_heads=heads, mask=mask, positions=positions)
+    got = attention_forward(*args, n_heads=heads, plan=plan, positions=positions)
     want = dense_attention_forward(*args, n_heads=heads, mask=mask, positions=positions)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def score_entries_per_head(monkeypatch, length, mask):
+def score_entries_per_head(monkeypatch, length, plan):
     """Score entries one attention call computes, per head, counted at the
     softmax, which normalizes every score entry once."""
     rng = np.random.default_rng(18)
@@ -502,7 +527,7 @@ def score_entries_per_head(monkeypatch, length, mask):
     monkeypatch.setattr(msq_aifs, "softmax_rows", counting)
     attention_forward(
         rng.normal(size=(length, d)), wq, bq, wk, bk, wv, bv, wo, bo,
-        n_heads=heads, mask=mask, positions=np.arange(length),
+        n_heads=heads, plan=plan, positions=np.arange(length),
     )
     return sum(counted) / heads
 
@@ -511,13 +536,15 @@ def test_causal_attention_skips_the_blocked_tiles(monkeypatch):
     """64-row tiles over a causal mask: tile t scores 64 * 64 (t + 1)
     entries, not 64 * L."""
     length = 512
-    got = score_entries_per_head(monkeypatch, length, standard_causal_mask(length))
+    got = score_entries_per_head(
+        monkeypatch, length, build_attention_plan([length], np.arange(length))
+    )
     assert got == length * (length + 64) / 2
 
 
 def test_free_attention_scores_every_entry_once(monkeypatch):
     length = 200
-    got = score_entries_per_head(monkeypatch, length, np.zeros((length, length)))
+    got = score_entries_per_head(monkeypatch, length, build_attention_plan([length]))
     assert got == length * length
 
 
@@ -546,17 +573,17 @@ def block_diagonal(masks):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mask_list_matches_block_diagonal_dense_oracle(lengths, kind, rotary, seed):
-    """A per-sample mask list is the block-diagonal pack mask, without ever
-    building it: max |packed - dense| <= 1e-12 * max |dense|."""
+    """A plan over per-sample positions is the block-diagonal pack mask,
+    without ever building it: max |packed - dense| <= 1e-12 * max |dense|."""
     rng = np.random.default_rng(seed)
     d, heads = 16, 4
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
-    cases = [oracle_case(rng, kind, n) for n in lengths]
-    masks = [mask for mask, _ in cases]
-    positions = np.concatenate([pos for _, pos in cases]) if rotary else None
+    masks, plan, positions = pack_case(rng, kind, lengths)
+    if not rotary:
+        positions = None
     x = rng.normal(size=(sum(lengths), d))
     args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
-    got = attention_forward(*args, n_heads=heads, mask=masks, positions=positions)
+    got = attention_forward(*args, n_heads=heads, plan=plan, positions=positions)
     want = dense_attention_forward(
         *args, n_heads=heads, mask=block_diagonal(masks), positions=positions
     )
@@ -564,42 +591,10 @@ def test_mask_list_matches_block_diagonal_dense_oracle(lengths, kind, rotary, se
 
 
 def test_mask_list_scores_only_within_samples(monkeypatch):
-    """Free per-sample masks of sizes 100, 70 and 30 score 100^2 + 70^2 +
-    30^2 entries per head: no tile or band crosses a sample."""
-    masks = [np.zeros((n, n)) for n in (100, 70, 30)]
-    got = score_entries_per_head(monkeypatch, 200, masks)
+    """Free samples of sizes 100, 70 and 30 score 100^2 + 70^2 + 30^2
+    entries per head: no tile or band crosses a sample."""
+    got = score_entries_per_head(monkeypatch, 200, build_attention_plan([100, 70, 30]))
     assert got == 100**2 + 70**2 + 30**2
-
-
-def test_mask_list_is_checked_per_sample(monkeypatch):
-    rng = np.random.default_rng(9)
-    d, heads = 16, 2
-    (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
-    x = rng.normal(size=(10, d))
-    args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
-    calls = []
-    real = msq_aifs.check_mask
-
-    def counting(mask):
-        calls.append(mask.shape)
-        real(mask)
-
-    monkeypatch.setattr(msq_aifs, "check_mask", counting)
-    attention_forward(
-        *args, n_heads=heads, mask=[standard_causal_mask(4), standard_causal_mask(6)]
-    )
-    assert calls == [(4, 4), (6, 6)]
-    blocked = standard_causal_mask(6)
-    blocked[5, :] = MASK_BLOCKED
-    for masks, match in [
-        ([standard_causal_mask(4), standard_causal_mask(5)], "mask shape"),
-        ([standard_causal_mask(4), standard_causal_mask(7)], "mask shape"),
-        ([standard_causal_mask(4), np.zeros((6, 5))], "mask shape"),
-        ([], "mask shape"),
-        ([standard_causal_mask(4), blocked], "row 5"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            attention_forward(*args, n_heads=heads, mask=masks)
 
 
 def per_tile_attention_reference(
@@ -670,12 +665,12 @@ def test_stacked_attention_equals_per_tile_reference_bitwise(
     lengths = [lengths[i] for i in rng.permutation(len(lengths))]
     d = 32
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
-    cases = [oracle_case(rng, kind, n) for n in lengths]
-    masks = [mask for mask, _ in cases]
-    positions = np.concatenate([pos for _, pos in cases]) if rotary else None
+    masks, plan, positions = pack_case(rng, kind, lengths)
+    if not rotary:
+        positions = None
     x = rng.normal(size=(sum(lengths), d))
     args = (x, wq, bq, wk, bk, wv, bv, wo, bo)
-    got = attention_forward(*args, n_heads=heads, mask=masks, positions=positions)
+    got = attention_forward(*args, n_heads=heads, plan=plan, positions=positions)
     want = per_tile_attention_reference(
         *args, n_heads=heads, masks=masks, positions=positions
     )
@@ -691,10 +686,11 @@ def test_one_row_tile_over_a_narrow_band_equals_the_reference_bitwise(heads):
     d = 32
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
     perm = build_aifs_plan(layout_from_string("tt" + "v" * 63))
-    masks = [permuted_mask_oracle(perm, 65), standard_causal_mask(5)]
+    masks = [conjugation_oracle(perm, 65), standard_causal_mask(5)]
+    plan = build_attention_plan([65, 5], np.concatenate([perm, np.arange(5)]))
     args = (rng.normal(size=(70, d)) * 10, wq, bq, wk, bk, wv, bv, wo, bo)
     for _ in range(20):
-        got = attention_forward(*args, n_heads=heads, mask=masks)
+        got = attention_forward(*args, n_heads=heads, plan=plan)
         want = per_tile_attention_reference(*args, n_heads=heads, masks=masks)
         assert np.array_equal(got, want)
         args = (rng.normal(size=(70, d)) * 10, *args[1:])

@@ -26,12 +26,18 @@ from mquant.model import (
     llm_stack,
     model_forward,
 )
-from mquant.msq_aifs import TEXT, VISUAL, ModalityLayout, calibrate_msq
+from mquant.msq_aifs import (
+    TEXT,
+    VISUAL,
+    ModalityLayout,
+    build_aifs_plan,
+    build_attention_plan,
+    calibrate_msq,
+)
 from mquant.pipeline import (
     PACK_ROWS,
     CalibrationResult,
     PipelineConfig,
-    _llm_order,
     calibrate_pipeline,
     cosine_and_mse,
     evaluate,
@@ -122,9 +128,9 @@ def calibrate_per_sample(float_model, samples, pcfg):
     run_layouts = []
     for rows, layout in samples:
         x = embed_tokens(work, rows, layout.modality, hooks)
-        perm, mask, _ = _llm_order(layout, pcfg.aifs)
+        perm = build_aifs_plan(layout) if pcfg.aifs else np.arange(len(layout))
         run_layouts.append(ModalityLayout(layout.modality[perm]))
-        llm_stack(work, x[perm], mask, perm, hooks)
+        llm_stack(work, x[perm], build_attention_plan([len(layout)], perm), perm, hooks)
     return CalibrationResult(
         fingerprint="",
         msq=[
@@ -383,8 +389,7 @@ def test_tracer_runs_over_packed_evaluate_and_calibrate(float_model, qms):
 def test_each_forward_part_builds_one_attention_plan(monkeypatch):
     """With 3 + 3 blocks, QuantizedModel.forward, model_forward and
     calibrate_rotated each build one vision and one LLM attention plan per
-    pack, and check_mask runs once per stacked group or long sample per
-    forward, not once per block."""
+    pack, not once per block."""
     pcfg = small_pcfg(vision_blocks=3, llm_blocks=3)
     model = build_toy_mllm(pcfg.model)
     qm = mquant_quantize(
@@ -397,20 +402,15 @@ def test_each_forward_part_builds_one_attention_plan(monkeypatch):
         for i, spec in enumerate(["v" * 4 + "t" * 8] * 2 + ["tt" + "v" * 66 + "tt"])
     ]
     rows, modality, lengths = stack(samples)
-    builds, checks = [], []
-    real_build, real_check = msq_aifs.build_attention_plan, msq_aifs.check_mask
+    builds = []
+    real_build = msq_aifs.build_attention_plan
 
-    def counted_build(mask, tokens):
-        builds.append(tokens)
-        return real_build(mask, tokens)
-
-    def counted_check(mask):
-        checks.append(mask.shape)
-        real_check(mask)
+    def counted_build(lengths, positions=None):
+        builds.append(sum(lengths))
+        return real_build(lengths, positions)
 
     for module in (msq_aifs, model_module, pipeline):
         monkeypatch.setattr(module, "build_attention_plan", counted_build)
-    monkeypatch.setattr(msq_aifs, "check_mask", counted_check)
     for run in (
         lambda: qm.forward(rows, modality, lengths=lengths),
         lambda: qm.forward(rows, modality, dynamic=True, lengths=lengths),
@@ -418,7 +418,5 @@ def test_each_forward_part_builds_one_attention_plan(monkeypatch):
         lambda: pipeline.calibrate_rotated(model, "", samples, pcfg),
     ):
         builds.clear()
-        checks.clear()
         run()
         assert sorted(builds) == [4 + 4 + 66, 12 + 12 + 70]
-        assert sorted(checks) == [(8, 4), (24, 12), (66, 66), (70, 70)]

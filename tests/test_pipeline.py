@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mquant import pipeline
+from mquant import msq_aifs, pipeline
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
@@ -410,8 +410,8 @@ def test_passthrough_matches_transformed_float(setup, monkeypatch):
 
 
 def test_natural_order_passthrough_is_the_float_forward(setup, monkeypatch):
-    """With AIFS off, the pass-through path runs model_forward's order, mask
-    and positions, so it reproduces it bit for bit."""
+    """With AIFS off, the pass-through path runs model_forward's order and
+    positions, so it reproduces it bit for bit."""
     pcfg, model, samples = setup
     qm = without_grids(
         mquant_quantize(model, small_pcfg(aifs=False, rms=False), samples=samples),
@@ -425,17 +425,18 @@ def test_natural_order_passthrough_is_the_float_forward(setup, monkeypatch):
 @pytest.mark.parametrize("aifs", [True, False])
 def test_forward_builds_its_mask_with_one_rule_call(setup, monkeypatch, aifs):
     """The benchmark asserts that one forward calls permuted_mask_oracle
-    exactly once, whatever the layout."""
+    exactly once, whatever the layout: the LLM plan builds its one sample's
+    mask from positions, and the vision plan needs none."""
     _, model, samples = setup
     qm = mquant_quantize(model, small_pcfg(aifs=aifs), samples=samples)
-    build = pipeline.permuted_mask_oracle
+    build = msq_aifs.permuted_mask_oracle
     calls = []
 
     def counted(perm, length):
         calls.append(length)
         return build(perm, length)
 
-    monkeypatch.setattr(pipeline, "permuted_mask_oracle", counted)
+    monkeypatch.setattr(msq_aifs, "permuted_mask_oracle", counted)
     rows = samples[0][0]
     for spec in ("tttttttttt", "ttvvvvtttt", "tvvttvvvtt"):
         calls.clear()
@@ -449,14 +450,14 @@ def test_packed_forward_builds_one_mask_per_sample(setup, monkeypatch, aifs):
     sample's length, and never for the whole pack."""
     _, model, samples = setup
     qm = mquant_quantize(model, small_pcfg(aifs=aifs), samples=samples)
-    build = pipeline.permuted_mask_oracle
+    build = msq_aifs.permuted_mask_oracle
     calls = []
 
     def counted(perm, length):
         calls.append(length)
         return build(perm, length)
 
-    monkeypatch.setattr(pipeline, "permuted_mask_oracle", counted)
+    monkeypatch.setattr(msq_aifs, "permuted_mask_oracle", counted)
     specs = ("tvvt", "v", "tttttt", "vvtvvvtt", "vvv")
     rows = np.vstack([samples[0][0][: len(spec)] for spec in specs])
     modality = np.concatenate([layout_from_string(spec).modality for spec in specs])

@@ -191,6 +191,44 @@ def test_params_dict_roundtrip():
         assert np.array_equal(fake_quant(x, p), fake_quant(x, q))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_params_reject_non_finite_scales(bad):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        QuantParams(
+            bits=8, symmetric=True, granularity=Granularity.PER_CHANNEL,
+            scales=np.array([1.0, bad]), zero_points=np.array([0, 0]),
+        )
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("bits", 8.0, "'bits' must be an int"),
+        ("bits", True, "'bits' must be an int"),
+        ("symmetric", 0, "'symmetric' must be a bool"),
+        ("scales", ["0.5"], "'scales' must be a list of numbers"),
+        ("scales", 0.5, "'scales' must be a list of numbers"),
+        ("scales", [1e309] * 16, "finite and strictly positive"),
+        ("zero_points", [0.0], "'zero_points' must be a list of ints"),
+        ("zero_points", [10**30], "too large"),
+        ("granularity", "per_row", "not a valid Granularity"),
+        ("scales_rows", "4", "'scales_rows' must be an int"),
+        ("group_size", None, "'group_size' must be an int"),
+    ],
+)
+def test_params_from_dict_names_the_grid_and_field(key, value, match):
+    x = np.random.default_rng(8).normal(size=(4, 16))
+    d = params_to_dict(compute_params_absmax(x, 8, Granularity.PER_GROUP, group_size=4))
+    d[key] = value
+    with pytest.raises(ValueError, match=rf"^layer 3 grid: .*{match}"):
+        params_from_dict(d, "layer 3 grid")
+    del d[key]
+    with pytest.raises(ValueError, match=f"^layer 3 grid has no '{key}' entry$"):
+        params_from_dict(d, "layer 3 grid")
+    with pytest.raises(ValueError, match="^layer 3 grid must be an object, got list$"):
+        params_from_dict([d], "layer 3 grid")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30),

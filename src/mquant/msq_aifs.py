@@ -23,8 +23,8 @@ from .numerics import (
     MASK_FREE,
     as_tensor,
     check_finite,
+    exp_rows,
     matmul,
-    softmax_rows,
 )
 from .quantizer import (
     Granularity,
@@ -242,13 +242,25 @@ def pack_lengths(lengths, rows: int) -> list[int]:
 
 @dataclass
 class AttentionPlan:
-    """(rows, cols, tiles) of each stacked product over a pack, with copied
-    mask tiles: slices and a (rows, band) tile for a long sample's tile, or
-    index arrays (G, n), (G, band) and (G, n, band) tiles for G stacked
-    short samples."""
+    """(rows, cols, start, blocked) of each stacked product over a pack:
+    slices for one tile, or index arrays (G, n) and (G, band) for G stacked
+    short samples.  blocked is None when the whole band is free; otherwise
+    it is the boolean blocked tile, (n, w) or (G, n, w), of the band's
+    columns start .. start + w, the first to the last one that holds a
+    blocked entry."""
 
     tokens: int
     groups: list
+
+
+def _blocked_band(tile: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """(start, blocked) of a boolean blocked tile over a column band."""
+    hit = tile.any(axis=tuple(range(tile.ndim - 1)))
+    if not hit.any():
+        return 0, None
+    c0 = int(hit.argmax())
+    c1 = hit.shape[0] - int(hit[::-1].argmax())
+    return c0, np.ascontiguousarray(tile[..., c0:c1])
 
 
 def build_attention_plan(lengths: list[int], positions: np.ndarray | None = None) -> AttentionPlan:
@@ -261,38 +273,46 @@ def build_attention_plan(lengths: list[int], positions: np.ndarray | None = None
     gets the column band from the first to one past the last column any of
     its rows may attend to.  Samples of at most ATTENTION_TILE_ROWS rows are
     one tile each, stacked by tile shape; a longer sample's tiles stay
-    apart, as stacking them would gather whole key bands.
+    apart, as stacking them would gather whole key bands.  A tile alone in
+    its group is addressed by slices.
     """
     tokens = sum(lengths)
     if positions is not None:
         positions = np.asarray(positions, dtype=np.int64).reshape(-1)
         if positions.shape[0] != tokens:
             raise ValueError(f"positions cover {positions.shape[0]} rows, the samples {tokens}")
-    groups = []
-    short: dict = {}  # (rows, band) -> [(first row, first column, mask)]
+    stacks = []  # members of one product: (first row, first column, blocked tile)
+    short: dict = {}  # (rows, band) -> members
     offset = 0
     for n in lengths:
         if positions is None:
-            m = np.full((n, n), MASK_FREE)
+            blocked = np.zeros((n, n), dtype=bool)
         else:
-            m = permuted_mask_oracle(positions[offset : offset + n], n)
+            blocked = permuted_mask_oracle(positions[offset : offset + n], n) == MASK_BLOCKED
         # seen[t, j]: some row of tile t may attend to column j
         starts = np.arange(0, n, ATTENTION_TILE_ROWS)
-        seen = np.logical_or.reduceat(m == MASK_FREE, starts)
+        seen = np.logical_or.reduceat(~blocked, starts)
         lo = seen.argmax(axis=1)
         hi = n - seen[:, ::-1].argmax(axis=1)
         for r0, c0, c1 in zip(starts.tolist(), lo.tolist(), hi.tolist()):
-            tile = m[r0 : r0 + ATTENTION_TILE_ROWS, c0:c1]
+            tile = blocked[r0 : r0 + ATTENTION_TILE_ROWS, c0:c1]
+            member = (offset + r0, offset + c0, tile)
             if n <= ATTENTION_TILE_ROWS:
-                short.setdefault(tile.shape, []).append((offset, c0, m))
+                short.setdefault(tile.shape, []).append(member)
             else:
-                rows = slice(offset + r0, offset + r0 + tile.shape[0])
-                groups.append((rows, slice(offset + c0, offset + c1), tile.copy()))
+                stacks.append([member])
         offset += n
-    for (n, band), members in short.items():
-        first = np.array([(row, row + c0) for row, c0, _ in members])
-        tiles = np.stack([m[:, c0 : c0 + band] for _, c0, m in members])
-        groups.append((first[:, :1] + np.arange(n), first[:, 1:] + np.arange(band), tiles))
+    groups = []
+    for members in stacks + list(short.values()):
+        row, col, tile = members[0]
+        n, band = tile.shape
+        if len(members) == 1:
+            rows, cols = slice(row, row + n), slice(col, col + band)
+        else:
+            first = np.array([(row, col) for row, col, _ in members])
+            rows, cols = first[:, :1] + np.arange(n), first[:, 1:] + np.arange(band)
+            tile = np.stack([tile for *_, tile in members])
+        groups.append((rows, cols, *_blocked_band(tile)))
     return AttentionPlan(tokens, groups)
 
 
@@ -323,12 +343,19 @@ def attention_forward(
     x may be one sequence or a pack: several samples' rows stacked in order.
     plan, built once per forward and shared by every block, never crosses
     a sample.  positions=None skips rotary phases (the bidirectional vision
-    blocks).  q, k and v are projected, q and k rotated, and all three
-    copied head-major.  Each group of the plan then runs the scores, mask
-    add, softmax and P.V product of all heads and samples as stacked
-    products over its column band only: the columns outside it are blocked
-    for every row and would get exactly zero probability.  A causal mask
-    thus skips about half the score block, and a free mask nothing.
+    blocks).  q, k and v are projected, q and k rotated, q scaled by
+    1/sqrt(d_head) (exact for a d_head that is a power of 4), and all three
+    copied head-major.  Each group of the plan then runs q.k^T, exp_rows
+    and P.V for all heads and samples as stacked products over its column
+    band only: the columns outside it are blocked for every row and would
+    get exactly zero probability.  A causal mask thus skips about half the
+    score block, and a free mask nothing.  Blocked entries inside the band
+    never reach exp, and each row is divided by its sum after P.V, over
+    d_head columns instead of the band.
+
+    The scores are not checked: a non-finite q or k row meets at least its
+    own row's diagonal entry, which is always free, so it makes that row's
+    P.V product NaN, and that product is checked.
 
     Args:
         x: input of shape (tokens, d_model).
@@ -357,22 +384,23 @@ def attention_forward(
         c, s = np.tile(c, n_heads), np.tile(s, n_heads)
         q = _rotate_pairs(q, c, s)
         k = _rotate_pairs(k, c, s)
+    q *= 1.0 / np.sqrt(d_head)
     qh = q.reshape(tokens, n_heads, d_head).transpose(1, 0, 2).copy()
     kth = k.reshape(tokens, n_heads, d_head).transpose(1, 2, 0).copy()
     vh = v.reshape(tokens, n_heads, d_head).transpose(1, 0, 2).copy()
     out = np.empty_like(qh)
-    inv_sqrt = 1.0 / np.sqrt(d_head)
-    for rows, cols, tiles in plan.groups:
+    for rows, cols, start, blocked in plan.groups:
         qg = _take(qh, rows, 1)
         ktg = np.moveaxis(_take(kth, cols, 2), 1, -2)
         if qg.shape[-2] == 1:
             # numpy runs a one-row product as gemv, whose rounding depends
             # on the row stride of k: keep the stride of a copied band
             ktg = np.ascontiguousarray(ktg)
-        scores = check_finite(qg @ ktg, "attention scores")
-        scores *= inv_sqrt
-        scores += tiles
-        out[:, rows] = check_finite(softmax_rows(scores) @ _take(vh, cols, 1), "attention output")
+        p = qg @ ktg
+        sums = exp_rows(p, blocked, start)
+        pv = p @ _take(vh, cols, 1)
+        pv /= sums
+        out[:, rows] = check_finite(pv, "attention output")
     return matmul(out.transpose(1, 0, 2).reshape(tokens, d), wo) + bo
 
 

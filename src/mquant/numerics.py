@@ -1,11 +1,19 @@
 """Deterministic float64 tensor primitives shared by every other module.
 
-All tensors are 2-D C-contiguous float64 numpy arrays (softmax_rows also
-takes stacked attention scores).  matmul delegates to BLAS, so its
-summation order is the library's: results repeat within a process but may
-differ in the last bits across BLAS builds.  The exact left-to-right loop
-it replaced is kept in the tests as its oracle.  Masks use a large finite
-sentinel instead of -inf so that no operation ever produces NaN.
+All tensors are 2-D C-contiguous float64 numpy arrays (exp_rows and
+softmax_rows also take stacked attention scores).  matmul delegates to
+BLAS, so its summation order is the library's: results repeat within a
+process but may differ in the last bits across BLAS builds.  The exact
+left-to-right loop it replaced is kept in the tests as its oracle.
+
+Additive masks use a large finite sentinel instead of -inf so that no
+operation ever produces NaN.  The attention kernel never adds it: it marks
+blocked scores with a boolean tile, and exp_rows writes 0.0 into them
+around the exponential.  exp of the sentinel (or of -inf) is exactly 0.0
+too, but numpy's vectorized exp takes a slow path for it: ≈7x the time of
+an ordinary value, and a 10 % share of sentinels makes exp of a whole
+array ≈4x slower.  So no blocked score is exponentiated on the forward
+path.
 """
 
 from __future__ import annotations
@@ -95,20 +103,45 @@ def check_mask(mask: np.ndarray) -> None:
         )
 
 
-def softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, in place, with max subtraction of
-    already-masked scores; s may have any rank and is overwritten.
+def exp_rows(
+    s: np.ndarray, blocked: np.ndarray | None = None, start: int = 0
+) -> np.ndarray:
+    """exp(s - row max) along the last axis, in place; returns the row sums.
 
-    The caller has added a mask with a free entry in every row, and checks
-    what comes out: masked_softmax_rows checks its mask and result, and
-    attention_forward, which calls it once per group of its plan on stacked
-    (heads, ..., rows, band) scores, checks the P.V product.  Finite scores
-    under such a mask give a finite result: each row's free entry keeps its
-    max finite, and the max adds exp(0) = 1 to the row sum.
+    blocked, if given, marks the blocked entries of columns start ..
+    start + blocked.shape[-1] of s (broadcast over its leading axes); every
+    other entry is free.  The row max is taken over free entries only, and
+    blocked entries end as exactly 0.0 without passing through exp: they
+    hold 0.0 while exp runs and are zeroed again after.  Only that column
+    sub-range is written besides the in-place shift and exp.
+
+    Every row must keep a free entry.  Finite free scores then give finite
+    results: the max is one of them and adds exp(0) = 1 to its row sum.  A
+    non-finite score on a free entry makes its row NaN, for the caller to
+    catch (inf - inf).
     """
+    if blocked is not None:
+        sub = s[..., start : start + blocked.shape[-1]]
+        np.copyto(sub, -np.inf, where=blocked)
     s -= s.max(axis=-1, keepdims=True)
+    if blocked is not None:
+        np.copyto(sub, 0.0, where=blocked)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    if blocked is not None:
+        np.copyto(sub, 0.0, where=blocked)
+    return s.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, in place, of already-masked scores;
+    s may have any rank and is overwritten.
+
+    This is exp_rows with no blocked tile, then the division by the row
+    sums: the caller has added a mask with a free entry in every row, and
+    the sentinel's exp underflows to exactly 0.0.  masked_softmax_rows
+    checks what comes out.
+    """
+    s /= exp_rows(s)
     return s
 
 

@@ -237,7 +237,7 @@ class CalibrationResult:
                 fileio.require(d[key], list, f"calibration {key}") for key in ("msq", "vision_act")
             )
             pairs = [fileio.require(m, dict, f"calibration msq[{i}]") for i, m in enumerate(msq)]
-            return cls(
+            calib = cls(
                 fingerprint=d["fingerprint"],
                 msq=[
                     MsqParams(d["bits_a"], d["symmetric"], *(
@@ -255,6 +255,20 @@ class CalibrationResult:
                 symmetric=d["symmetric"],
                 aifs=d["aifs"],
             )
+        grids = [
+            (f"msq[{i}].{part}", getattr(m, part))
+            for i, m in enumerate(calib.msq)
+            for part in ("visual", "text")
+        ] + [(f"vision_act[{i}]", p) for i, p in enumerate(calib.vision_act)]
+        want = (Granularity.PER_TENSOR, calib.bits_a, calib.symmetric)
+        for name, p in grids:
+            if (p.granularity, p.bits, p.symmetric) != want:
+                raise ValueError(
+                    f"calibration {name} must be per_tensor at the file's bits_a="
+                    f"{calib.bits_a}, symmetric={calib.symmetric}; it is "
+                    f"{p.granularity.value} at bits={p.bits}, symmetric={p.symmetric}"
+                )
+        return calib
 
 
 # Rows per pack in evaluate and calibrate_rotated.  Consecutive samples are

@@ -15,7 +15,6 @@ import numpy as np
 
 from mquant.hadamard import fht, walsh_hadamard
 from mquant.model import (
-    ForwardHooks,
     ToyMllmConfig,
     block_forward,
     build_toy_mllm,

@@ -572,3 +572,33 @@ def test_calibration_grids_and_keys_are_checked_on_load(workdir, capsys, tamper,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and match in err
     assert not out.exists()
+
+
+def test_calibration_grid_off_the_file_grid_fails_at_load(tmp_path, capsys):
+    """The README desk calibration with msq[0].visual at 4 bits and
+    vision_act[1] asymmetric: quantize --calib names the first grid that is
+    not per-tensor at the file's bits_a and symmetric, then the second once
+    the first is restored, and writes nothing."""
+    model, calib, out = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "q.json"
+    samples = str(tmp_path / "s.mqs")
+    run("gen-model", "--out", str(model), "--seed", "0")
+    run("gen-samples", "--out", samples, "--count", "8", "--length", "16", "--seed", "123")
+    run("calibrate", "--model", str(model), "--samples", samples, "--out", str(calib))
+    d = json.loads(calib.read_text())
+    bits = d["msq"][0]["visual"]["bits"]
+    d["msq"][0]["visual"]["bits"] = 4
+    d["vision_act"][1]["symmetric"] = False
+    for grid, detail in (
+        ("msq[0].visual", "it is per_tensor at bits=4, symmetric=True"),
+        ("vision_act[1]", "it is per_tensor at bits=8, symmetric=False"),
+    ):
+        calib.write_text(json.dumps(d))
+        capsys.readouterr()
+        code = run("quantize", "--model", str(model), "--calib", str(calib), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"calibration {grid} must be per_tensor at the file's bits_a=8, symmetric=True" in err
+        assert detail in err
+        assert not out.exists()
+        d["msq"][0]["visual"]["bits"] = bits

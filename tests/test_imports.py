@@ -1,6 +1,7 @@
-"""Every module-level import in the package is used by its module, every
-definition is named by production code, only the mask primitives take a
-mask, and every function the benchmark tracer looks up by name exists."""
+"""Every module-level import in the package and its tests is used by its
+module, every definition is named by production code, only the mask
+primitives take a mask, and every function the benchmark tracer looks up
+by name exists."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import mquant
 
 SRC = Path(mquant.__file__).parent
+TESTS = Path(__file__).resolve().parent
 
 # The benchmark tracer asserts that it rebinds matmul in these modules
 # (perfbench/test_perfbench.py), so the bindings stay although the modules
@@ -33,10 +35,10 @@ UNREFERENCED = {
 }
 
 
-def production_trees() -> dict:
+def module_trees(directory: Path) -> dict:
     return {
         p.stem: ast.parse(p.read_text())
-        for p in sorted(SRC.glob("*.py"))
+        for p in sorted(directory.glob("*.py"))
         if p.name != "__init__.py"
     }
 
@@ -54,11 +56,18 @@ def unused_imports(module: str, tree: ast.Module) -> set:
 
 
 def test_no_unused_module_level_imports():
-    trees = production_trees()
+    trees = module_trees(SRC)
     assert len(trees) > 5
     unused = set().union(*(unused_imports(m, t) for m, t in trees.items()))
     assert unused - ALLOWED == set()
     assert ALLOWED <= unused, "allowlisted import is now used; drop it from ALLOWED"
+
+
+def test_no_unused_module_level_imports_in_the_tests():
+    """The same rule for the test modules, with no allowlist."""
+    trees = module_trees(TESTS)
+    assert "test_imports" in trees and len(trees) > 10
+    assert set().union(*(unused_imports(m, t) for m, t in trees.items())) == set()
 
 
 def definitions(module: str, tree: ast.Module):
@@ -78,7 +87,7 @@ def test_every_definition_is_named_by_production_code():
     definition's name appears in production code outside the definition
     itself, as a name or an attribute.  The package __init__'s re-exports
     do not count."""
-    trees = production_trees()
+    trees = module_trees(SRC)
     named = {
         n.id if isinstance(n, ast.Name) else n.attr
         for tree in trees.values()
@@ -109,7 +118,7 @@ def test_only_the_mask_primitives_take_a_mask():
     parameter named mask."""
     takers = {
         f"{module}.{node.name}"
-        for module, tree in production_trees().items()
+        for module, tree in module_trees(SRC).items()
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
         and any(

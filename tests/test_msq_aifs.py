@@ -26,6 +26,7 @@ from mquant.numerics import (
     MASK_FREE,
     as_tensor,
     check_mask,
+    exp_rows,
     matmul,
     softmax_rows,
 )
@@ -58,15 +59,20 @@ def conjugation_oracle(perm, length):
 
 
 def plan_mask(plan):
-    """The pack-wide additive mask a plan encodes: its tiles written into a
-    tokens x tokens array that is blocked everywhere else."""
+    """The pack-wide additive mask a plan encodes: each group's band free
+    but for its blocked tile, written into a tokens x tokens array that is
+    blocked everywhere else."""
     out = np.full((plan.tokens, plan.tokens), MASK_BLOCKED)
-    for rows, cols, tiles in plan.groups:
+    index = np.arange(plan.tokens)
+    for rows, cols, start, blocked in plan.groups:
         if isinstance(rows, slice):
-            out[rows, cols] = tiles
-        else:
-            for r, c, tile in zip(rows, cols, tiles):
-                out[np.ix_(r, c)] = tile
+            rows, cols = [index[rows]], [index[cols]]
+            blocked = None if blocked is None else blocked[None]
+        for i, (r, c) in enumerate(zip(rows, cols)):
+            tile = np.full((len(r), len(c)), MASK_FREE)
+            if blocked is not None:
+                tile[:, start : start + blocked.shape[-1]][blocked[i]] = MASK_BLOCKED
+            out[np.ix_(r, c)] = tile
     return out
 
 
@@ -252,6 +258,40 @@ def test_plan_holds_each_samples_rule_mask_and_nothing_across(lengths, causal, s
         masks = [np.full((n, n), MASK_FREE) for n in lengths]
     assert plan.tokens == sum(lengths)
     assert plan_mask(plan).tobytes() == block_diagonal(masks).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=st.lists(
+        st.one_of(st.sampled_from([1, 2, 63, 64, 65, 130]), st.integers(1, 130)),
+        min_size=1,
+        max_size=5,
+    ),
+    kind=st.sampled_from(["causal", "unified", "permuted", "free"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plan_keeps_each_bands_blocked_entries_in_its_tile(lengths, kind, seed):
+    """A group's blocked tile spans its band's columns from the first to the
+    last one that holds a blocked entry, and marks exactly the blocked
+    entries there; a band with none, and every free sample's band, carries
+    no tile.  A group of one tile is addressed by slices."""
+    rng = np.random.default_rng(seed)
+    masks, plan, _ = pack_case(rng, kind, lengths)
+    blocked = block_diagonal(masks) == MASK_BLOCKED
+    index = np.arange(plan.tokens)
+    for rows, cols, start, tile in plan.groups:
+        if isinstance(rows, slice):
+            rows, cols = index[rows][None], index[cols][None]
+        else:
+            assert rows.shape[0] > 1
+        want = np.stack([blocked[np.ix_(r, c)] for r, c in zip(rows, cols)])
+        hit = np.flatnonzero(want.any(axis=(0, 1)))
+        if hit.size == 0:
+            assert tile is None and start == 0
+            continue
+        assert kind != "free" and tile.dtype == np.bool_
+        assert (start, start + tile.shape[-1]) == (hit[0], hit[-1] + 1)
+        assert np.array_equal(tile.reshape(want.shape[:2] + (-1,)), want[..., hit[0] : hit[-1] + 1])
 
 
 def test_attention_plan_must_fit_its_positions_and_input():
@@ -512,19 +552,19 @@ def test_tiled_attention_matches_dense_oracle(length, kind, rotary, seed):
 
 
 def score_entries_per_head(monkeypatch, length, plan):
-    """Score entries one attention call computes, per head, counted at the
-    softmax, which normalizes every score entry once."""
+    """Score entries one attention call computes, per head, counted at
+    exp_rows, which exponentiates every score entry once."""
     rng = np.random.default_rng(18)
     d, heads = 32, 2
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
     counted = []
-    real = msq_aifs.softmax_rows
+    real = msq_aifs.exp_rows
 
-    def counting(s):
+    def counting(s, *args):
         counted.append(s.size)
-        return real(s)
+        return real(s, *args)
 
-    monkeypatch.setattr(msq_aifs, "softmax_rows", counting)
+    monkeypatch.setattr(msq_aifs, "exp_rows", counting)
     attention_forward(
         rng.normal(size=(length, d)), wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=heads, plan=plan, positions=np.arange(length),
@@ -602,8 +642,9 @@ def per_tile_attention_reference(
 ):
     """The per-head, per-tile kernel the stacked one replaced, kept as its
     bitwise reference: each sample's query rows in tiles of
-    ATTENTION_TILE_ROWS, each over its column band, and one 2-D product
-    and softmax per head and tile."""
+    ATTENTION_TILE_ROWS, each over its column band, and one 2-D product,
+    exp_rows over the tile's whole blocked mask, and P.V divided by the
+    row sums per head and tile, with q prescaled as in the kernel."""
     x = as_tensor(x)
     tokens, d = x.shape
     d_head = d // n_heads
@@ -628,18 +669,17 @@ def per_tile_attention_reference(
         c, s = np.tile(c, n_heads), np.tile(s, n_heads)
         q = msq_aifs._rotate_pairs(q, c, s)
         k = msq_aifs._rotate_pairs(k, c, s)
+    q *= 1.0 / np.sqrt(d_head)
     kt = np.ascontiguousarray(k.T)
     out = np.empty_like(x)
-    inv_sqrt = 1.0 / np.sqrt(d_head)
     for h in range(n_heads):
         sl = slice(h * d_head, (h + 1) * d_head)
         qh, kth = np.ascontiguousarray(q[:, sl]), kt[sl]
         vh = np.ascontiguousarray(v[:, sl])
         for rows, cols, mask_tile in tiles:
             scores = matmul(qh[rows], kth[:, cols])
-            scores *= inv_sqrt
-            scores += mask_tile
-            out[rows, sl] = matmul(softmax_rows(scores), vh[cols])
+            sums = exp_rows(scores, mask_tile == MASK_BLOCKED)
+            out[rows, sl] = matmul(scores, vh[cols]) / sums
     return matmul(out, wo) + bo
 
 

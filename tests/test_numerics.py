@@ -8,6 +8,7 @@ from mquant.numerics import (
     MASK_FREE,
     NormParams,
     as_tensor,
+    exp_rows,
     layer_norm,
     masked_softmax_rows,
     matmul,
@@ -181,6 +182,36 @@ def test_softmax_huge_scores_stay_finite():
     mask = np.full((1, 2), MASK_FREE)
     out = masked_softmax_rows(scores, mask)
     np.testing.assert_allclose(out, [[1.0, 0.0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 40),
+    heads=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exp_rows_zeroes_blocked_entries_and_matches_masked_softmax_bitwise(
+    rows, cols, heads, seed
+):
+    """exp_rows over stacked heads with a boolean tile over the columns
+    from the first to the last blocked one leaves every blocked entry at
+    exactly 0.0, and divided by its row sums equals masked_softmax_rows of
+    each head bit for bit."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(heads, rows, cols)) * rng.uniform(0.1, 50.0)
+    blocked = rng.random((rows, cols)) < rng.uniform(0.0, 1.0)
+    blocked[np.arange(rows), rng.integers(0, cols, rows)] = False  # keep every row alive
+    hit = np.flatnonzero(blocked.any(axis=0))
+    start, stop = (hit[0], hit[-1] + 1) if hit.size else (0, 0)
+    s = scores.copy()
+    sums = exp_rows(s, blocked[:, start:stop] if hit.size else None, start)
+    assert sums.shape == (heads, rows, 1)
+    assert np.all(s[:, blocked] == 0.0)
+    s /= sums
+    mask = np.where(blocked, MASK_BLOCKED, MASK_FREE)
+    for h in range(heads):
+        assert np.array_equal(s[h], masked_softmax_rows(scores[h], mask))
 
 
 def test_layer_norm_known_example():

@@ -14,7 +14,7 @@ from mquant.model import (
     model_forward,
     model_to_dict,
 )
-from mquant.msq_aifs import VISUAL, ModalityLayout, layout_from_string
+from mquant.msq_aifs import VISUAL, layout_from_string
 from mquant.pipeline import (
     CalibrationResult,
     PipelineConfig,

@@ -8,7 +8,6 @@ from mquant.quantizer import (
     QuantParams,
     calibrate_static,
     compute_params_absmax,
-    dequantize,
     fake_quant,
     params_from_dict,
     params_to_dict,

@@ -77,21 +77,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return d
 
 
-def _pcfg_for_model(args: argparse.Namespace, model) -> PipelineConfig:
-    """Config for a command that runs on a stored model.  The model comes
-    from its file, so a model key given in --config or by a flag (--seed)
-    must agree with the model's own config instead of being dropped."""
-    d = _config_dict(args)
-    pcfg = PipelineConfig.from_dict(d)
-    have = model.config.to_dict()
-    for key in sorted(set(d) & set(have)):
-        if d[key] != have[key]:
-            raise ValueError(
-                f"config {key}={d[key]!r} disagrees with the model's {key}={have[key]!r}"
-            )
-    return pcfg
-
-
 def _load_model(path):
     return model_from_dict(_read_json(path))
 
@@ -154,7 +139,7 @@ def cmd_gen_samples(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    pcfg = _pcfg_for_model(args, model)
+    pcfg = PipelineConfig.for_model(_config_dict(args), model.config)
     samples = _load_samples(args.samples, model.config.d_model)
     calib = calibrate_pipeline(model, samples, pcfg)
     _write_json(args.out, calib.to_dict())
@@ -167,7 +152,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_quantize(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    pcfg = _pcfg_for_model(args, model)
+    pcfg = PipelineConfig.for_model(_config_dict(args), model.config)
     if (args.calib is None) == (args.samples is None):
         raise ValueError("provide exactly one of --calib or --samples")
     if args.calib is not None:

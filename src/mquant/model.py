@@ -8,11 +8,15 @@ negative column means so rotation concentrates real outlier mass into the
 first row; the LLM down-projections get exactly zero column means so they
 never trigger the split.
 
-Forward passes accept hook functions so the quantized pipeline can swap in
-fake-quantized weights, activation grids, and split-kernel down-projections
-without duplicating the control flow.  They also accept a pack: the rows of
-several samples stacked in order plus their lengths.  Every row-wise step
-runs once over the pack, and attention stays inside each sample.
+The forward runs whatever weights the model holds: the quantized pipeline
+freezes its dequantized weights into a copy of the model and attaches each
+outlier-row split plan to its block, so a block with a split runs its
+down-projection through rms_forward.  The one call-time interception point
+is act_fn, applied to every block input: calibration records there, and
+the quantized forward applies its activation grids there.  Forward passes
+also accept a pack: the rows of several samples stacked in order plus their
+lengths.  Every row-wise step runs once over the pack, and attention stays
+inside each sample.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .numerics import (
     matmul,
     rms_norm,
 )
+from .rms import RmsSplitPlan, rms_forward
 
 THETA_BASE = 10000.0
 
@@ -169,6 +174,7 @@ class Block:
     w_down: Linear
     rope: bool
     online_fht: bool = False
+    split: RmsSplitPlan | None = None
 
 
 @dataclass
@@ -305,27 +311,8 @@ def model_fingerprint(model: ToyMllm) -> str:
 # ===== forward =====
 
 
-def _identity_weight(name: str, w: np.ndarray) -> np.ndarray:
-    return w
-
-
 def _identity_act(name: str, x: np.ndarray) -> np.ndarray:
     return x
-
-
-@dataclass
-class ForwardHooks:
-    """Interception points for the quantized simulation.
-
-    weight_fn maps (layer name, weight) to the effective weight.  act_fn is
-    applied to each block input.  down_fn, when set, replaces the bias-free
-    x @ w_down product of layers it knows (it receives post-transform
-    activations and must return the projected output).
-    """
-
-    weight_fn: Callable = _identity_weight
-    act_fn: Callable = _identity_act
-    down_fn: Callable | None = None
 
 
 # GELU table: g(b) = erf(b) / 2 on b = |x| / sqrt(2) in [0, GELU_SPAN), one
@@ -418,20 +405,20 @@ def block_forward(
     n_heads: int,
     plan: AttentionPlan,
     positions: np.ndarray | None,
-    hooks: ForwardHooks | None = None,
+    act_fn: Callable = _identity_act,
 ) -> np.ndarray:
     """One pre-norm transformer block over a (tokens, d_model) input, with
-    the forward's attention plan."""
-    hooks = hooks or ForwardHooks()
-    x = hooks.act_fn(f"{name}.input", x)
+    the forward's attention plan.  act_fn maps ("<name>.input", input) to
+    the input the block runs on."""
+    x = act_fn(f"{name}.input", x)
 
     h = norm_forward(block.attn_norm, x)
     attn = attention_forward(
         h,
-        hooks.weight_fn(f"{name}.wq", block.wq.w), block.wq.b,
-        hooks.weight_fn(f"{name}.wk", block.wk.w), block.wk.b,
-        hooks.weight_fn(f"{name}.wv", block.wv.w), block.wv.b,
-        hooks.weight_fn(f"{name}.wo", block.wo.w), block.wo.b,
+        block.wq.w, block.wq.b,
+        block.wk.w, block.wk.b,
+        block.wv.w, block.wv.b,
+        block.wo.w, block.wo.b,
         n_heads=n_heads,
         plan=plan,
         positions=positions if block.rope else None,
@@ -440,14 +427,13 @@ def block_forward(
     x = x + attn
 
     h = norm_forward(block.mlp_norm, x)
-    u = gelu(matmul(h, hooks.weight_fn(f"{name}.w_up", block.w_up.w)) + block.w_up.b)
+    u = gelu(matmul(h, block.w_up.w) + block.w_up.b)
     if block.online_fht:
         u = fht(u, axis=1)
-    down_name = f"{name}.w_down"
-    if hooks.down_fn is not None:
-        mlp = hooks.down_fn(down_name, u)
+    if block.split is not None:
+        mlp = rms_forward(u, block.split)
     else:
-        mlp = matmul(u, hooks.weight_fn(down_name, block.w_down.w))
+        mlp = matmul(u, block.w_down.w)
     x = x + mlp + block.w_down.b
     return x
 
@@ -455,7 +441,7 @@ def block_forward(
 def vision_encode(
     model: ToyMllm,
     rows: np.ndarray,
-    hooks: ForwardHooks | None = None,
+    act_fn: Callable = _identity_act,
     lengths: list[int] | None = None,
 ) -> np.ndarray:
     """Visual token rows through embed, blocks, final norm, projector.
@@ -463,18 +449,14 @@ def vision_encode(
     lengths splits rows into the visual rows of each sample of a pack
     (None: one sample); attention is bidirectional within each sample.
     """
-    hooks = hooks or ForwardHooks()
     cfg = model.config
     rows = as_tensor(rows)
     plan = build_attention_plan(pack_lengths(lengths, rows.shape[0]))
-    x = matmul(rows, hooks.weight_fn("vision_embed", model.vision_embed.w))
-    x = x + model.vision_embed.b
+    x = matmul(rows, model.vision_embed.w) + model.vision_embed.b
     for i, blk in enumerate(model.vision_blocks):
-        x = block_forward(
-            f"vision.{i}", blk, x, cfg.n_heads, plan, positions=None, hooks=hooks
-        )
+        x = block_forward(f"vision.{i}", blk, x, cfg.n_heads, plan, None, act_fn)
     x = norm_forward(model.vision_post_norm, x)
-    x = matmul(x, hooks.weight_fn("projector", model.projector.w)) + model.projector.b
+    x = matmul(x, model.projector.w) + model.projector.b
     return x
 
 
@@ -482,7 +464,7 @@ def embed_tokens(
     model: ToyMllm,
     sample: np.ndarray,
     modality: np.ndarray,
-    hooks: ForwardHooks | None = None,
+    act_fn: Callable = _identity_act,
     lengths: list[int] | None = None,
 ) -> np.ndarray:
     """Per-token embedding: visual rows via the vision path, text rows via
@@ -491,7 +473,6 @@ def embed_tokens(
     sample may be a pack with per-sample row counts lengths (None: one
     sequence); the visual rows of all samples go through one vision pass.
     """
-    hooks = hooks or ForwardHooks()
     sample = as_tensor(sample)
     modality = np.asarray(modality, dtype=np.int64).reshape(-1)
     if modality.shape[0] != sample.shape[0]:
@@ -511,11 +492,10 @@ def embed_tokens(
         starts = np.cumsum([0] + lengths[:-1])
         counts = np.add.reduceat(is_vis, starts, dtype=np.int64)
         out[vis_idx] = vision_encode(
-            model, sample[vis_idx], hooks, lengths=counts[counts > 0].tolist()
+            model, sample[vis_idx], act_fn, lengths=counts[counts > 0].tolist()
         )
     if txt_idx.size:
-        w = hooks.weight_fn("text_embed", model.text_embed.w)
-        out[txt_idx] = matmul(sample[txt_idx], w) + model.text_embed.b
+        out[txt_idx] = matmul(sample[txt_idx], model.text_embed.w) + model.text_embed.b
     return out
 
 
@@ -524,18 +504,15 @@ def llm_stack(
     x: np.ndarray,
     plan: AttentionPlan,
     positions: np.ndarray,
-    hooks: ForwardHooks | None = None,
+    act_fn: Callable = _identity_act,
 ) -> np.ndarray:
     """LLM blocks, final norm, head over an already-embedded sequence or
     pack, with its attention plan and rotary positions."""
-    hooks = hooks or ForwardHooks()
     cfg = model.config
     for i, blk in enumerate(model.llm_blocks):
-        x = block_forward(
-            f"llm.{i}", blk, x, cfg.n_heads, plan, positions=positions, hooks=hooks
-        )
+        x = block_forward(f"llm.{i}", blk, x, cfg.n_heads, plan, positions, act_fn)
     x = norm_forward(model.llm_final_norm, x)
-    x = matmul(x, hooks.weight_fn("head", model.head.w)) + model.head.b
+    x = matmul(x, model.head.w) + model.head.b
     return check_finite(x, "model output")
 
 
@@ -543,7 +520,7 @@ def model_forward(
     model: ToyMllm,
     sample: np.ndarray,
     modality: np.ndarray,
-    hooks: ForwardHooks | None = None,
+    act_fn: Callable = _identity_act,
     lengths: list[int] | None = None,
 ) -> np.ndarray:
     """Full causal reference pass in natural token order.
@@ -554,10 +531,10 @@ def model_forward(
     positions from 0 give its causal attention and rotary phases, so its
     output rows match its lone forward up to the rounding of a taller GEMM.
     """
-    x = embed_tokens(model, sample, modality, hooks, lengths)
+    x = embed_tokens(model, sample, modality, act_fn, lengths)
     lengths = pack_lengths(lengths, x.shape[0])
     positions = np.concatenate([np.arange(n) for n in lengths])
-    return llm_stack(model, x, build_attention_plan(lengths, positions), positions, hooks)
+    return llm_stack(model, x, build_attention_plan(lengths, positions), positions, act_fn)
 
 
 # ===== file round trip =====

@@ -118,12 +118,14 @@ def exp_rows(
     Every row must keep a free entry.  Finite free scores then give finite
     results: the max is one of them and adds exp(0) = 1 to its row sum.  A
     non-finite score on a free entry makes its row NaN, for the caller to
-    catch (inf - inf).
+    catch; the inf - inf of the shift is expected there, so numpy does not
+    warn about it.
     """
     if blocked is not None:
         sub = s[..., start : start + blocked.shape[-1]]
         np.copyto(sub, -np.inf, where=blocked)
-    s -= s.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        s -= s.max(axis=-1, keepdims=True)
     if blocked is not None:
         np.copyto(sub, 0.0, where=blocked)
     np.exp(s, out=s)

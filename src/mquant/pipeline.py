@@ -7,7 +7,9 @@ through the still-float vision path), rewrite the vision encoder's norms,
 rotate the vision part, freeze its weight grids, then build the
 outlier-row split plans for every down-projection.  Each stage checks its
 real preconditions, so running them out of order fails loudly instead of
-silently producing a model quantized in the wrong coordinates.
+silently producing a model quantized in the wrong coordinates.  The
+quantized model then freezes its dequantized weights and split plans into
+the transformed model, which its forward runs.
 
 Weight grids are plain round-to-nearest absmax; no error-compensating
 sequential solver is used, and every report says so.
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import fileio
 from .model import (
-    ForwardHooks,
     ToyMllm,
     ToyMllmConfig,
     check_field_types,
@@ -62,7 +63,7 @@ from .quantizer import (
     params_to_dict,
     quantize,
 )
-from .rms import build_split_plan, compliance_ratio, rms_forward
+from .rms import build_split_plan, compliance_ratio
 from .rotation import rotate_model_offline
 
 SCHEMA_VERSION = 2
@@ -125,6 +126,23 @@ class PipelineConfig:
         model_cfg = ToyMllmConfig(**{k: v for k, v in d.items() if k in model_keys})
         quant = {k: v for k, v in d.items() if k in quant_keys}
         return cls(model=model_cfg, **quant)
+
+    @classmethod
+    def for_model(
+        cls, d: dict, model: ToyMllmConfig, what: str = "config"
+    ) -> "PipelineConfig":
+        """from_dict for a run on a model that comes with its own config: a
+        model key that d names must agree with it instead of being dropped.
+        The result carries the model's config."""
+        pcfg = cls.from_dict(d)
+        given, have = pcfg.model.to_dict(), model.to_dict()
+        for key in sorted(set(d) & set(have)):
+            if given[key] != have[key]:
+                raise ValueError(
+                    f"{what} {key}={given[key]!r} disagrees with the model's "
+                    f"{key}={have[key]!r}"
+                )
+        return replace(pcfg, model=model)
 
 
 # ===== synthetic data =====
@@ -357,13 +375,12 @@ def calibrate_rotated(
             vision_inputs[idx].append(x)
         return x
 
-    hooks = ForwardHooks(act_fn=recorder)
     run_layouts = []
     for rows, modality, lengths in _packs(samples, work.config.d_model):
-        x = embed_tokens(work, rows, modality, hooks, lengths)
+        x = embed_tokens(work, rows, modality, recorder, lengths)
         perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
         run_layouts.append(ModalityLayout(modality[perm]))
-        llm_stack(work, x[perm], plan, positions, hooks)
+        llm_stack(work, x[perm], plan, positions, recorder)
 
     msq = [
         calibrate_msq(
@@ -560,8 +577,11 @@ def apply_lossless_stack(float_model: ToyMllm, pcfg: PipelineConfig) -> ToyMllm:
 
 @dataclass
 class QuantizedModel:
-    """Transformed model plus every frozen grid, ready to simulate.
+    """The quantized model and every frozen grid, ready to simulate.
 
+    model is the transformed model with its weights frozen: each linear of
+    weight_q holds its dequantized weight, and each block with a split plan
+    carries it (see _freeze).  weight_q and plans stay for the reports.
     calib is the calibration the model was built from.  msq starts as its
     LLM block grids and is what forward reads.
     """
@@ -574,15 +594,10 @@ class QuantizedModel:
     calib: CalibrationResult
     stage_log: list
     counter: ScaleOpCounter = field(default_factory=ScaleOpCounter)
-    eff_weights: dict = field(init=False)
     msq: list = field(init=False)
 
     def __post_init__(self):
         self.msq = self.calib.msq
-        self.eff_weights = {
-            name: np.ascontiguousarray(dequantize(qt).T)
-            for name, qt in self.weight_q.items()
-        }
 
     def forward(
         self,
@@ -608,9 +623,6 @@ class QuantizedModel:
         perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
         visual_rows = modality[perm] == VISUAL
 
-        def down_fn(name: str, u: np.ndarray) -> np.ndarray:
-            return rms_forward(u, self.plans[name])
-
         def act_fn(name: str, x: np.ndarray) -> np.ndarray:
             # name is "<part>.<i>.input" of a vision or llm block
             part, idx = name.split(".")[0], int(name.split(".")[1])
@@ -622,15 +634,22 @@ class QuantizedModel:
                 )
             return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
 
-        hooks = ForwardHooks(
-            weight_fn=self.eff_weights.get,
-            act_fn=act_fn,
-            down_fn=down_fn if self.plans else None,
-        )
-        x = embed_tokens(self.model, sample, modality, hooks, lengths)
+        x = embed_tokens(self.model, sample, modality, act_fn, lengths)
         out = np.empty_like(x)
-        out[perm] = llm_stack(self.model, x[perm], plan, positions, hooks)
+        out[perm] = llm_stack(self.model, x[perm], plan, positions, act_fn)
         return out
+
+
+def _freeze(state: QuantizeState) -> None:
+    """Make state.model the model the quantized forward runs: each linear
+    of weight_q takes its dequantized weight, and each block takes its
+    split plan (None for a block without one)."""
+    linears = dict(iter_linears(state.model))
+    for name, qt in state.weight_q.items():
+        linears[name].w = np.ascontiguousarray(dequantize(qt).T)
+    for part in ("vision", "llm"):
+        for i, blk in enumerate(getattr(state.model, f"{part}_blocks")):
+            blk.split = state.plans.get(f"{part}.{i}.w_down")
 
 
 def mquant_quantize(
@@ -660,6 +679,7 @@ def mquant_quantize(
     stage_quantize_vision_weights(state)
     if pcfg.rms:
         stage_build_rms_plans(state)
+    _freeze(state)
     return QuantizedModel(
         pcfg=pcfg,
         float_model=state.float_model,
@@ -803,15 +823,16 @@ def qmodel_to_dict(qm: QuantizedModel) -> dict:
 
 def qmodel_from_dict(d: dict) -> QuantizedModel:
     """Re-run the pipeline on the stored float model and calibration, so the
-    calibration's pairing checks apply on every load."""
+    config's and the calibration's pairing checks apply on every load."""
     _check_header(d, "qmodel", "quantized model")
     with fileio.keys_required("quantized model file"):
         model, config, calib = (
             fileio.require(d[key], dict, f"quantized model file section {key!r}")
             for key in ("float_model", "config", "calibration")
         )
+    float_model = model_from_dict(model)
     return mquant_quantize(
-        model_from_dict(model),
-        PipelineConfig.from_dict(config),
+        float_model,
+        PipelineConfig.for_model(config, float_model.config, "quantized model config"),
         calib=CalibrationResult.from_dict(calib),
     )

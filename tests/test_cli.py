@@ -354,6 +354,31 @@ def test_model_keys_that_disagree_with_the_model_fail(workdir, capsys, command):
     assert run(*base, "--config", cfg, "--seed", "0") == 0
 
 
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_qmodel_config_that_disagrees_with_its_float_model_fails(workdir, capsys, command):
+    """A qmodel file whose config names another seed, head count and width
+    than its stored float model is refused at load, naming the key, instead
+    of running the stored model under a config it does not describe."""
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    qmodel = tmp / "q.json"
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("quantize", "--model", model, "--samples", samples, "--out", str(qmodel))
+    q = json.loads(qmodel.read_text())
+    q["config"].update(seed=5, n_heads=8, d_model=128)
+    qmodel.write_text(json.dumps(q))
+    capsys.readouterr()
+    argv = {"eval": ["--samples", samples], "bench": ["--lengths", "1,8"]}[command]
+    assert run(command, "--qmodel", str(qmodel), *argv, "--report", str(tmp / "o.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "config d_model=128 disagrees with the model's d_model=16" in err
+    assert not (tmp / "o.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [

@@ -1,7 +1,7 @@
 """Every module-level import in the package and its tests is used by its
 module, every definition is named by production code, only the mask
-primitives take a mask, and every function the benchmark tracer looks up
-by name exists."""
+primitives take a mask, the forward's one interception point is act_fn,
+and every function the benchmark tracer looks up by name exists."""
 
 import ast
 import importlib
@@ -113,20 +113,49 @@ def test_every_definition_is_named_by_production_code():
 MASK_TAKERS = {"numerics.masked_softmax_rows", "numerics.check_mask"}
 
 
-def test_only_the_mask_primitives_take_a_mask():
-    """No other production function, method or nested function has a
-    parameter named mask."""
-    takers = {
+def parameters(node: ast.FunctionDef) -> list:
+    return node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+
+
+def takers(parameter: str) -> set:
+    """Every production function, method or nested function with a
+    parameter of that name."""
+    return {
         f"{module}.{node.name}"
         for module, tree in module_trees(SRC).items()
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
-        and any(
-            arg.arg == "mask"
-            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-        )
+        and any(arg.arg == parameter for arg in parameters(node))
     }
-    assert takers == MASK_TAKERS
+
+
+def test_only_the_mask_primitives_take_a_mask():
+    """No other production function, method or nested function has a
+    parameter named mask."""
+    assert takers("mask") == MASK_TAKERS
+
+
+# The model's forward functions.  The quantized model freezes its weights
+# and split plans into the model it runs, so the one thing a caller passes
+# in at call time is act_fn, applied to every block input.
+FORWARDS = {"block_forward", "vision_encode", "embed_tokens", "llm_stack", "model_forward"}
+
+
+def test_act_fn_is_the_forwards_one_callable_parameter():
+    """No production function takes hooks, and each forward function has
+    exactly one parameter annotated Callable: act_fn."""
+    assert takers("hooks") == set()
+    forwards = {
+        node.name: node
+        for node in module_trees(SRC)["model"].body
+        if isinstance(node, ast.FunctionDef) and node.name in FORWARDS
+    }
+    assert forwards.keys() == FORWARDS
+    for name, node in forwards.items():
+        args = parameters(node)
+        assert all(arg.annotation is not None for arg in args), name
+        callables = [arg.arg for arg in args if "Callable" in ast.unparse(arg.annotation)]
+        assert callables == ["act_fn"], name
 
 
 def test_benchmark_trace_targets_resolve():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,7 +434,8 @@ def test_aifs_attention_all_text_is_bit_identical():
 def test_attention_rejects_non_finite_values(where):
     """softmax_rows no longer checks its own result, so a non-finite value
     reaching attention still has to raise: on the score product, or on the
-    P.V product after the softmax."""
+    P.V product after the softmax.  It raises without a numpy warning on
+    the way."""
     rng = np.random.default_rng(9)
     d, length, heads = 16, 70, 4
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
@@ -456,12 +459,14 @@ def test_attention_rejects_non_finite_values(where):
         plan = build_attention_plan(
             [30, length - 30], np.concatenate([np.arange(30), np.arange(length - 30)])
         )
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        attention_forward(
-            x, weights["wq"], weights["bq"], weights["wk"], weights["bk"],
-            weights["wv"], weights["bv"], wo, bo,
-            n_heads=heads, plan=plan, positions=np.arange(length),
-        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            attention_forward(
+                x, weights["wq"], weights["bq"], weights["wk"], weights["bk"],
+                weights["wv"], weights["bv"], wo, bo,
+                n_heads=heads, plan=plan, positions=np.arange(length),
+            )
 
 
 def dense_attention_forward(

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from mquant import model as model_module
 from mquant import msq_aifs, pipeline
 from mquant.model import (
-    ForwardHooks,
     build_toy_mllm,
     embed_tokens,
     llm_stack,
@@ -124,13 +123,12 @@ def calibrate_per_sample(float_model, samples, pcfg):
         (llm_inputs if part == "llm" else vision_inputs)[idx].append(x)
         return x
 
-    hooks = ForwardHooks(act_fn=recorder)
     run_layouts = []
     for rows, layout in samples:
-        x = embed_tokens(work, rows, layout.modality, hooks)
+        x = embed_tokens(work, rows, layout.modality, recorder)
         perm = build_aifs_plan(layout) if pcfg.aifs else np.arange(len(layout))
         run_layouts.append(ModalityLayout(layout.modality[perm]))
-        llm_stack(work, x[perm], build_attention_plan([len(layout)], perm), perm, hooks)
+        llm_stack(work, x[perm], build_attention_plan([len(layout)], perm), perm, recorder)
     return CalibrationResult(
         fingerprint="",
         msq=[

@@ -10,11 +10,12 @@ from mquant import msq_aifs, pipeline
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
+    iter_linears,
     model_fingerprint,
     model_forward,
     model_to_dict,
 )
-from mquant.msq_aifs import VISUAL, layout_from_string
+from mquant.msq_aifs import VISUAL, layout_from_string, quantize_msq
 from mquant.pipeline import (
     CalibrationResult,
     PipelineConfig,
@@ -36,6 +37,7 @@ from mquant.pipeline import (
     stage_set_calibration,
     stage_vision_rewrite,
 )
+from mquant.quantizer import dequantize, fake_quant
 
 
 def small_pcfg(**overrides):
@@ -395,8 +397,7 @@ def without_grids(qm, monkeypatch):
     so its forward runs the transformed float model in its own order."""
     monkeypatch.setattr(pipeline, "quantize_msq", lambda x, rows, params, counter: x)
     monkeypatch.setattr(pipeline, "fake_quant", lambda x, params: x)
-    qm.eff_weights = {}
-    qm.plans = {}
+    qm.model = apply_lossless_stack(qm.float_model, qm.pcfg)
     return qm
 
 
@@ -420,6 +421,42 @@ def test_natural_order_passthrough_is_the_float_forward(setup, monkeypatch):
     for rows, layout in samples:
         out = qm.forward(rows, layout.modality)
         assert np.array_equal(out, model_forward(qm.model, rows, layout.modality))
+
+
+@pytest.mark.parametrize("rms", [True, False])
+def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
+    """qm.model is the model the quantized forward runs: each weight_q
+    linear holds its dequantized weight, each split plan sits on its own
+    block and on no other, and in natural order qm.forward is model_forward
+    of qm.model with the static grids as act_fn, bit for bit."""
+    pcfg, model, samples = setup
+    qm = mquant_quantize(model, small_pcfg(aifs=False, rms=rms), samples=samples)
+    linears = dict(iter_linears(qm.model))
+    for name, qt in qm.weight_q.items():
+        want = dequantize(qt).T
+        assert linears[name].w.shape == want.shape
+        assert linears[name].w.tobytes() == want.tobytes(), name
+    blocks = {
+        f"{part}.{i}.w_down": blk
+        for part in ("vision", "llm")
+        for i, blk in enumerate(getattr(qm.model, f"{part}_blocks"))
+    }
+    assert set(qm.plans) == (set(blocks) if rms else set())
+    for name, blk in blocks.items():
+        assert blk.split is qm.plans.get(name), name
+
+    rows = np.vstack([r for r, _ in samples])
+    modality = np.concatenate([layout.modality for _, layout in samples])
+    lengths = [len(layout) for _, layout in samples]
+
+    def act_fn(name, x):
+        part, idx = name.split(".")[0], int(name.split(".")[1])
+        if part == "vision":
+            return fake_quant(x, qm.calib.vision_act[idx])
+        return quantize_msq(x, modality == VISUAL, qm.calib.msq[idx])
+
+    want = model_forward(qm.model, rows, modality, act_fn, lengths)
+    assert qm.forward(rows, modality, lengths=lengths).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("aifs", [True, False])
@@ -578,5 +615,21 @@ def test_qmodel_with_swapped_float_model_fails_on_load(setup):
     pcfg, model, samples = setup
     d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
     d["float_model"] = model_to_dict(build_toy_mllm(small_pcfg(seed=99).model))
+    # the config echoes the swapped model, so only the calibration disagrees
+    d["config"]["seed"] = 99
     with pytest.raises(ValueError, match="calibration was made for"):
+        qmodel_from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [("seed", 5), ("n_heads", 4), ("d_model", 32)])
+def test_qmodel_config_that_disagrees_with_its_float_model_fails_on_load(setup, key, value):
+    """The config of a qmodel file describes the float model it stores; a
+    model key that says otherwise is an error naming the key, not dropped."""
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
+    have = d["config"][key]
+    d["config"][key] = value
+    with pytest.raises(
+        ValueError, match=f"config {key}={value} disagrees with the model's {key}={have}"
+    ):
         qmodel_from_dict(d)

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import lanes
 from .numerics import as_tensor, check_finite, frobenius_norm, matmul
+
+
+# elements per block of transformed vectors, so that a block's butterflies
+# stay in cache, and elements from which the blocks run on two lanes
+FHT_CHUNK = 1 << 15
+FHT_LANE_FLOOR = 1 << 18
 
 
 def _check_pow2(n: int) -> None:
@@ -34,7 +41,9 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
     computes H @ x, axis=1 computes x @ H (H is symmetric).  The axis length
     must be a power of two.  Each stage runs its butterflies as one
     vectorized add and subtract; the adds are the ones of the per-block
-    loop, so the result equals it bit for bit.
+    loop, so the result equals it bit for bit.  The vectors run in blocks
+    of about FHT_CHUNK elements, on two lanes from FHT_LANE_FLOOR
+    elements.
     """
     x = np.asarray(x, dtype=np.float64)
     vec = x.ndim == 1
@@ -44,9 +53,32 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
         raise ValueError(f"expected 1-D or 2-D input, got ndim={x.ndim}")
     if axis not in (0, 1, -1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
-    work = x.copy() if axis == 0 else x.T.copy()
-    n, cols = work.shape
+    xc = x if axis == 0 else x.T  # H acts on the columns of xc
+    n, vectors = xc.shape
     _check_pow2(n)
+    step = max(1, FHT_CHUNK // n)
+    if vectors <= step:
+        # one block: transform the copy itself, with no output to fault in
+        oc = _fht_columns(xc.copy())
+        out = oc if axis == 0 else oc.T
+    else:
+        out = np.empty(x.shape)
+        oc = out if axis == 0 else out.T
+
+        def run(_, i: int) -> None:
+            part = slice(i * step, (i + 1) * step)
+            oc[:, part] = _fht_columns(xc[:, part].copy())
+
+        lanes.share(-(-vectors // step), run, xc.size, FHT_LANE_FLOOR)
+    if vec:
+        out = out.reshape(-1)
+    return out
+
+
+def _fht_columns(work: np.ndarray) -> np.ndarray:
+    """H applied to each column of a C-ordered (n, columns) array, in place;
+    the result is checked finite."""
+    n, cols = work.shape
     h = 1
     while h < n:
         # All n / 2h butterflies of this stage at once: pair[:, 0] holds the
@@ -58,10 +90,7 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
         np.subtract(a, b, out=pair[:, 1])
         h *= 2
     work /= np.sqrt(n)
-    out = work if axis == 0 else work.T
-    if vec:
-        out = out.reshape(-1)
-    return check_finite(out, "fht result")
+    return check_finite(work, "fht result")
 
 
 def incoherence(w: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fileio
+from . import fileio, lanes
 from .hadamard import fht
 from .msq_aifs import (
     TEXT,
@@ -325,6 +325,8 @@ GELU_PER_UNIT = 128
 GELU_DEGREE = 5
 # elements per pass, so that the pass's temporaries stay in cache
 GELU_CHUNK = 1 << 15
+# elements from which gelu's chunks run on two lanes
+GELU_LANE_FLOOR = 1 << 18
 
 
 def _gelu_table() -> np.ndarray:
@@ -356,7 +358,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
     g is exactly 1/2.  The table takes the erf formula's own rounded
     argument x / sqrt(2), so both approximate the same erf value.  Each
     element gathers its interval's coefficients and evaluates them by
-    Horner's rule, GELU_CHUNK elements at a time.  Against
+    Horner's rule, GELU_CHUNK elements at a time (on two lanes from
+    GELU_LANE_FLOOR elements).  Against
     0.5 * x * (1 + erf(x / sqrt(2))) the error is at most 4e-15 * |x|
     (measured below 5e-16 * |x|; the tests hold the bound), and
     gelu(0) = 0 exactly.  NaN propagates, gelu(inf) = inf and gelu(-inf) is
@@ -367,29 +370,46 @@ def gelu(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape)
     flat_out = out.reshape(-1)
     m = min(flat.size, GELU_CHUNK)
-    t_buf, p_buf, c_buf = np.empty(m), np.empty(m), np.empty(m)
-    k_buf = np.empty(m, dtype=np.intp)
-    for start in range(0, flat.size, GELU_CHUNK):
-        xs = flat[start:start + GELU_CHUNK]
-        n = xs.size
-        t, p, c, k = t_buf[:n], p_buf[:n], c_buf[:n], k_buf[:n]
-        np.divide(xs, _SQRT2, out=t)
-        np.abs(t, out=t)
-        # fmin maps NaN to the constant interval; x * (...) below keeps it NaN
-        np.fmin(t, GELU_SPAN, out=t)
-        t *= GELU_PER_UNIT
-        np.copyto(k, t, casting="unsafe")
-        t -= k
-        # k is in range by construction; the default mode="raise" would
-        # also copy every gather through a buffer
-        np.take(_GELU_COEF[GELU_DEGREE], k, out=p, mode="clip")
-        for j in range(GELU_DEGREE - 1, -1, -1):
-            p *= t
-            p += np.take(_GELU_COEF[j], k, out=c, mode="clip")
-        np.copysign(p, xs, out=p)
-        p += 0.5
-        np.multiply(xs, p, out=flat_out[start:start + n])
+
+    def scratch():
+        # t, p, c and the interval index k of one chunk
+        return np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=np.intp)
+
+    def run(bufs, i: int) -> None:
+        part = slice(i * GELU_CHUNK, (i + 1) * GELU_CHUNK)
+        _gelu_chunk(flat[part], flat_out[part], *bufs)
+
+    lanes.share(-(-flat.size // GELU_CHUNK), run, flat.size, GELU_LANE_FLOOR, scratch)
     return out
+
+
+def _gelu_chunk(xs, out, t_buf, p_buf, c_buf, k_buf) -> None:
+    """gelu of the 1-D chunk xs into out, in the lane's scratch buffers."""
+    n = xs.size
+    t, p, c, k = t_buf[:n], p_buf[:n], c_buf[:n], k_buf[:n]
+    np.divide(xs, _SQRT2, out=t)
+    np.abs(t, out=t)
+    # fmin maps NaN to the constant interval; x * (...) below keeps it NaN
+    np.fmin(t, GELU_SPAN, out=t)
+    t *= GELU_PER_UNIT
+    np.copyto(k, t, casting="unsafe")
+    t -= k
+    # k is in range by construction; the default mode="raise" would
+    # also copy every gather through a buffer
+    np.take(_GELU_COEF[GELU_DEGREE], k, out=p, mode="clip")
+    for j in range(GELU_DEGREE - 1, -1, -1):
+        p *= t
+        p += np.take(_GELU_COEF[j], k, out=c, mode="clip")
+    np.copysign(p, xs, out=p)
+    p += 0.5
+    np.multiply(xs, p, out=out)
+
+
+def forward_hold(model: ToyMllm, rows: int):
+    """The OpenBLAS hold of a forward over rows tokens: active when its
+    MLP activations reach GELU_LANE_FLOOR, from which its GELU and online
+    FHT take the second lane (attention's floor is higher)."""
+    return lanes.held(rows * model.config.d_ff >= GELU_LANE_FLOOR)
 
 
 def norm_forward(norm: Norm, x: np.ndarray) -> np.ndarray:
@@ -531,16 +551,27 @@ def model_forward(
     positions from 0 give its causal attention and rotary phases, so its
     output rows match its lone forward up to the rounding of a taller GEMM.
     """
-    x = embed_tokens(model, sample, modality, act_fn, lengths)
-    lengths = pack_lengths(lengths, x.shape[0])
-    positions = np.concatenate([np.arange(n) for n in lengths])
-    return llm_stack(model, x, build_attention_plan(lengths, positions), positions, act_fn)
+    with forward_hold(model, np.shape(sample)[0]):
+        x = embed_tokens(model, sample, modality, act_fn, lengths)
+        lengths = pack_lengths(lengths, x.shape[0])
+        positions = np.concatenate([np.arange(n) for n in lengths])
+        return llm_stack(model, x, build_attention_plan(lengths, positions), positions, act_fn)
 
 
 # ===== file round trip =====
 
 
 def model_to_dict(model: ToyMllm) -> dict:
+    """The model as a model file.  A model file stores no split plan, so a
+    model whose blocks hold one (a quantized model's) is refused, naming
+    the first such block: written without it, it would load as a
+    different model."""
+    for part, blks in (("vision", model.vision_blocks), ("llm", model.llm_blocks)):
+        for i, blk in enumerate(blks):
+            if blk.split is not None:
+                raise ValueError(
+                    f"block {part}.{i} holds a split plan, which a model file cannot store"
+                )
     tensors = {}
     for name, lin in iter_linears(model):
         tensors[f"{name}.w"] = fileio.tensor_to_b64(lin.w)

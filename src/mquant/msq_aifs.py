@@ -13,11 +13,13 @@ original position.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .numerics import (
     MASK_BLOCKED,
     MASK_FREE,
@@ -218,6 +220,9 @@ def rope_rotate(
 # Query rows per attention tile.  32, 64 and 128 rows time alike on an
 # L=1024 forward; a sequence of at most this many tokens is a single tile.
 ATTENTION_TILE_ROWS = 64
+# score entries (heads x summed group areas) from which attention runs its
+# groups on two lanes
+ATTENTION_LANE_FLOOR = 1 << 19
 
 
 def pack_lengths(lengths, rows: int) -> list[int]:
@@ -247,10 +252,11 @@ class AttentionPlan:
     short samples.  blocked is None when the whole band is free; otherwise
     it is the boolean blocked tile, (n, w) or (G, n, w), of the band's
     columns start .. start + w, the first to the last one that holds a
-    blocked entry."""
+    blocked entry.  areas holds each group's score entries per head."""
 
     tokens: int
     groups: list
+    areas: list
 
 
 def _blocked_band(tile: np.ndarray) -> tuple[int, np.ndarray | None]:
@@ -302,7 +308,7 @@ def build_attention_plan(lengths: list[int], positions: np.ndarray | None = None
             else:
                 stacks.append([member])
         offset += n
-    groups = []
+    groups, areas = [], []
     for members in stacks + list(short.values()):
         row, col, tile = members[0]
         n, band = tile.shape
@@ -313,7 +319,8 @@ def build_attention_plan(lengths: list[int], positions: np.ndarray | None = None
             rows, cols = first[:, :1] + np.arange(n), first[:, 1:] + np.arange(band)
             tile = np.stack([tile for *_, tile in members])
         groups.append((rows, cols, *_blocked_band(tile)))
-    return AttentionPlan(tokens, groups)
+        areas.append(tile.size)
+    return AttentionPlan(tokens, groups, areas)
 
 
 def _take(a: np.ndarray, index, axis: int) -> np.ndarray:
@@ -351,7 +358,10 @@ def attention_forward(
     get exactly zero probability.  A causal mask thus skips about half the
     score block, and a free mask nothing.  Blocked entries inside the band
     never reach exp, and each row is divided by its sum after P.V, over
-    d_head columns instead of the band.
+    d_head columns instead of the band.  The scores of every group go into
+    one buffer, sized for the largest group; from ATTENTION_LANE_FLOOR
+    score entries the groups, largest first, run on two lanes, each with
+    its own buffer.
 
     The scores are not checked: a non-finite q or k row meets at least its
     own row's diagonal entry, which is always free, so it makes that row's
@@ -389,19 +399,36 @@ def attention_forward(
     kth = k.reshape(tokens, n_heads, d_head).transpose(1, 2, 0).copy()
     vh = v.reshape(tokens, n_heads, d_head).transpose(1, 0, 2).copy()
     out = np.empty_like(qh)
-    for rows, cols, start, blocked in plan.groups:
-        qg = _take(qh, rows, 1)
-        ktg = np.moveaxis(_take(kth, cols, 2), 1, -2)
-        if qg.shape[-2] == 1:
-            # numpy runs a one-row product as gemv, whose rounding depends
-            # on the row stride of k: keep the stride of a copied band
-            ktg = np.ascontiguousarray(ktg)
-        p = qg @ ktg
-        sums = exp_rows(p, blocked, start)
-        pv = p @ _take(vh, cols, 1)
-        pv /= sums
-        out[:, rows] = check_finite(pv, "attention output")
+    areas = plan.areas
+    # largest first, so that the last groups claimed are the smallest
+    order = sorted(range(len(areas)), key=lambda i: -areas[i])
+    lanes.share(
+        len(order),
+        lambda buf, i: _attend(plan.groups[order[i]], qh, kth, vh, out, buf),
+        n_heads * sum(areas),
+        ATTENTION_LANE_FLOOR,
+        # one score buffer per lane, reused by each group it runs
+        lambda: np.empty(n_heads * max(areas)),
+    )
     return matmul(out.transpose(1, 0, 2).reshape(tokens, d), wo) + bo
+
+
+def _attend(group, qh, kth, vh, out, buf) -> None:
+    """q.k^T, exp_rows and P.V of one plan group into out, with its
+    scores in buf."""
+    rows, cols, start, blocked = group
+    qg = _take(qh, rows, 1)
+    ktg = np.moveaxis(_take(kth, cols, 2), 1, -2)
+    if qg.shape[-2] == 1:
+        # numpy runs a one-row product as gemv, whose rounding depends
+        # on the row stride of k: keep the stride of a copied band
+        ktg = np.ascontiguousarray(ktg)
+    shape = qg.shape[:-1] + ktg.shape[-1:]
+    p = np.matmul(qg, ktg, out=buf[: math.prod(shape)].reshape(shape))
+    sums = exp_rows(p, blocked, start)
+    pv = p @ _take(vh, cols, 1)
+    pv /= sums
+    out[:, rows] = check_finite(pv, "attention output")
 
 
 # ===== modality-split static quantization =====

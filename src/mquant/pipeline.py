@@ -28,6 +28,7 @@ from .model import (
     ToyMllmConfig,
     check_field_types,
     embed_tokens,
+    forward_hold,
     iter_linears,
     llm_stack,
     model_fingerprint,
@@ -634,9 +635,10 @@ class QuantizedModel:
                 )
             return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
 
-        x = embed_tokens(self.model, sample, modality, act_fn, lengths)
-        out = np.empty_like(x)
-        out[perm] = llm_stack(self.model, x[perm], plan, positions, act_fn)
+        with forward_hold(self.model, modality.shape[0]):
+            x = embed_tokens(self.model, sample, modality, act_fn, lengths)
+            out = np.empty_like(x)
+            out[perm] = llm_stack(self.model, x[perm], plan, positions, act_fn)
         return out
 
 

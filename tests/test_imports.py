@@ -187,3 +187,20 @@ def test_runtime_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    """The lanes' worker pool is made at the first fork: importing the
+    package and its CLI in a fresh interpreter loads neither
+    concurrent.futures nor the logging it imports (≈12 ms together)."""
+    code = (
+        "import sys, mquant, mquant.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert done.stdout.strip() == "[]"

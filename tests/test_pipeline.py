@@ -459,6 +459,20 @@ def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
     assert qm.forward(rows, modality, lengths=lengths).tobytes() == want.tobytes()
 
 
+def test_model_file_refuses_a_model_holding_split_plans():
+    """A model file has no place for Block.split, so writing the frozen
+    model of a quantized one would load as a model without its plans: it
+    is refused, naming the first block that holds one.  The desk model
+    splits both vision down-projections."""
+    samples = generate_synthetic_samples(8, 16, seed=123)
+    pcfg = PipelineConfig(model=ToyMllmConfig())
+    qm = mquant_quantize(build_toy_mllm(pcfg.model), pcfg, samples=samples)
+    assert qm.model.vision_blocks[0].split is not None
+    with pytest.raises(ValueError, match=r"block vision\.0 holds a split plan"):
+        model_to_dict(qm.model)
+    assert model_to_dict(qm.float_model)["fingerprint"] == model_fingerprint(qm.float_model)
+
+
 @pytest.mark.parametrize("aifs", [True, False])
 def test_forward_builds_its_mask_with_one_rule_call(setup, monkeypatch, aifs):
     """The benchmark asserts that one forward calls permuted_mask_oracle

@@ -15,9 +15,8 @@ from .numerics import as_tensor, check_finite, frobenius_norm, matmul
 
 
 # elements per block of transformed vectors, so that a block's butterflies
-# stay in cache, and elements from which the blocks run on two lanes
+# stay in cache
 FHT_CHUNK = 1 << 15
-FHT_LANE_FLOOR = 1 << 18
 
 
 def _check_pow2(n: int) -> None:
@@ -42,7 +41,7 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
     must be a power of two.  Each stage runs its butterflies as one
     vectorized add and subtract; the adds are the ones of the per-block
     loop, so the result equals it bit for bit.  The vectors run in blocks
-    of about FHT_CHUNK elements, on two lanes from FHT_LANE_FLOOR
+    of about FHT_CHUNK elements, on two lanes from lanes.FLOORS["fht"]
     elements.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -57,19 +56,14 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
     n, vectors = xc.shape
     _check_pow2(n)
     step = max(1, FHT_CHUNK // n)
-    if vectors <= step:
-        # one block: transform the copy itself, with no output to fault in
-        oc = _fht_columns(xc.copy())
-        out = oc if axis == 0 else oc.T
-    else:
-        out = np.empty(x.shape)
-        oc = out if axis == 0 else out.T
+    out = np.empty(x.shape)
+    oc = out if axis == 0 else out.T
 
-        def run(_, i: int) -> None:
-            part = slice(i * step, (i + 1) * step)
-            oc[:, part] = _fht_columns(xc[:, part].copy())
+    def run(_, i: int) -> None:
+        part = slice(i * step, (i + 1) * step)
+        oc[:, part] = _fht_columns(xc[:, part].copy())
 
-        lanes.share(-(-vectors // step), run, xc.size, FHT_LANE_FLOOR)
+    lanes.share("fht", xc.size, -(-vectors // step), run)
     if vec:
         out = out.reshape(-1)
     return out

@@ -9,20 +9,16 @@ computed by the same operations as on one lane, so the outputs are
 bit-identical; no GEMM is split by rows, as the row count of a product can
 change BLAS's rounding.
 
-While a forward whose kernels use both lanes runs, numpy's OpenBLAS is
-held to one thread (held).  Left at two, its second thread spins on the
-second core between the forward's small GEMMs: the process burns about two
-CPU-seconds per wall-second for the speed of one, and the lanes' worker
-would share that core with it.  Holding BLAS is what lets the worker run;
-a forward too short for the lanes gains nothing from it and leaves BLAS
-its threads.
-
-Each kernel's floor sits above the size where its two lanes first win
-when timed alone (about 2^16 elements for gelu and the FHT, 2^18 score
-entries for attention): whichever lane finishes first waits for the
-item the other holds, and on a shared VM that lane can lose its CPU for
-milliseconds, which below the floors cost evaluate's ≈600-row packs more
-than the second lane saved.
+With two lanes, a forward runs with numpy's OpenBLAS held to one thread,
+from its entry to its end, and so does a fork made outside a forward.
+Left at two, BLAS's second thread spins on the second core between the
+forward's small GEMMs: the process burns about two CPU-seconds per
+wall-second for the speed of one, and the lanes' worker would share that
+core with it.
+Holding BLAS is what lets the worker run.  The hold starts at the
+forward's entry: taken only at its first fork, after its first GEMMs ran
+on two threads, it left an L=1024 forward about a tenth of the lanes'
+gain (prefill_long -2 % against -19 %).
 
 The lane count comes from the CPUs this process may run on.  The worker
 pool, and its concurrent.futures import (which loads logging), wait for the
@@ -43,6 +39,15 @@ import numpy as np
 
 # The calling thread, plus one worker when a second CPU is there.
 LANES = 2 if len(os.sched_getaffinity(0)) > 1 else 1
+
+# The work from which each kernel forks: score entries (heads x summed
+# group areas) for attention, elements for gelu and the FHT.  Each sits
+# above the size where its two lanes first win when timed alone (about
+# 2^16 elements for gelu and the FHT, 2^18 score entries for attention):
+# whichever lane finishes first waits for the item the other holds, and on
+# a shared VM that lane can lose its CPU for milliseconds, which below the
+# floors cost evaluate's ≈600-row packs more than the second lane saved.
+FLOORS = {"attention": 1 << 19, "gelu": 1 << 18, "fht": 1 << 18}
 
 # The worker takes one job at a time; a fork that finds it busy (a second
 # caller's, or one made inside a job) runs both of its jobs itself.
@@ -82,19 +87,19 @@ def fork(a, b):
         _free.release()
 
 
-def share(n: int, run, size: int, floor: int, scratch=tuple) -> None:
+def share(kernel: str, size: int, n: int, run, scratch=tuple) -> None:
     """run(s, i) for every i in range(n), s being the scratch of the lane
     that runs it.
 
-    Below floor elements of work (size), or with one lane, this is a loop
-    here, in order.  Otherwise lane 0 runs here and lane 1 on the worker,
-    and each claims the next i when it comes free, so a lane whose CPU is
-    taken elsewhere, or which drew the larger items, leaves more to the
-    other.  Each lane makes its scratch() itself: scratch made on the
-    calling thread and written on the worker left gelu no faster on two
-    lanes than on one.
+    Below the kernel's floor of work (size), or with one lane, this is a
+    loop here, in order.  Otherwise, with BLAS held, lane 0 runs here and
+    lane 1 on the worker, and each claims the next i when it comes free,
+    so a lane whose CPU is taken elsewhere, or which drew the larger
+    items, leaves more to the other.  Each lane makes its scratch()
+    itself: scratch made on the calling thread and written on the worker
+    left gelu no faster on two lanes than on one.
     """
-    if LANES < 2 or size < floor:
+    if LANES < 2 or size < FLOORS[kernel]:
         s = scratch()
         for i in range(n):
             run(s, i)
@@ -115,7 +120,8 @@ def share(n: int, run, size: int, floor: int, scratch=tuple) -> None:
             run(s, i)
             i = claim()
 
-    fork(lane, lane)
+    with held():
+        fork(lane, lane)
 
 
 # ===== BLAS hold =====
@@ -137,21 +143,21 @@ def _openblas_threads():
     return None
 
 
-# The thread count is the process's, so the hold is too: the forwards
-# running now, in any thread, and the count found by the first of them.
+# The thread count is the process's, so the hold is too: the blocks
+# holding it now, in any thread, and the count found by the first of them.
 _hold_lock = threading.Lock()
 _holders = 0
 _saved = None
 
 
 @contextlib.contextmanager
-def held(active: bool = True):
-    """OpenBLAS held to one thread for the block, if active and there are
-    two lanes.  Blocks nest and may run in several threads at once; the
-    last to leave restores the count the first one found, also when the
-    block raises.  Without an OpenBLAS symbol nothing is held."""
+def held():
+    """OpenBLAS held to one thread for the block, with two lanes.  Blocks
+    nest and may run in several threads at once; the last to leave
+    restores the count the first one found, also when the block raises.
+    Without an OpenBLAS symbol nothing is held."""
     global _holders, _saved
-    threads = _openblas_threads() if active and LANES > 1 else None
+    threads = _openblas_threads() if LANES > 1 else None
     if threads is None:
         yield
         return

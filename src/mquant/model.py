@@ -325,8 +325,6 @@ GELU_PER_UNIT = 128
 GELU_DEGREE = 5
 # elements per pass, so that the pass's temporaries stay in cache
 GELU_CHUNK = 1 << 15
-# elements from which gelu's chunks run on two lanes
-GELU_LANE_FLOOR = 1 << 18
 
 
 def _gelu_table() -> np.ndarray:
@@ -359,7 +357,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
     argument x / sqrt(2), so both approximate the same erf value.  Each
     element gathers its interval's coefficients and evaluates them by
     Horner's rule, GELU_CHUNK elements at a time (on two lanes from
-    GELU_LANE_FLOOR elements).  Against
+    lanes.FLOORS["gelu"] elements).  Against
     0.5 * x * (1 + erf(x / sqrt(2))) the error is at most 4e-15 * |x|
     (measured below 5e-16 * |x|; the tests hold the bound), and
     gelu(0) = 0 exactly.  NaN propagates, gelu(inf) = inf and gelu(-inf) is
@@ -379,7 +377,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
         part = slice(i * GELU_CHUNK, (i + 1) * GELU_CHUNK)
         _gelu_chunk(flat[part], flat_out[part], *bufs)
 
-    lanes.share(-(-flat.size // GELU_CHUNK), run, flat.size, GELU_LANE_FLOOR, scratch)
+    lanes.share("gelu", flat.size, -(-flat.size // GELU_CHUNK), run, scratch)
     return out
 
 
@@ -403,13 +401,6 @@ def _gelu_chunk(xs, out, t_buf, p_buf, c_buf, k_buf) -> None:
     np.copysign(p, xs, out=p)
     p += 0.5
     np.multiply(xs, p, out=out)
-
-
-def forward_hold(model: ToyMllm, rows: int):
-    """The OpenBLAS hold of a forward over rows tokens: active when its
-    MLP activations reach GELU_LANE_FLOOR, from which its GELU and online
-    FHT take the second lane (attention's floor is higher)."""
-    return lanes.held(rows * model.config.d_ff >= GELU_LANE_FLOOR)
 
 
 def norm_forward(norm: Norm, x: np.ndarray) -> np.ndarray:
@@ -551,7 +542,7 @@ def model_forward(
     positions from 0 give its causal attention and rotary phases, so its
     output rows match its lone forward up to the rounding of a taller GEMM.
     """
-    with forward_hold(model, np.shape(sample)[0]):
+    with lanes.held():
         x = embed_tokens(model, sample, modality, act_fn, lengths)
         lengths = pack_lengths(lengths, x.shape[0])
         positions = np.concatenate([np.arange(n) for n in lengths])

@@ -220,9 +220,6 @@ def rope_rotate(
 # Query rows per attention tile.  32, 64 and 128 rows time alike on an
 # L=1024 forward; a sequence of at most this many tokens is a single tile.
 ATTENTION_TILE_ROWS = 64
-# score entries (heads x summed group areas) from which attention runs its
-# groups on two lanes
-ATTENTION_LANE_FLOOR = 1 << 19
 
 
 def pack_lengths(lengths, rows: int) -> list[int]:
@@ -359,7 +356,7 @@ def attention_forward(
     score block, and a free mask nothing.  Blocked entries inside the band
     never reach exp, and each row is divided by its sum after P.V, over
     d_head columns instead of the band.  The scores of every group go into
-    one buffer, sized for the largest group; from ATTENTION_LANE_FLOOR
+    one buffer, sized for the largest group; from lanes.FLOORS["attention"]
     score entries the groups, largest first, run on two lanes, each with
     its own buffer.
 
@@ -403,10 +400,10 @@ def attention_forward(
     # largest first, so that the last groups claimed are the smallest
     order = sorted(range(len(areas)), key=lambda i: -areas[i])
     lanes.share(
+        "attention",
+        n_heads * sum(areas),
         len(order),
         lambda buf, i: _attend(plan.groups[order[i]], qh, kth, vh, out, buf),
-        n_heads * sum(areas),
-        ATTENTION_LANE_FLOOR,
         # one score buffer per lane, reused by each group it runs
         lambda: np.empty(n_heads * max(areas)),
     )

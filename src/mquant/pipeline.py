@@ -22,13 +22,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import fileio
+from . import fileio, lanes
 from .model import (
     ToyMllm,
     ToyMllmConfig,
     check_field_types,
     embed_tokens,
-    forward_hold,
     iter_linears,
     llm_stack,
     model_fingerprint,
@@ -378,10 +377,11 @@ def calibrate_rotated(
 
     run_layouts = []
     for rows, modality, lengths in _packs(samples, work.config.d_model):
-        x = embed_tokens(work, rows, modality, recorder, lengths)
-        perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
-        run_layouts.append(ModalityLayout(modality[perm]))
-        llm_stack(work, x[perm], plan, positions, recorder)
+        with lanes.held():
+            x = embed_tokens(work, rows, modality, recorder, lengths)
+            perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
+            run_layouts.append(ModalityLayout(modality[perm]))
+            llm_stack(work, x[perm], plan, positions, recorder)
 
     msq = [
         calibrate_msq(
@@ -635,7 +635,7 @@ class QuantizedModel:
                 )
             return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
 
-        with forward_hold(self.model, modality.shape[0]):
+        with lanes.held():
             x = embed_tokens(self.model, sample, modality, act_fn, lengths)
             out = np.empty_like(x)
             out[perm] = llm_stack(self.model, x[perm], plan, positions, act_fn)

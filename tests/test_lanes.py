@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from mquant import hadamard, lanes, model, msq_aifs
+from mquant import lanes
 from mquant.hadamard import fht
 from mquant.model import ToyMllmConfig, build_toy_mllm, gelu, model_forward
 from mquant.msq_aifs import attention_forward, build_attention_plan
@@ -39,9 +39,7 @@ def qm():
 @pytest.fixture
 def floors_zero(monkeypatch):
     """Every kernel runs on two lanes, whatever its size."""
-    monkeypatch.setattr(model, "GELU_LANE_FLOOR", 0)
-    monkeypatch.setattr(hadamard, "FHT_LANE_FLOOR", 0)
-    monkeypatch.setattr(msq_aifs, "ATTENTION_LANE_FLOOR", 0)
+    monkeypatch.setattr(lanes, "FLOORS", dict.fromkeys(lanes.FLOORS, 0))
 
 
 def digest(qm) -> str:
@@ -115,7 +113,7 @@ def _attention_case(row: int):
     x[row] = 1e200
     positions = np.arange(length)
     plan = build_attention_plan([length], positions)
-    assert lanes.LANES < 2 or heads * sum(plan.areas) >= msq_aifs.ATTENTION_LANE_FLOOR
+    assert lanes.LANES < 2 or heads * sum(plan.areas) >= lanes.FLOORS["attention"]
 
     def call():
         with np.errstate(over="ignore"):
@@ -187,15 +185,15 @@ def test_gelu_raises_under_the_callers_errstate_on_two_lanes(monkeypatch):
     for row in (3, 1000):
         x = np.ones((1024, 256))
         x[row, 5] = -np.inf
-        assert x.size >= model.GELU_LANE_FLOOR
+        assert x.size >= lanes.FLOORS["gelu"]
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             gelu(x)
 
 
-def test_forwards_restore_the_blas_thread_count(qm, monkeypatch):
-    """OpenBLAS runs on one thread inside a forward long enough for two
-    lanes, nested or not, and keeps its threads in a short one; every
-    forward, also a failing one, leaves the count it found."""
+@pytest.fixture
+def blas_two():
+    """(get, set) of OpenBLAS's thread count, set to 2 for the test and
+    restored after it."""
     threads = lanes._openblas_threads()
     if threads is None:
         pytest.skip("numpy's bundle exposes no OpenBLAS thread-count symbol")
@@ -205,36 +203,76 @@ def test_forwards_restore_the_blas_thread_count(qm, monkeypatch):
     try:
         if get() != 2:
             pytest.skip("OpenBLAS cannot run two threads here")
-        monkeypatch.setattr(lanes, "LANES", 2)
-        rows, layout = generate_synthetic_samples(1, 1024, seed=3)[0]
-        bad = rows.copy()
-        bad[500] = np.nan
-        inside = []
-
-        def act_fn(name, x):
-            inside.append(get())
-            return x
-
-        model_forward(qm.float_model, rows, layout.modality, act_fn)
-        assert set(inside) == {1} and get() == 2
-        short, short_layout = DESK[0]
-        inside.clear()
-        model_forward(qm.float_model, short, short_layout.modality, act_fn)
-        assert set(inside) == {2}
-        qm.forward(rows, layout.modality)
-        assert get() == 2
-        with pytest.raises(ValueError, match="non-finite"):
-            qm.forward(bad, layout.modality)
-        assert get() == 2
-        with pytest.raises(ValueError, match="non-finite"):
-            model_forward(qm.float_model, bad, layout.modality)
-        assert get() == 2
-        with lanes.held():
-            qm.forward(rows, layout.modality)
-            assert get() == 1
-        assert get() == 2
+        yield get, put
     finally:
         put(original)
+
+
+@pytest.mark.parametrize("length", [16, 600, 1024])
+def test_forwards_run_with_blas_held_and_restore_it(qm, monkeypatch, blas_two, length):
+    """OpenBLAS runs on one thread from a forward's entry to its end, so
+    also at every fork, and gets its count back after.  At L=600 only
+    attention forks, at 1024 gelu and the FHT do too, and a 16-row
+    forward forks nowhere."""
+    get, _ = blas_two
+    monkeypatch.setattr(lanes, "LANES", 2)
+    at_fork = []
+    fork = lanes.fork
+
+    def counted(a, b):
+        at_fork.append(get())
+        return fork(a, b)
+
+    monkeypatch.setattr(lanes, "fork", counted)
+    inside = []
+
+    def act_fn(name, x):
+        inside.append(get())
+        return x
+
+    rows, layout = generate_synthetic_samples(1, length, seed=3)[0]
+    for run in (
+        lambda: model_forward(qm.float_model, rows, layout.modality, act_fn),
+        lambda: qm.forward(rows, layout.modality),
+    ):
+        at_fork.clear()
+        run()
+        assert bool(at_fork) == (length > 16)
+        assert set(at_fork) <= {1}
+        assert get() == 2
+    assert set(inside) == {1}
+
+
+def test_failing_and_nested_forwards_restore_the_blas_thread_count(
+    qm, monkeypatch, blas_two
+):
+    """A forward that raises gives its hold back; a nested hold keeps
+    the outer one; a fork outside any forward holds BLAS for itself."""
+    get, _ = blas_two
+    monkeypatch.setattr(lanes, "LANES", 2)
+    rows, layout = generate_synthetic_samples(1, 1024, seed=3)[0]
+    bad = rows.copy()
+    bad[500] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        qm.forward(bad, layout.modality)
+    assert get() == 2
+    with pytest.raises(ValueError, match="non-finite"):
+        model_forward(qm.float_model, bad, layout.modality)
+    assert get() == 2
+    with lanes.held():
+        qm.forward(rows, layout.modality)
+        assert get() == 1
+    assert get() == 2
+    held = []
+    fork = lanes.fork
+
+    def counted(a, b):
+        held.append(get())
+        return fork(a, b)
+
+    monkeypatch.setattr(lanes, "fork", counted)
+    fht(np.ones((1024, 256)), axis=1)
+    assert held == [1] and get() == 2
 
 
 def test_fifty_forwards_add_at_most_one_thread_per_extra_lane(qm, monkeypatch, floors_zero):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .msq_aifs import TEXT, VISUAL
+from .msq_aifs import check_tags
 from .numerics import as_tensor, check_finite
 
 MAGIC = b"MQNT"
@@ -37,8 +37,9 @@ def tensor_to_bytes(a: np.ndarray) -> bytes:
     return header + a.astype("<f8").tobytes(order="C")
 
 
-def tensor_from_bytes(raw: bytes) -> tuple[np.ndarray, int]:
-    """Decode one tensor container, returning (tensor, bytes consumed)."""
+def tensor_from_bytes(raw) -> tuple[np.ndarray, int]:
+    """Decode one tensor container at the start of raw (bytes or a
+    memoryview), returning (a copy of the tensor, bytes consumed)."""
     if len(raw) < _HEADER.size:
         raise ValueError(f"tensor container truncated: {len(raw)} bytes")
     magic, version, rows, cols = _HEADER.unpack_from(raw, 0)
@@ -90,36 +91,35 @@ def keys_required(what: str):
 def save_samples(path, samples) -> None:
     """Write a batch of (tensor, modality) samples in the batch layout."""
     chunks = [struct.pack("<Q", len(samples))]
-    for tensor, modality in samples:
+    for i, (tensor, modality) in enumerate(samples):
         tensor = as_tensor(tensor)
-        mod = np.asarray(modality, dtype=np.int64).reshape(-1)
-        if mod.shape[0] != tensor.shape[0]:
-            raise ValueError(
-                f"modality length {mod.shape[0]} != token count {tensor.shape[0]}"
-            )
-        if not np.isin(mod, (TEXT, VISUAL)).all():
-            raise ValueError("modality bytes must be 0 (text) or 1 (visual)")
+        mod = check_tags(modality, tensor.shape[0], f"sample {i} modality")
         chunks.append(tensor_to_bytes(tensor) + bytes(mod.tolist()))
     Path(path).write_bytes(b"".join(chunks))
 
 
 def load_samples(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read a batch of samples written by save_samples."""
+    """Read a batch of samples written by save_samples, parsing each
+    record in place in the file's one buffer."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise ValueError(f"{path}: sample batch truncated")
     (count,) = struct.unpack_from("<Q", raw, 0)
+    view = memoryview(raw)
     offset = 8
     samples = []
     for i in range(count):
-        tensor, used = tensor_from_bytes(raw[offset:])
+        try:
+            tensor, used = tensor_from_bytes(view[offset:])
+        except ValueError as exc:
+            raise ValueError(f"{path}: sample {i}: {exc}") from None
         offset += used
         tail = raw[offset : offset + tensor.shape[0]]
         if len(tail) != tensor.shape[0]:
             raise ValueError(f"{path}: sample {i} modality bytes truncated")
-        mod = np.frombuffer(tail, dtype=np.uint8).astype(np.int64)
-        if not np.isin(mod, (TEXT, VISUAL)).all():
-            raise ValueError(f"{path}: sample {i} modality bytes must be 0 or 1")
+        mod = check_tags(
+            np.frombuffer(tail, dtype=np.uint8), len(tail), f"{path}: sample {i} modality"
+        )
         offset += tensor.shape[0]
         samples.append((tensor, mod))
     if offset != len(raw):

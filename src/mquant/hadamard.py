@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lanes
-from .numerics import as_tensor, check_finite, frobenius_norm, matmul
+from .numerics import as_tensor, frobenius_norm, matmul
 
 
 # elements per block of transformed vectors, so that a block's butterflies
@@ -70,8 +70,7 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def _fht_columns(work: np.ndarray) -> np.ndarray:
-    """H applied to each column of a C-ordered (n, columns) array, in place;
-    the result is checked finite."""
+    """H applied to each column of a C-ordered (n, columns) array, in place."""
     n, cols = work.shape
     h = 1
     while h < n:
@@ -84,7 +83,7 @@ def _fht_columns(work: np.ndarray) -> np.ndarray:
         np.subtract(a, b, out=pair[:, 1])
         h *= 2
     work /= np.sqrt(n)
-    return check_finite(work, "fht result")
+    return work
 
 
 def incoherence(w: np.ndarray) -> float:

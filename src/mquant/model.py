@@ -37,6 +37,7 @@ from .msq_aifs import (
     AttentionPlan,
     attention_forward,
     build_attention_plan,
+    check_tags,
     pack_lengths,
 )
 from .numerics import (
@@ -48,8 +49,6 @@ from .numerics import (
     rms_norm,
 )
 from .rms import RmsSplitPlan, rms_forward
-
-THETA_BASE = 10000.0
 
 LAYER_KIND = "layer"
 RMS_KIND = "rms"
@@ -433,7 +432,6 @@ def block_forward(
         n_heads=n_heads,
         plan=plan,
         positions=positions if block.rope else None,
-        theta_base=THETA_BASE,
     )
     x = x + attn
 
@@ -459,10 +457,10 @@ def vision_encode(
 
     lengths splits rows into the visual rows of each sample of a pack
     (None: one sample); attention is bidirectional within each sample.
+    embed_tokens has checked rows and lengths.
     """
     cfg = model.config
-    rows = as_tensor(rows)
-    plan = build_attention_plan(pack_lengths(lengths, rows.shape[0]))
+    plan = build_attention_plan([rows.shape[0]] if lengths is None else lengths)
     x = matmul(rows, model.vision_embed.w) + model.vision_embed.b
     for i, blk in enumerate(model.vision_blocks):
         x = block_forward(f"vision.{i}", blk, x, cfg.n_heads, plan, None, act_fn)
@@ -477,23 +475,25 @@ def embed_tokens(
     modality: np.ndarray,
     act_fn: Callable = _identity_act,
     lengths: list[int] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Per-token embedding: visual rows via the vision path, text rows via
     the text projection, reassembled in original order.
 
     sample may be a pack with per-sample row counts lengths (None: one
     sequence); the visual rows of all samples go through one vision pass.
+
+    Every forward and calibration enters here, and this is where their
+    inputs are checked, once: sample 2-D, d_model wide and finite, modality
+    one tag per row (check_tags), lengths fitting the rows (pack_lengths).
+    Errors name the field and the first bad row.  Returns the embedded
+    rows with the checked int64 tags and lengths list.
     """
-    sample = as_tensor(sample)
-    modality = np.asarray(modality, dtype=np.int64).reshape(-1)
-    if modality.shape[0] != sample.shape[0]:
-        raise ValueError(
-            f"modality length {modality.shape[0]} != token count {sample.shape[0]}"
-        )
+    sample = check_finite(as_tensor(sample), "sample")
     if sample.shape[1] != model.config.d_model:
         raise ValueError(
             f"sample width {sample.shape[1]} != model d_model {model.config.d_model}"
         )
+    modality = check_tags(modality, sample.shape[0])
     lengths = pack_lengths(lengths, sample.shape[0])
     out = np.zeros((sample.shape[0], model.config.d_model))
     is_vis = modality == VISUAL
@@ -507,7 +507,7 @@ def embed_tokens(
         )
     if txt_idx.size:
         out[txt_idx] = matmul(sample[txt_idx], model.text_embed.w) + model.text_embed.b
-    return out
+    return out, modality, lengths
 
 
 def llm_stack(
@@ -518,7 +518,9 @@ def llm_stack(
     act_fn: Callable = _identity_act,
 ) -> np.ndarray:
     """LLM blocks, final norm, head over an already-embedded sequence or
-    pack, with its attention plan and rotary positions."""
+    pack, with its attention plan and rotary positions.  The output check
+    is the forward's only one: a NaN or inf made inside the forward, such
+    as by an overflowing score product, reaches the rows that depend on it."""
     cfg = model.config
     for i, blk in enumerate(model.llm_blocks):
         x = block_forward(f"llm.{i}", blk, x, cfg.n_heads, plan, positions, act_fn)
@@ -543,8 +545,7 @@ def model_forward(
     output rows match its lone forward up to the rounding of a taller GEMM.
     """
     with lanes.held():
-        x = embed_tokens(model, sample, modality, act_fn, lengths)
-        lengths = pack_lengths(lengths, x.shape[0])
+        x, _, lengths = embed_tokens(model, sample, modality, act_fn, lengths)
         positions = np.concatenate([np.arange(n) for n in lengths])
         return llm_stack(model, x, build_attention_plan(lengths, positions), positions, act_fn)
 
@@ -590,7 +591,23 @@ def model_to_dict(model: ToyMllm) -> dict:
     }
 
 
+def _file_tensor(text, shape: tuple, name: str) -> np.ndarray:
+    """A finite model-file tensor of this shape; every error names it."""
+    try:
+        a = fileio.tensor_from_b64(text)
+    except ValueError as exc:
+        raise ValueError(f"model file tensor {name}: {exc}") from None
+    if a.shape != shape:
+        raise ValueError(
+            f"model file tensor {name} has shape {a.shape}, the config needs {shape}"
+        )
+    return a
+
+
 def model_from_dict(d: dict) -> ToyMllm:
+    """The model of a model file.  Every tensor is checked on load against
+    the file's config, so a wrong or non-finite one fails here, by name,
+    and not in a forward."""
     # A model file carries no kind tag; every other artifact does.
     fileio.require(d, dict, "model file")
     if "kind" in d:
@@ -612,21 +629,25 @@ def model_from_dict(d: dict) -> ToyMllm:
                     f"model file flag online_fht[{key!r}] must be a bool, got {value!r}"
                 )
 
-        def lin(name: str) -> Linear:
-            w = fileio.tensor_from_b64(d["tensors"][f"{name}.w"])
-            b = fileio.tensor_from_b64(d["tensors"][f"{name}.b"])[0]
-            return Linear(w=w, b=b)
+        d_model, d_ff = cfg.d_model, cfg.d_ff
+        # (d_in, d_out) of each block linear
+        shapes = {tag: (d_model, d_model) for tag in BLOCK_LINEARS} | {
+            "w_up": (d_model, d_ff), "w_down": (d_ff, d_model)
+        }
+
+        def lin(name: str, d_in: int = d_model, d_out: int = d_model) -> Linear:
+            return Linear(
+                w=_file_tensor(d["tensors"][f"{name}.w"], (d_in, d_out), f"{name}.w"),
+                b=_file_tensor(d["tensors"][f"{name}.b"], (1, d_out), f"{name}.b")[0],
+            )
 
         def norm(name: str) -> Norm:
             nd = fileio.require(d["norms"][name], dict, f"model file norm {name!r}")
-            return Norm(
-                kind=nd["kind"],
-                params=NormParams(
-                    alpha=fileio.tensor_from_b64(nd["alpha"])[0],
-                    beta=fileio.tensor_from_b64(nd["beta"])[0],
-                    eps=nd["eps"],
-                ),
+            alpha, beta = (
+                _file_tensor(nd[key], (1, d_model), f"{name}.{key}")[0]
+                for key in ("alpha", "beta")
             )
+            return Norm(kind=nd["kind"], params=NormParams(alpha, beta, eps=nd["eps"]))
 
         def blocks(part: str, count: int, rope: bool) -> list:
             return [
@@ -635,7 +656,7 @@ def model_from_dict(d: dict) -> ToyMllm:
                     mlp_norm=norm(f"{part}.{i}.mlp_norm"),
                     rope=rope,
                     online_fht=online_fht.get(f"{part}.{i}", False),
-                    **{tag: lin(f"{part}.{i}.{tag}") for tag in BLOCK_LINEARS},
+                    **{tag: lin(f"{part}.{i}.{tag}", *shapes[tag]) for tag in BLOCK_LINEARS},
                 )
                 for i in range(count)
             ]

@@ -39,6 +39,22 @@ TEXT = 0
 VISUAL = 1
 
 
+def check_tags(tags, rows: int, what: str = "modality") -> np.ndarray:
+    """tags as an int64 vector of rows tags, each 0 (TEXT) or 1 (VISUAL).
+    Any other count or value, 0.7 included, raises naming what and the row."""
+    tags = np.asarray(tags).reshape(-1)
+    if tags.shape[0] != rows:
+        raise ValueError(f"{what} length {tags.shape[0]} != token count {rows}")
+    ok = np.isin(tags, (TEXT, VISUAL))
+    if not ok.all():
+        row = int(ok.argmin())
+        raise ValueError(
+            f"{what} tag at row {row} is {tags[row].item()!r}; "
+            "tags must be 0 (text) or 1 (visual)"
+        )
+    return tags.astype(np.int64)
+
+
 @dataclass
 class ModalityLayout:
     """Per-token modality tags for one sequence, 0 text / 1 visual."""
@@ -46,11 +62,10 @@ class ModalityLayout:
     modality: np.ndarray
 
     def __post_init__(self):
-        self.modality = np.asarray(self.modality, dtype=np.int64).reshape(-1)
-        if self.modality.shape[0] == 0:
+        tags = np.asarray(self.modality).reshape(-1)
+        if tags.shape[0] == 0:
             raise ValueError("layout must contain at least one token")
-        if not np.isin(self.modality, (TEXT, VISUAL)).all():
-            raise ValueError("modality tags must be 0 (text) or 1 (visual)")
+        self.modality = check_tags(tags, tags.shape[0], "layout")
 
     def __len__(self) -> int:
         return int(self.modality.shape[0])
@@ -170,18 +185,15 @@ def permuted_mask_oracle(perm: np.ndarray, length: int) -> np.ndarray:
 # ===== rotary phases =====
 
 
-def _rope_tables(
-    d: int, positions: np.ndarray, tokens: int, theta_base: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every (token, pair) angle for a d-wide head."""
-    if d % 2 != 0:
-        raise ValueError(f"head dimension must be even for pairwise rotation, got {d}")
+# Rotary frequency base: pair t of a d-wide head turns by
+# position * ROPE_BASE^(-2t/d).
+ROPE_BASE = 10000.0
+
+
+def _rope_tables(d: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every (token, pair) angle for a d-wide head, d even."""
     positions = np.asarray(positions, dtype=np.float64).reshape(-1)
-    if positions.shape[0] != tokens:
-        raise ValueError(
-            f"positions length {positions.shape[0]} != token count {tokens}"
-        )
-    freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)
+    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
     ang = positions[:, None] * freqs[None, :]
     return np.cos(ang), np.sin(ang)
 
@@ -194,24 +206,22 @@ def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def rope_rotate(
-    x: np.ndarray, positions: np.ndarray, theta_base: float = 10000.0
-) -> np.ndarray:
+def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Rotate adjacent feature pairs of one head by position-dependent angles.
 
-    Pair t of a d-wide head turns by positions * theta_base^(-2t/d).
+    Pair t of a d-wide head turns by positions * ROPE_BASE^(-2t/d).
     Position 0 is the identity.
 
     Args:
         x: head tensor of shape (tokens, d), d even.
         positions: integer positions, shape (tokens,).
-        theta_base: frequency base.
 
     Returns:
         Rotated tensor, same shape.
     """
-    x = as_tensor(x)
-    c, s = _rope_tables(x.shape[1], positions, x.shape[0], theta_base)
+    if x.shape[1] % 2 != 0:
+        raise ValueError(f"head dimension must be even for pairwise rotation, got {x.shape[1]}")
+    c, s = _rope_tables(x.shape[1], positions)
     return _rotate_pairs(x, c, s)
 
 
@@ -340,7 +350,6 @@ def attention_forward(
     n_heads: int,
     plan: AttentionPlan,
     positions: np.ndarray | None = None,
-    theta_base: float = 10000.0,
 ) -> np.ndarray:
     """Multi-head attention over a pre-normalized input.
 
@@ -360,34 +369,29 @@ def attention_forward(
     score entries the groups, largest first, run on two lanes, each with
     its own buffer.
 
-    The scores are not checked: a non-finite q or k row meets at least its
-    own row's diagonal entry, which is always free, so it makes that row's
-    P.V product NaN, and that product is checked.
+    Nothing here is checked: the operands are the forward's, checked where
+    they entered it.  A non-finite q or k row meets at least its own row's
+    diagonal entry, which is always free, so it makes that row's output
+    NaN, for the forward's output check to catch.
 
     Args:
         x: input of shape (tokens, d_model).
         wq..bo: projection weights, (d_model, d_model) and (d_model,) each.
-        n_heads: head count, must divide d_model.
+        n_heads: head count, divides d_model.
         plan: the AttentionPlan of the pack, covering tokens rows.
         positions: per-token rotary positions, or None.
-        theta_base: rotary frequency base.
 
     Returns:
         Attention output of shape (tokens, d_model), pre-residual.
     """
-    x = as_tensor(x)
     tokens, d = x.shape
-    if d % n_heads != 0:
-        raise ValueError(f"n_heads={n_heads} must divide d_model={d}")
     d_head = d // n_heads
-    if plan.tokens != tokens:
-        raise ValueError(f"attention plan covers {plan.tokens} rows, the input has {tokens}")
     q = matmul(x, wq) + bq
     k = matmul(x, wk) + bk
     v = matmul(x, wv) + bv
     if positions is not None:
         # every head turns its pairs by the same angles
-        c, s = _rope_tables(d_head, positions, tokens, theta_base)
+        c, s = _rope_tables(d_head, positions)
         c, s = np.tile(c, n_heads), np.tile(s, n_heads)
         q = _rotate_pairs(q, c, s)
         k = _rotate_pairs(k, c, s)
@@ -425,7 +429,7 @@ def _attend(group, qh, kth, vh, out, buf) -> None:
     sums = exp_rows(p, blocked, start)
     pv = p @ _take(vh, cols, 1)
     pv /= sums
-    out[:, rows] = check_finite(pv, "attention output")
+    out[:, rows] = pv
 
 
 # ===== modality-split static quantization =====
@@ -537,18 +541,11 @@ def quantize_msq(
     Returns:
         Fake-quantized tensor, same shape as x.
     """
-    x = as_tensor(x)
-    vis = np.asarray(visual_rows)
-    if vis.dtype != np.bool_ or vis.shape != (x.shape[0],):
-        raise ValueError(
-            f"visual row mask must be bool of shape ({x.shape[0]},), "
-            f"got {vis.dtype} of shape {vis.shape}"
-        )
     out = np.empty_like(x)
-    if vis.any():
-        out[vis] = fake_quant(x[vis], params.visual)
-    if not vis.all():
-        out[~vis] = fake_quant(x[~vis], params.text)
+    if visual_rows.any():
+        out[visual_rows] = fake_quant(x[visual_rows], params.visual)
+    if not visual_rows.all():
+        out[~visual_rows] = fake_quant(x[~visual_rows], params.text)
     if counter is not None:
         counter.bump(2)
     return out
@@ -561,7 +558,6 @@ def quantize_dynamic_per_token(
     counter: ScaleOpCounter | None = None,
 ) -> np.ndarray:
     """Per-token dynamic baseline: one fresh scale per row, every call."""
-    x = as_tensor(x)
     params = compute_params_absmax(x, bits, Granularity.PER_TOKEN, symmetric)
     if counter is not None:
         counter.bump(x.shape[0])

@@ -46,12 +46,11 @@ from .msq_aifs import (
     build_attention_plan,
     calibrate_msq,
     layout_from_string,
-    pack_lengths,
     quantize_dynamic_per_token,
     quantize_msq,
 )
 from .norm_rewrite import preln_to_rmsnorm
-from .numerics import as_tensor, matmul
+from .numerics import as_tensor, check_finite, matmul
 from .quantizer import (
     SUPPORTED_BITS,
     Granularity,
@@ -299,12 +298,13 @@ def _packs(samples: list, d_model: int):
     """Consecutive samples stacked into packs of at most PACK_ROWS rows.
 
     Yields (rows, modality, lengths) per pack: the samples' rows and tags
-    stacked in order, and each sample's row count.
+    stacked in order, and each sample's row count.  Each sample is checked
+    here, so that an error names it by its index in samples.
     """
     pack: list = []
     size = 0
     for i, (rows, layout) in enumerate(samples):
-        rows = as_tensor(rows)
+        rows = check_finite(as_tensor(rows), f"sample {i}")
         if rows.shape[0] != len(layout):
             raise ValueError(
                 f"sample {i} has {rows.shape[0]} rows but its layout tags "
@@ -378,7 +378,7 @@ def calibrate_rotated(
     run_layouts = []
     for rows, modality, lengths in _packs(samples, work.config.d_model):
         with lanes.held():
-            x = embed_tokens(work, rows, modality, recorder, lengths)
+            x, _, _ = embed_tokens(work, rows, modality, recorder, lengths)
             perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
             run_layouts.append(ModalityLayout(modality[perm]))
             llm_stack(work, x[perm], plan, positions, recorder)
@@ -619,10 +619,6 @@ class QuantizedModel:
         """
         self.counter.reset()
         pcfg = self.pcfg
-        modality = np.asarray(modality, dtype=np.int64).reshape(-1)
-        lengths = pack_lengths(lengths, modality.shape[0])
-        perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
-        visual_rows = modality[perm] == VISUAL
 
         def act_fn(name: str, x: np.ndarray) -> np.ndarray:
             # name is "<part>.<i>.input" of a vision or llm block
@@ -636,7 +632,10 @@ class QuantizedModel:
             return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
 
         with lanes.held():
-            x = embed_tokens(self.model, sample, modality, act_fn, lengths)
+            x, modality, lengths = embed_tokens(self.model, sample, modality, act_fn, lengths)
+            perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
+            # read by act_fn, which reaches the LLM blocks only after this
+            visual_rows = modality[perm] == VISUAL
             out = np.empty_like(x)
             out[perm] = llm_stack(self.model, x[perm], plan, positions, act_fn)
         return out
@@ -645,13 +644,17 @@ class QuantizedModel:
 def _freeze(state: QuantizeState) -> None:
     """Make state.model the model the quantized forward runs: each linear
     of weight_q takes its dequantized weight, and each block takes its
-    split plan (None for a block without one)."""
+    split plan (None for a block without one).  A block with a plan runs
+    its down-projection through it, so its w_down.w becomes the plan's
+    main_q, the same array, and the float rotated weight is dropped."""
     linears = dict(iter_linears(state.model))
     for name, qt in state.weight_q.items():
         linears[name].w = np.ascontiguousarray(dequantize(qt).T)
     for part in ("vision", "llm"):
         for i, blk in enumerate(getattr(state.model, f"{part}_blocks")):
             blk.split = state.plans.get(f"{part}.{i}.w_down")
+            if blk.split is not None:
+                blk.w_down.w = blk.split.main_q
 
 
 def mquant_quantize(
@@ -702,8 +705,8 @@ def cosine_and_mse(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     Bitwise-equal inputs short-circuit to exactly (1.0, 0.0) so a model
     compared against itself reports perfect agreement, not 1 - 1e-16.
     """
-    a = as_tensor(a).reshape(-1)
-    b = as_tensor(b).reshape(-1)
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if np.array_equal(a, b):

@@ -162,10 +162,10 @@ def compute_params_absmax(
     is always exactly representable and the zero point lands inside the
     grid, then uses s = (max - min) / (q_max - q_min) and
     z = round(q_min - min/s).  All-zero slices get the sentinel s = 1,
-    z = 0.
+    z = 0.  A NaN or infinite entry of x raises.
 
     Args:
-        x: tensor to cover, shape (rows, cols).
+        x: 2-D float64 tensor to cover, shape (rows, cols).
         bits: grid width, one of 4, 8, 16.
         granularity: slice layout for scales.
         symmetric: zero-point-free grid when True.
@@ -178,10 +178,11 @@ def compute_params_absmax(
         raise ValueError(f"unsupported bit width {bits}, expected one of {SUPPORTED_BITS}")
     if granularity is Granularity.PER_GROUP and (group_size is None or group_size < 1):
         raise ValueError("PER_GROUP requires a positive group_size")
-    x = check_finite(as_tensor(x), "calibration tensor")
     q_min, q_max = quant_range(bits, symmetric)
     lo, hi = _slice_minmax(x, granularity, group_size)
-    absmax = np.maximum(np.abs(lo), np.abs(hi))
+    # min and max carry any NaN or inf of their slice, so checking them
+    # checks every entry of x without another pass over it
+    absmax = check_finite(np.maximum(np.abs(lo), np.abs(hi)), "calibration tensor")
 
     if symmetric:
         scales = absmax / q_max

@@ -58,9 +58,14 @@ FROZEN_W4A8_COSINE = 0.9615586495864614
 FROZEN_BAND = 0.002
 
 
-def float_split_forward(x, plan):
-    """The split path with float weights: x @ main + x[:, 0] (x) split_row."""
-    out = x @ plan.main_weight
+def float_split_forward(x, plan, w_rot):
+    """The split path with float weights: x @ main + x[:, 0] (x) split_row,
+    main being the w_rot the plan was built from, with row 0 zeroed when
+    the plan triggered."""
+    main = w_rot.copy()
+    if plan.triggered:
+        main[0] = 0.0
+    out = x @ main
     if plan.triggered:
         out = out + x[:, :1] * plan.split_row[None, :]
     return out
@@ -222,7 +227,7 @@ def test_outlier_split_is_float_lossless_and_helps_low_bit_mse():
         assert plan.triggered
         x = rng.normal(size=(8, 64))
         ref = matmul(x, w_rot)
-        out = float_split_forward(x, plan)
+        out = float_split_forward(x, plan, w_rot)
         assert np.abs(out - ref).max() <= 1e-9
 
     wins = 0

@@ -84,3 +84,17 @@ def test_samples_batch_trailing_bytes_detected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         fileio.load_samples(path)
+
+
+def test_samples_batch_of_thousands_roundtrips(tmp_path):
+    """Each record is parsed in place: a batch of 3000 one-row samples
+    (which a per-record copy of the rest of the file made quadratic)
+    round-trips exactly."""
+    rng = np.random.default_rng(4)
+    batch = [(rng.normal(size=(1, 8)), rng.integers(0, 2, size=1)) for _ in range(3000)]
+    path = tmp_path / "many.mqs"
+    fileio.save_samples(path, batch)
+    loaded = fileio.load_samples(path)
+    assert len(loaded) == len(batch)
+    for (t, m), (t2, m2) in zip(batch, loaded):
+        assert np.array_equal(t, t2) and np.array_equal(m, m2)

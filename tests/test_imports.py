@@ -1,7 +1,8 @@
 """Every module-level import in the package and its tests is used by its
 module, every definition is named by production code, only the mask
-primitives take a mask, the forward's one interception point is act_fn,
-and every function the benchmark tracer looks up by name exists."""
+primitives take a mask, only the boundaries check their inputs, the
+forward's one interception point is act_fn, and every function the
+benchmark tracer looks up by name exists."""
 
 import ast
 import importlib
@@ -133,6 +134,67 @@ def test_only_the_mask_primitives_take_a_mask():
     """No other production function, method or nested function has a
     parameter named mask."""
     assert takers("mask") == MASK_TAKERS
+
+
+# The only production functions that call check_finite or as_tensor, each
+# with what it checks.  The forward's kernels take checked operands (see
+# numerics' docstring), so any other caller would re-check inside them.
+CHECKERS = {
+    "model.embed_tokens": "the forward's entry: sample, tags and lengths",
+    "model.llm_stack": "the forward's output",
+    "model.Linear.__post_init__": "a linear as it is built",
+    "pipeline._packs": "evaluate's and calibration's samples, named by index",
+    "fileio.tensor_to_bytes": "every tensor written",
+    "fileio.tensor_from_bytes": "every tensor read: model files and sample batches",
+    "fileio.save_samples": "a sample batch written",
+    "quantizer.quantize": "its int32 cast would turn a NaN into a finite code",
+    "quantizer.compute_params_absmax": "weight and calibration grids, and the "
+    "dynamic path's per-token grids, by their slice min/max",
+    "quantizer.calibrate_static": "calibration",
+    "msq_aifs.calibrate_msq": "calibration",
+    "rms.build_split_plan": "the split plans, built at quantize time",
+    "rms.detect_outliers": "the split plans, built at quantize time",
+    "hadamard.incoherence": "an offline weight diagnostic",
+    "hadamard.incoherence_ratio": "an offline weight diagnostic",
+    "numerics.masked_softmax_rows": "the tests' softmax oracle",
+}
+
+
+def functions(tree: ast.Module, prefix: str):
+    """(qualified name, node) of every function, method and nested
+    function under tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            yield from functions(node, name)
+
+
+def called_names(node: ast.FunctionDef) -> set:
+    """Names the function's own body calls, nested functions excluded."""
+    names, todo = set(), list(node.body)
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+        todo.extend(ast.iter_child_nodes(sub))
+    return names
+
+
+def test_only_the_boundaries_check_their_inputs():
+    """No production function other than CHECKERS calls check_finite or
+    as_tensor, and each of CHECKERS still does."""
+    checkers = {
+        name
+        for module, tree in module_trees(SRC).items()
+        for name, node in functions(tree, module)
+        if called_names(node) & {"check_finite", "as_tensor"}
+    }
+    assert checkers == CHECKERS.keys()
 
 
 # The model's forward functions.  The quantized model freezes its weights

@@ -14,7 +14,7 @@ import pytest
 from mquant import lanes
 from mquant.hadamard import fht
 from mquant.model import ToyMllmConfig, build_toy_mllm, gelu, model_forward
-from mquant.msq_aifs import attention_forward, build_attention_plan
+from mquant.numerics import check_finite
 from mquant.pipeline import (
     PipelineConfig,
     evaluate,
@@ -100,43 +100,21 @@ def test_digest_is_the_same_on_one_lane_and_two(qm, monkeypatch, request, floors
     assert forks
 
 
-def _attention_case(row: int):
-    """An L=1024 causal attention call whose row `row` scores +inf against
-    itself (q and k share their weight), so that row comes out NaN.  The
-    caller ignores the overflow; that errstate holds on the worker too."""
-    rng = np.random.default_rng(0)
-    d, heads, length = 64, 4, 1024
-    ws = [rng.normal(0.0, d**-0.5, size=(d, d)) for _ in range(4)]
-    ws[1] = ws[0]
-    bs = [np.zeros(d) for _ in range(4)]
-    x = rng.normal(size=(length, d))
-    x[row] = 1e200
-    positions = np.arange(length)
-    plan = build_attention_plan([length], positions)
-    assert lanes.LANES < 2 or heads * sum(plan.areas) >= lanes.FLOORS["attention"]
-
-    def call():
-        with np.errstate(over="ignore"):
-            attention_forward(
-                x, ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3],
-                n_heads=heads, plan=plan, positions=positions,
-            )
-
-    return call
-
-
-def _fht_case(row: int):
+@pytest.mark.parametrize("row", [3, 1000], ids=["first_half", "second_half"])
+@pytest.mark.parametrize("kernel", ["attention", "fht"])
+def test_a_nan_row_in_either_half_raises_the_single_lane_error(monkeypatch, kernel, row):
+    """An item that raises, here on a NaN row of its block, raises the one
+    lane's error whichever lane runs it, and the worker is free for the
+    next fork."""
     x = np.random.default_rng(1).normal(size=(1024, 256))
     x[row, 7] = np.nan
-    return lambda: fht(x, axis=1)
 
+    def run(_, i: int) -> None:
+        check_finite(x[i * 64 : (i + 1) * 64], f"block {i}")
 
-@pytest.mark.parametrize("row", [3, 1000], ids=["first_half", "second_half"])
-@pytest.mark.parametrize("case", [_attention_case, _fht_case], ids=["attention", "fht"])
-def test_a_nan_row_in_either_half_raises_the_single_lane_error(monkeypatch, case, row):
-    """Whichever lane runs the item that holds the row, the error is the
-    one lane's, and the worker is free for the next fork."""
-    call = case(row)
+    def call():
+        lanes.share(kernel, lanes.FLOORS[kernel], 16, run)
+
     monkeypatch.setattr(lanes, "LANES", 1)
     with pytest.raises(ValueError) as single:
         call()

@@ -111,8 +111,8 @@ def test_visual_rows_are_much_louder_than_text_rows():
     rng = np.random.default_rng(2)
     model = build_toy_mllm(ToyMllmConfig())
     x, _ = sample_input(rng, length=16, d=64)
-    emb_v = embed_tokens(model, x, np.ones(16, dtype=int))
-    emb_t = embed_tokens(model, x * 0.025, np.zeros(16, dtype=int))
+    emb_v, _, _ = embed_tokens(model, x, np.ones(16, dtype=int))
+    emb_t, _, _ = embed_tokens(model, x * 0.025, np.zeros(16, dtype=int))
     assert np.abs(emb_v).max() > 10 * np.abs(emb_t).max()
 
 

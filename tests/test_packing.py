@@ -125,7 +125,7 @@ def calibrate_per_sample(float_model, samples, pcfg):
 
     run_layouts = []
     for rows, layout in samples:
-        x = embed_tokens(work, rows, layout.modality, recorder)
+        x, _, _ = embed_tokens(work, rows, layout.modality, recorder)
         perm = build_aifs_plan(layout) if pcfg.aifs else np.arange(len(layout))
         run_layouts.append(ModalityLayout(layout.modality[perm]))
         llm_stack(work, x[perm], build_attention_plan([len(layout)], perm), perm, recorder)

@@ -14,9 +14,14 @@ from mquant.rms import (
 )
 
 
-def float_split_forward(x, plan):
-    """The split path with float weights: x @ main + x[:, 0] (x) split_row."""
-    out = x @ plan.main_weight
+def float_split_forward(x, plan, w_rot):
+    """The split path with float weights: x @ main + x[:, 0] (x) split_row,
+    main being the w_rot the plan was built from, with row 0 zeroed when
+    the plan triggered."""
+    main = w_rot.copy()
+    if plan.triggered:
+        main[0] = 0.0
+    out = x @ main
     if plan.triggered:
         out = out + x[:, :1] * plan.split_row[None, :]
     return out
@@ -83,7 +88,7 @@ def test_plan_all_ones_example():
     plan = build_split_plan("t.0", w_rot, w, bits=8)
     assert plan.triggered and plan.columns == [0, 1]
     np.testing.assert_allclose(plan.split_row, [2.0, 2.0])
-    np.testing.assert_allclose(plan.main_weight, 0.0, atol=1e-12)
+    np.testing.assert_allclose(plan.main_q, 0.0, atol=1e-12)
 
 
 def test_plan_restores_exact_weight():
@@ -91,9 +96,9 @@ def test_plan_restores_exact_weight():
     w_rot = fht(w, axis=0)
     plan = build_split_plan("t.1", w_rot, w, bits=8)
     assert plan.triggered
-    restored = plan.main_weight.copy()
-    restored[0, :] = plan.split_row
-    np.testing.assert_allclose(restored, w_rot, atol=1e-12)
+    # row 0 moves to the split row whole; test_frozen_weights_equal_a_fresh_fake_quant
+    # pins the main kernel to the other rows
+    assert np.array_equal(plan.split_row, w_rot[0]) and not plan.main_q[0].any()
 
 
 def test_plan_consistency_check_rejects_wrong_rotation():
@@ -115,7 +120,7 @@ def test_untriggered_plan_is_plain_matmul():
     plan = build_split_plan("t.4", w_rot, w, bits=8)
     assert not plan.triggered and plan.split_row is None
     x = rng.normal(size=(5, 16))
-    out = float_split_forward(x, plan)
+    out = float_split_forward(x, plan, w_rot)
     np.testing.assert_allclose(out, matmul(x, w_rot), atol=1e-12)
 
 
@@ -128,7 +133,7 @@ def test_split_float_path_is_lossless():
         plan = build_split_plan("t", w_rot, w, bits=4)
         rng = np.random.default_rng(100 + seed)
         x = rng.normal(size=(7, w.shape[0]))
-        out = float_split_forward(x, plan)
+        out = float_split_forward(x, plan, w_rot)
         np.testing.assert_allclose(out, matmul(x, w_rot), atol=1e-9)
 
 
@@ -206,13 +211,6 @@ def test_wider_split_grid_helps_the_split_row():
     assert err16 < err4
 
 
-def test_forward_width_mismatch():
-    w = biased_matrix(11)
-    plan = build_split_plan("t", fht(w, axis=0), w, bits=8)
-    with pytest.raises(ValueError, match="width"):
-        rms_forward(np.ones((2, 32)), plan)
-
-
 def test_compliance_table():
     w = biased_matrix(12)
     w_rot = fht(w, axis=0)
@@ -239,12 +237,20 @@ def test_compliance_table():
 )
 def test_frozen_weights_equal_a_fresh_fake_quant(seed, log_n, d, bias, bits, split_bits):
     """main_q and split_q are exactly what fake-quantizing the plan's
-    weights on its grids gives, so rms_forward need not redo it per call."""
+    kernels on its grids gives, so rms_forward need not redo it per call:
+    the main kernel is the rotated weight with row 0 zeroed when the plan
+    triggered, the split row that row 0."""
     rng = np.random.default_rng(seed)
     n = 2**log_n
     w = rng.normal(0, 0.02, (n, d)) + bias
-    plan = build_split_plan("t", fht(w, axis=0), w, bits=bits, split_bits=split_bits)
-    fresh = fake_quant(plan.main_weight.T, plan.main_params).T
+    w_rot = fht(w, axis=0)
+    plan = build_split_plan("t", w_rot, w, bits=bits, split_bits=split_bits)
+    main = w_rot.copy()
+    if plan.triggered:
+        assert np.array_equal(plan.split_row, main[0])
+        main[0] = 0.0
+    # contiguous, as rms_forward's main_q is: BLAS rounding follows the layout
+    fresh = np.ascontiguousarray(fake_quant(main.T, plan.main_params).T)
     assert np.array_equal(plan.main_q, fresh)
     if plan.triggered:
         row = fake_quant(plan.split_row[None, :], plan.split_params)[0]

@@ -33,8 +33,9 @@ def walsh_hadamard(n: int) -> np.ndarray:
     return h / np.sqrt(n)
 
 
-def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Fast Hadamard transform along one axis, O(n log n).
+def fht(x: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Fast Hadamard transform along one axis, O(n log n), into out (an
+    array of x's shape, or a new one if None).
 
     Equivalent to multiplying by walsh_hadamard(n) on that axis: axis=0
     computes H @ x, axis=1 computes x @ H (H is symmetric).  The axis length
@@ -42,9 +43,14 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
     vectorized add and subtract; the adds are the ones of the per-block
     loop, so the result equals it bit for bit.  The vectors run in blocks
     of about FHT_CHUNK elements, on two lanes from lanes.FLOORS["fht"]
-    elements.
+    elements.  Each block is copied before it is transformed, so out may
+    be x itself.
     """
     x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape:
+        raise ValueError(f"out has shape {out.shape}, x has {x.shape}")
     vec = x.ndim == 1
     if vec:
         x = x[None, :] if axis in (1, -1) else x[:, None]
@@ -56,16 +62,15 @@ def fht(x: np.ndarray, axis: int = 0) -> np.ndarray:
     n, vectors = xc.shape
     _check_pow2(n)
     step = max(1, FHT_CHUNK // n)
-    out = np.empty(x.shape)
-    oc = out if axis == 0 else out.T
+    # a view of out: the same shape, or a vector's with a unit axis added
+    res = out.reshape(x.shape)
+    oc = res if axis == 0 else res.T
 
     def run(_, i: int) -> None:
         part = slice(i * step, (i + 1) * step)
         oc[:, part] = _fht_columns(xc[:, part].copy())
 
     lanes.share("fht", xc.size, -(-vectors // step), run)
-    if vec:
-        out = out.reshape(-1)
     return out
 
 

@@ -9,6 +9,11 @@ computed by the same operations as on one lane, so the outputs are
 bit-identical; no GEMM is split by rows, as the row count of a product can
 change BLAS's rounding.
 
+evaluate's packs are too short for any kernel floor, so there the two
+jobs are whole forwards (pair): a pack's float reference runs on the
+calling thread while its quantized forward runs on the worker, and every
+kernel inside them runs inline on its lane, as the worker is taken.
+
 With two lanes, a forward runs with numpy's OpenBLAS held to one thread,
 from its entry to its end, and so does a fork made outside a forward.
 Left at two, BLAS's second thread spins on the second core between the
@@ -41,13 +46,21 @@ import numpy as np
 LANES = 2 if len(os.sched_getaffinity(0)) > 1 else 1
 
 # The work from which each kernel forks: score entries (heads x summed
-# group areas) for attention, elements for gelu and the FHT.  Each sits
-# above the size where its two lanes first win when timed alone (about
-# 2^16 elements for gelu and the FHT, 2^18 score entries for attention):
-# whichever lane finishes first waits for the item the other holds, and on
-# a shared VM that lane can lose its CPU for milliseconds, which below the
-# floors cost evaluate's ≈600-row packs more than the second lane saved.
-FLOORS = {"attention": 1 << 19, "gelu": 1 << 18, "fht": 1 << 18}
+# group areas) for attention, elements for gelu and the FHT, pack rows for
+# evaluate's two forwards.  Each kernel floor sits above the size where
+# its two lanes first win when timed alone (about 2^16 elements for gelu
+# and the FHT, 2^18 score entries for attention): whichever lane finishes
+# first waits for the item the other holds, and on a shared VM that lane
+# can lose its CPU for milliseconds, which below the floors cost evaluate's
+# ≈600-row packs more than the second lane saved.  evaluate's floor is
+# in pack rows.  On packs of 16/32/64-row samples a forked evaluate took
+# 1.48x its serial time at 48 rows, 1.07x at 112, 0.97x at 128, 0.86x at
+# 160 (1.12x in a second run), 0.80x at 224 and 0.77x at 576 (2 vCPUs,
+# medians of 40-80 calls): short forwards are mostly Python between
+# numpy calls, and the two lanes queue for the interpreter lock.  192
+# keeps the 128-row desk pack serial, where the second forward's
+# working set would cost more memory than its time saves.
+FLOORS = {"attention": 1 << 19, "gelu": 1 << 18, "fht": 1 << 18, "evaluate": 192}
 
 # The worker takes one job at a time; a fork that finds it busy (a second
 # caller's, or one made inside a job) runs both of its jobs itself.
@@ -122,6 +135,22 @@ def share(kernel: str, size: int, n: int, run, scratch=tuple) -> None:
 
     with held():
         fork(lane, lane)
+
+
+def pair(kernel: str, size: int, a, b):
+    """(a(), b()): from the kernel's floor of work (size), a fork with BLAS
+    held, a on the calling thread and b on the worker if it is free;
+    below the floor, a then b here.  As in fork, a's exception wins.
+
+    Each job keeps its lane from one call to the next, so each thread's
+    allocator keeps the working set of one job: with the two jobs claimed
+    as share claims items, each lane ran either, and eval_mixed's peak RSS
+    rose 9.5 % over one lane, against 2-3 % with a fixed assignment.
+    """
+    if size < FLOORS[kernel]:
+        return a(), b()
+    with held():
+        return fork(a, b)
 
 
 # ===== BLAS hold =====

@@ -345,9 +345,11 @@ def _gelu_table() -> np.ndarray:
 _GELU_COEF = _gelu_table()
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact (erf) GELU, x * Phi(x) = x * (1/2 + copysign(g(b), x)) with
-    b = |x| / sqrt(2).
+    b = |x| / sqrt(2), into out (a new array if None).  out must be
+    C-contiguous and of x's shape; it may be x itself, as each element is
+    read before it is written.
 
     g(b) = erf(b) / 2 comes from a table of degree-5 polynomials on 768
     intervals of width 1/128 over [0, 6), fitted once at import by
@@ -363,8 +365,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
     NaN, as in the erf formula.
     """
     x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape {x.shape}")
     flat = x.ravel()
-    out = np.empty(x.shape)
     flat_out = out.reshape(-1)
     m = min(flat.size, GELU_CHUNK)
 
@@ -436,9 +441,12 @@ def block_forward(
     x = x + attn
 
     h = norm_forward(block.mlp_norm, x)
-    u = gelu(matmul(h, block.w_up.w) + block.w_up.b)
+    # one d_ff buffer: the bias add, GELU and the online FHT write into it
+    u = matmul(h, block.w_up.w)
+    u += block.w_up.b
+    gelu(u, out=u)
     if block.online_fht:
-        u = fht(u, axis=1)
+        fht(u, axis=1, out=u)
     if block.split is not None:
         mlp = rms_forward(u, block.split)
     else:
@@ -647,7 +655,10 @@ def model_from_dict(d: dict) -> ToyMllm:
                 _file_tensor(nd[key], (1, d_model), f"{name}.{key}")[0]
                 for key in ("alpha", "beta")
             )
-            return Norm(kind=nd["kind"], params=NormParams(alpha, beta, eps=nd["eps"]))
+            try:
+                return Norm(kind=nd["kind"], params=NormParams(alpha, beta, eps=nd["eps"]))
+            except ValueError as exc:
+                raise ValueError(f"model file norm {name}: {exc}") from None
 
         def blocks(part: str, count: int, rope: bool) -> list:
             return [

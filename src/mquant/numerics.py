@@ -172,10 +172,12 @@ def layer_norm(x: np.ndarray, params: NormParams) -> np.ndarray:
 
     The variance is computed as |x|^2/d - mu^2, clamped at zero to guard the
     constant-row case where cancellation can leave a tiny negative value.
+    A row whose |x|^2 overflows comes out NaN (see _overflow_to_nan).
     """
     d = x.shape[1]
     mu = x.mean(axis=1, keepdims=True)
-    var = np.maximum((x * x).sum(axis=1, keepdims=True) / d - mu * mu, 0.0)
+    ss = _overflow_to_nan((x * x).sum(axis=1, keepdims=True))
+    var = np.maximum(ss / d - mu * mu, 0.0)
     return (x - mu) / np.sqrt(var + params.eps) * params.alpha + params.beta
 
 
@@ -183,10 +185,24 @@ def rms_norm(x: np.ndarray, params: NormParams) -> np.ndarray:
     """Per-row RMS normalization: scale by 1/sqrt(mean(x^2) + eps), gain only.
 
     beta is carried in params for structural symmetry with layer_norm but is
-    ignored, matching gain-only RMS layers.
+    ignored, matching gain-only RMS layers.  A row whose |x|^2 overflows
+    comes out NaN (see _overflow_to_nan).
     """
-    ms = (x * x).sum(axis=1, keepdims=True) / x.shape[1]
+    ms = _overflow_to_nan((x * x).sum(axis=1, keepdims=True)) / x.shape[1]
     return x / np.sqrt(ms + params.eps) * params.alpha
+
+
+def _overflow_to_nan(ss: np.ndarray) -> np.ndarray:
+    """The (rows, 1) squared sums ss, in place, with inf made NaN.
+
+    A finite row of |x| above about 1e154 squares to inf, and dividing by
+    the resulting inf scale would normalize it to zeros: a finite, wrong
+    row that no later check sees.  Divided by NaN it stays non-finite for
+    the forward's output check, and NaN operands raise no invalid-value
+    warning where inf - inf or inf / inf would.  Finite sums are untouched.
+    """
+    np.copyto(ss, np.nan, where=np.isinf(ss))
+    return ss
 
 
 def frobenius_norm(a: np.ndarray) -> float:

@@ -722,6 +722,8 @@ def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
 
     The samples run as packs of up to PACK_ROWS rows: one float and one
     quantized forward per pack, with attention confined to each sample.
+    From lanes.FLOORS["evaluate"] rows a pack's two forwards run at once,
+    the float reference here and the quantized one on the lanes' worker.
     Each sample is then scored on its own rows.  Its scale ops are what a
     lone forward of it counts: on the static path, the pack's 2 per block
     (every row of the pack passes both grids); on the dynamic path, its own
@@ -731,8 +733,13 @@ def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
         raise ValueError("evaluation needs at least one sample")
     per_sample = []
     for rows, modality, lengths in _packs(samples, qm.model.config.d_model):
-        ref = model_forward(qm.float_model, rows, modality, lengths=lengths)
-        out = qm.forward(rows, modality, dynamic=dynamic, lengths=lengths)
+        ref, out = lanes.pair(
+            "evaluate",
+            rows.shape[0],
+            lambda: model_forward(qm.float_model, rows, modality, lengths=lengths),
+            lambda: qm.forward(rows, modality, dynamic=dynamic, lengths=lengths),
+        )
+        # only the quantized forward writes the counter; both have ended
         ops = qm.counter.scale_ops
         offset = 0
         for n in lengths:

@@ -20,6 +20,7 @@ from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
     copy_model,
+    iter_linears,
     model_forward,
     model_from_dict,
     model_to_dict,
@@ -168,6 +169,22 @@ def test_a_tensor_of_the_wrong_shape_is_named_on_load(model_file, key, shape, wa
         model_from_dict(tampered(model_file, key, bad))
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("eps", 0.0, "eps must be > 0, got 0.0"),
+        ("eps", -1e-6, "eps must be > 0, got -1e-06"),
+        ("kind", "batch", "unknown norm kind 'batch'"),
+    ],
+)
+def test_a_bad_norm_eps_or_kind_is_named_on_load(model_file, field, value, error):
+    """These errors named no norm; now they name it as tensor errors do."""
+    d = json.loads(json.dumps(model_file))
+    d["norms"]["llm.0.attn_norm"][field] = value
+    with pytest.raises(ValueError, match=f"^model file norm llm.0.attn_norm: {error}$"):
+        model_from_dict(d)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_float_model_tensor_in_a_qmodel_is_named_on_load(qm, bad):
     d = qmodel_to_dict(qm)
@@ -278,6 +295,43 @@ def test_an_overflowing_forward_is_still_caught(qm):
         lambda: qm_hot.forward(rows, layout.modality, dynamic=True),
         lambda: calibrate_pipeline(huge, SAMPLES, PipelineConfig(model=SMALL)),
     ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+                call()
+
+
+def scaled(model, name: str):
+    """A copy of model with linear name's weight scaled by 1e160."""
+    model = copy_model(model)
+    dict(iter_linears(model))[name].w *= 1e160
+    return model
+
+
+@pytest.mark.parametrize("name", ["llm.0.wv", "llm.1.w_down", "text_embed"])
+def test_a_norm_row_whose_square_sum_overflows_is_caught(qm, name):
+    """Scaled by 1e160, each of these weights gives a residual row of
+    |x| > 1e154, whose squares sum to inf in the next RMS norm.  That row
+    used to normalize to zeros, and the forward returned a finite output;
+    now it turns NaN, and the output check (or, on the quantized path, the
+    next grid's input check) raises.  On the static quantized path a huge
+    text_embed row meets llm.0's static grid before any norm and is clipped
+    there, as static grids clip any outlier, so that path stays finite."""
+    rows, layout = SAMPLES[0]
+    hot = replace(qm, model=scaled(qm.model, name))
+    calls = [
+        lambda: model_forward(scaled(qm.float_model, name), rows, layout.modality),
+        lambda: hot.forward(rows, layout.modality, dynamic=True),
+        lambda: calibrate_pipeline(
+            scaled(qm.float_model, name), SAMPLES, PipelineConfig(model=SMALL)
+        ),
+    ]
+    if name == "text_embed":
+        with np.errstate(over="ignore"):
+            assert np.isfinite(hot.forward(rows, layout.modality)).all()
+    else:
+        calls.append(lambda: hot.forward(rows, layout.modality))
     for call in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mquant import lanes
 from mquant.hadamard import (
     fht,
     incoherence,
@@ -106,6 +107,20 @@ def test_fht_involutory():
 def test_fht_one_dimensional_input():
     x = np.array([1.0, 1.0])
     np.testing.assert_allclose(fht(x), [np.sqrt(2.0), 0.0])
+
+
+@pytest.mark.parametrize("lanes_", [1, 2])
+@pytest.mark.parametrize("shape, axis", [((1024, 256), 1), ((256, 1024), 0), ((64,), 0)])
+def test_fht_into_its_input_gives_the_bits_of_a_new_array(monkeypatch, lanes_, shape, axis):
+    """The online FHT runs in place; the 2-D cases reach the two-lane floor,
+    so with two lanes both write blocks of the same buffer."""
+    monkeypatch.setattr(lanes, "LANES", lanes_)
+    x = np.random.default_rng(4).normal(size=shape)
+    want = fht(x, axis=axis)
+    assert fht(x, axis=axis, out=x) is x
+    assert x.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="out has shape"):
+        fht(want, axis=axis, out=np.empty(shape[::-1] + (1,)))
 
 
 def test_norm_preserved():

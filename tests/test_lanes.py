@@ -1,7 +1,8 @@
 """The forward's two compute lanes: bit-identical outputs with one lane or
 two, errors and errstate that cross the fork as they would without it, the
 OpenBLAS thread count restored after every forward, a bounded thread
-count, and concurrent forwards that each give their serial output."""
+count, concurrent forwards that each give their serial output, and
+evaluate's two forwards forked per pack from their floor."""
 
 import hashlib
 import json
@@ -11,12 +12,14 @@ import threading
 import numpy as np
 import pytest
 
-from mquant import lanes
+from mquant import lanes, pipeline
 from mquant.hadamard import fht
 from mquant.model import ToyMllmConfig, build_toy_mllm, gelu, model_forward
 from mquant.numerics import check_finite
 from mquant.pipeline import (
+    PACK_ROWS,
     PipelineConfig,
+    QuantizedModel,
     evaluate,
     generate_synthetic_samples,
     mquant_quantize,
@@ -27,6 +30,12 @@ DESK = generate_synthetic_samples(8, 16, seed=123)
 PACK = [
     generate_synthetic_samples(1, n, seed=500 + i)[0]
     for i, n in enumerate((16, 32, 64, 100, 130, 1, 65))
+]
+
+
+# 16 samples of 16, 32 and 64 rows in turn: a 576-row pack
+MIXED = [
+    generate_synthetic_samples(1, (16, 32, 64)[i % 3], seed=700 + i)[0] for i in range(16)
 ]
 
 
@@ -81,8 +90,9 @@ def worker_is_free() -> bool:
 
 @pytest.mark.parametrize("floors", ["measured", "zero"])
 def test_digest_is_the_same_on_one_lane_and_two(qm, monkeypatch, request, floors):
-    """At the measured floors only the long forwards fork; at zero floors
-    every kernel does, down to one-row attention groups."""
+    """At the measured floors only the long forwards and evaluate's
+    408-row pack fork; at zero floors every kernel and every pack does,
+    down to one-row attention groups."""
     if floors == "zero":
         request.getfixturevalue("floors_zero")
     monkeypatch.setattr(lanes, "LANES", 1)
@@ -298,5 +308,97 @@ def test_concurrent_forwards_each_give_their_serial_output(qm, monkeypatch, floo
     for got, expect in zip(results, want):
         assert len(got) == 6
         assert all(g.tobytes() == expect.tobytes() for g in got)
+    if threads:
+        assert threads[0]() == blas_before
+
+
+# ===== evaluate's two forwards =====
+
+
+def outer_forks(monkeypatch) -> list:
+    """Count the forks made while no other fork runs: evaluate's, not the
+    kernel forks inside its forwards, which find the worker taken."""
+    outer, active = [], []
+    fork = lanes.fork
+
+    def counted(a, b):
+        if not active:
+            outer.append(1)
+        active.append(1)
+        try:
+            return fork(a, b)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(lanes, "fork", counted)
+    return outer
+
+
+@pytest.mark.parametrize("batch, rows, forks", [(MIXED, 576, 1), (DESK, 128, 0)])
+def test_at_the_measured_floor_a_576_row_pack_forks_and_the_desk_pack_does_not(
+    qm, monkeypatch, batch, rows, forks
+):
+    assert sum(sample.shape[0] for sample, _ in batch) == rows
+    monkeypatch.setattr(lanes, "LANES", 2)
+    counted = outer_forks(monkeypatch)
+    evaluate(qm, batch)
+    assert len(counted) == forks
+
+
+def test_an_evaluate_of_two_packs_forks_once_per_pack_as_on_one_lane(qm, monkeypatch):
+    """1,280 rows make a PACK_ROWS pack and a 256-row one, both at or above
+    the floor; the report is the one-lane report, bit for bit."""
+    samples = [generate_synthetic_samples(1, 64, seed=900 + i)[0] for i in range(20)]
+    assert PACK_ROWS < 20 * 64
+    monkeypatch.setattr(lanes, "LANES", 1)
+    one = [evaluate(qm, samples, dynamic=dynamic) for dynamic in (False, True)]
+    monkeypatch.setattr(lanes, "LANES", 2)
+    counted = outer_forks(monkeypatch)
+    assert [evaluate(qm, samples, dynamic=dynamic) for dynamic in (False, True)] == one
+    assert len(counted) == 4
+
+
+@pytest.mark.parametrize(
+    "failing", [("float", "quantized"), ("quantized",)], ids=["both", "quantized"]
+)
+def test_a_failing_forward_in_evaluate_raises_the_one_lane_error(qm, monkeypatch, failing):
+    """The desk pack's two forwards run at once, the float reference here
+    and the quantized forward on the worker, each waiting until the other
+    has started.  When both raise, evaluate raises the float reference's
+    error, which one lane meets first; when only the quantized forward
+    raises, its error surfaces.  Either way the worker is free after, and
+    OpenBLAS has its thread count back."""
+    model_forward_, forward_ = pipeline.model_forward, QuantizedModel.forward
+    started = {"float": threading.Event(), "quantized": threading.Event()}
+    ran_on = {}
+
+    def run_as(which: str, other: str, real):
+        def run(*args, **kwargs):
+            ran_on[which] = threading.get_ident()
+            started[which].set()
+            if lanes.LANES > 1:
+                started[other].wait(timeout=10)
+            if which in failing:
+                raise ValueError(f"{which} forward failed")
+            return real(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(pipeline, "model_forward", run_as("float", "quantized", model_forward_))
+    monkeypatch.setattr(QuantizedModel, "forward", run_as("quantized", "float", forward_))
+    monkeypatch.setitem(lanes.FLOORS, "evaluate", 0)
+    threads = lanes._openblas_threads()
+    blas_before = threads[0]() if threads else None
+    for lane_count in (1, 2):
+        monkeypatch.setattr(lanes, "LANES", lane_count)
+        ran_on.clear()
+        for event in started.values():
+            event.clear()
+        with pytest.raises(ValueError, match=f"^{failing[0]} forward failed$"):
+            evaluate(qm, DESK)
+        assert ran_on["float"] == threading.get_ident()
+        if lane_count == 2:
+            assert ran_on["quantized"] != ran_on["float"]
+    assert worker_is_free()
     if threads:
         assert threads[0]() == blas_before

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from mquant import lanes
 from mquant.model import (
     GELU_CHUNK,
     ToyMllmConfig,
@@ -157,6 +158,19 @@ def test_gelu_chunks_give_the_bits_of_single_rows():
         got = gelu(x)
         alone = np.concatenate([gelu(x[i : i + 1]) for i in range(rows)])
         assert got.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("lanes_", [1, 2])
+def test_gelu_into_its_input_gives_the_bits_of_a_new_array(monkeypatch, lanes_):
+    """The MLP runs gelu in place; 1024 x 256 elements is the two-lane
+    floor, so with two lanes both write chunks of the same buffer."""
+    monkeypatch.setattr(lanes, "LANES", lanes_)
+    x = np.random.default_rng(12).normal(0.0, 3.0, (1024, 256))
+    want = gelu(x)
+    assert gelu(x, out=x) is x
+    assert x.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gelu(want, out=np.empty((256, 1024)).T)
 
 
 def test_gelu_never_turns_non_finite_input_finite():

@@ -8,15 +8,14 @@ negative column means so rotation concentrates real outlier mass into the
 first row; the LLM down-projections get exactly zero column means so they
 never trigger the split.
 
-The forward runs whatever weights the model holds: the quantized pipeline
-freezes its dequantized weights into a copy of the model and attaches each
-outlier-row split plan to its block, so a block with a split runs its
-down-projection through rms_forward.  The one call-time interception point
-is act_fn, applied to every block input: calibration records there, and
-the quantized forward applies its activation grids there.  Forward passes
-also accept a pack: the rows of several samples stacked in order plus their
-lengths.  Every row-wise step runs once over the pack, and attention stays
-inside each sample.
+model_forward is the one forward driver: the float reference, calibration
+and the quantized forward all run it, on whatever weights the model holds.
+The quantized pipeline freezes its dequantized weights into a copy of the
+model and attaches each outlier-row split plan to its block, so a block
+with a split runs its down-projection through rms_forward.  The one
+call-time interception point is act_fn, applied to every block input:
+calibration records there, and the quantized forward applies its
+activation grids there.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ from .msq_aifs import (
     TEXT,
     VISUAL,
     AttentionPlan,
+    ModalityLayout,
     attention_forward,
+    build_aifs_plan,
     build_attention_plan,
     check_tags,
     pack_lengths,
@@ -310,7 +311,7 @@ def model_fingerprint(model: ToyMllm) -> str:
 # ===== forward =====
 
 
-def _identity_act(name: str, x: np.ndarray) -> np.ndarray:
+def _identity_act(name: str, x: np.ndarray, modality: np.ndarray | None) -> np.ndarray:
     return x
 
 
@@ -420,12 +421,13 @@ def block_forward(
     n_heads: int,
     plan: AttentionPlan,
     positions: np.ndarray | None,
+    modality: np.ndarray | None = None,
     act_fn: Callable = _identity_act,
 ) -> np.ndarray:
     """One pre-norm transformer block over a (tokens, d_model) input, with
-    the forward's attention plan.  act_fn maps ("<name>.input", input) to
-    the input the block runs on."""
-    x = act_fn(f"{name}.input", x)
+    the forward's attention plan.  act_fn maps ("<name>.input", input,
+    modality) to the input the block runs on."""
+    x = act_fn(f"{name}.input", x, modality)
 
     h = norm_forward(block.attn_norm, x)
     attn = attention_forward(
@@ -471,7 +473,7 @@ def vision_encode(
     plan = build_attention_plan([rows.shape[0]] if lengths is None else lengths)
     x = matmul(rows, model.vision_embed.w) + model.vision_embed.b
     for i, blk in enumerate(model.vision_blocks):
-        x = block_forward(f"vision.{i}", blk, x, cfg.n_heads, plan, None, act_fn)
+        x = block_forward(f"vision.{i}", blk, x, cfg.n_heads, plan, None, act_fn=act_fn)
     x = norm_forward(model.vision_post_norm, x)
     x = matmul(x, model.projector.w) + model.projector.b
     return x
@@ -484,17 +486,15 @@ def embed_tokens(
     act_fn: Callable = _identity_act,
     lengths: list[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Per-token embedding: visual rows via the vision path, text rows via
-    the text projection, reassembled in original order.
+    """Per-token embedding: the visual rows of every sample of the pack
+    via one vision pass, text rows via the text projection, reassembled in
+    original order.
 
-    sample may be a pack with per-sample row counts lengths (None: one
-    sequence); the visual rows of all samples go through one vision pass.
-
-    Every forward and calibration enters here, and this is where their
-    inputs are checked, once: sample 2-D, d_model wide and finite, modality
-    one tag per row (check_tags), lengths fitting the rows (pack_lengths).
-    Errors name the field and the first bad row.  Returns the embedded
-    rows with the checked int64 tags and lengths list.
+    model_forward enters here, and this is where its inputs are checked,
+    once: sample 2-D, d_model wide and finite, modality one tag per row
+    (check_tags), lengths fitting the rows (pack_lengths).  Errors name the
+    field and the first bad row.  Returns the embedded rows with the
+    checked int64 tags and lengths list.
     """
     sample = check_finite(as_tensor(sample), "sample")
     if sample.shape[1] != model.config.d_model:
@@ -523,18 +523,38 @@ def llm_stack(
     x: np.ndarray,
     plan: AttentionPlan,
     positions: np.ndarray,
+    modality: np.ndarray,
     act_fn: Callable = _identity_act,
 ) -> np.ndarray:
     """LLM blocks, final norm, head over an already-embedded sequence or
-    pack, with its attention plan and rotary positions.  The output check
-    is the forward's only one: a NaN or inf made inside the forward, such
-    as by an overflowing score product, reaches the rows that depend on it."""
+    pack, with its attention plan, rotary positions and modality tags.  The
+    output check is the forward's only one: a NaN or inf made inside the
+    forward, such as by an overflowing score product, reaches the rows that
+    depend on it."""
     cfg = model.config
     for i, blk in enumerate(model.llm_blocks):
-        x = block_forward(f"llm.{i}", blk, x, cfg.n_heads, plan, positions, act_fn)
+        x = block_forward(f"llm.{i}", blk, x, cfg.n_heads, plan, positions, modality, act_fn)
     x = norm_forward(model.llm_final_norm, x)
     x = matmul(x, model.head.w) + model.head.b
     return check_finite(x, "model output")
+
+
+def run_order(
+    modality: np.ndarray, lengths: list[int], aifs: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, positions) of the order the LLM stack runs a pack in: each
+    sample within its own rows, visual-first (build_aifs_plan) under AIFS,
+    else in natural order.  perm[i] is the pack row of the token in slot i,
+    positions[i] its position within its sample (rotary phase and causal
+    order alike)."""
+    starts = np.cumsum([0] + lengths[:-1])
+    positions = np.concatenate(
+        [
+            build_aifs_plan(ModalityLayout(modality[s : s + n])) if aifs else np.arange(n)
+            for s, n in zip(starts.tolist(), lengths)
+        ]
+    )
+    return np.repeat(starts, lengths) + positions, positions
 
 
 def model_forward(
@@ -543,19 +563,28 @@ def model_forward(
     modality: np.ndarray,
     act_fn: Callable = _identity_act,
     lengths: list[int] | None = None,
+    aifs: bool = False,
 ) -> np.ndarray:
-    """Full causal reference pass in natural token order.
+    """Embed sample, then run the LLM stack in run_order (visual-first
+    within each sample under aifs); output rows come back in the original
+    order.
 
-    sample may be a pack: the rows of several samples stacked in order, with
-    their row counts in lengths.  lengths=None is one sequence, a pack of
-    one.  Norms, linears and the MLP run once over the pack; each sample's
-    positions from 0 give its causal attention and rotary phases, so its
-    output rows match its lone forward up to the rounding of a taller GEMM.
+    sample may be a pack: the rows of several samples stacked in order,
+    with their row counts in lengths (None: one sequence).  Row-wise steps
+    run once over the pack; each sample attends only to itself, from
+    position 0, so its rows match its lone forward up to the rounding of a
+    taller GEMM.  act_fn(name, x, modality) sees every block input, with
+    the tags of x's rows in run order (None in the vision blocks).
     """
     with lanes.held():
-        x, _, lengths = embed_tokens(model, sample, modality, act_fn, lengths)
-        positions = np.concatenate([np.arange(n) for n in lengths])
-        return llm_stack(model, x, build_attention_plan(lengths, positions), positions, act_fn)
+        x, modality, lengths = embed_tokens(model, sample, modality, act_fn, lengths)
+        perm, positions = run_order(modality, lengths, aifs)
+        plan = build_attention_plan(lengths, positions)
+        if not aifs:  # perm is the identity
+            return llm_stack(model, x, plan, positions, modality, act_fn)
+        out = np.empty_like(x)
+        out[perm] = llm_stack(model, x[perm], plan, positions, modality[perm], act_fn)
+        return out
 
 
 # ===== file round trip =====

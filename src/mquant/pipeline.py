@@ -9,7 +9,9 @@ outlier-row split plans for every down-projection.  Each stage checks its
 real preconditions, so running them out of order fails loudly instead of
 silently producing a model quantized in the wrong coordinates.  The
 quantized model then freezes its dequantized weights and split plans into
-the transformed model, which its forward runs.
+the transformed model.  Calibration and the quantized forward both run
+model.model_forward, in the AIFS order of the config: calibration records
+each block input there, and the quantized forward fake-quantizes it.
 
 Weight grids are plain round-to-nearest absmax; no error-compensating
 sequential solver is used, and every report says so.
@@ -27,9 +29,7 @@ from .model import (
     ToyMllm,
     ToyMllmConfig,
     check_field_types,
-    embed_tokens,
     iter_linears,
-    llm_stack,
     model_fingerprint,
     model_forward,
     model_from_dict,
@@ -38,12 +38,9 @@ from .model import (
 from .msq_aifs import (
     TEXT,
     VISUAL,
-    AttentionPlan,
     ModalityLayout,
     MsqParams,
     ScaleOpCounter,
-    build_aifs_plan,
-    build_attention_plan,
     calibrate_msq,
     layout_from_string,
     quantize_dynamic_per_token,
@@ -304,14 +301,18 @@ def _packs(samples: list, d_model: int):
     pack: list = []
     size = 0
     for i, (rows, layout) in enumerate(samples):
-        rows = check_finite(as_tensor(rows), f"sample {i}")
+        try:
+            rows = as_tensor(rows)
+            if rows.shape[1] != d_model:
+                raise ValueError(f"sample width {rows.shape[1]} != model d_model {d_model}")
+        except ValueError as exc:
+            raise ValueError(f"sample {i}: {exc}") from None
+        check_finite(rows, f"sample {i}")
         if rows.shape[0] != len(layout):
             raise ValueError(
                 f"sample {i} has {rows.shape[0]} rows but its layout tags "
                 f"{len(layout)} tokens"
             )
-        if rows.shape[1] != d_model:
-            raise ValueError(f"sample width {rows.shape[1]} != model d_model {d_model}")
         if pack and size + rows.shape[0] > PACK_ROWS:
             yield _stack(pack)
             pack, size = [], 0
@@ -329,27 +330,6 @@ def _stack(pack: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
     )
 
 
-def _pack_order(
-    modality: np.ndarray, lengths: list[int], aifs: bool
-) -> tuple[np.ndarray, np.ndarray, AttentionPlan]:
-    """The order the LLM stack runs a pack in: each sample within its own
-    rows, visual-first (build_aifs_plan) under AIFS, else in natural order.
-
-    Returns (perm, positions, plan): perm[i] is the pack row of the token in
-    slot i, positions[i] its position within its sample (rotary phase and
-    causal order alike), and plan the pack's attention plan.
-    """
-    starts = np.cumsum([0] + lengths[:-1])
-    positions = np.concatenate(
-        [
-            build_aifs_plan(ModalityLayout(modality[s : s + n])) if aifs else np.arange(n)
-            for s, n in zip(starts.tolist(), lengths)
-        ]
-    )
-    perm = np.repeat(starts, lengths) + positions
-    return perm, positions, build_attention_plan(lengths, positions)
-
-
 def calibrate_rotated(
     work: ToyMllm, fingerprint: str, samples: list, pcfg: PipelineConfig
 ) -> CalibrationResult:
@@ -359,41 +339,33 @@ def calibrate_rotated(
     coordinates, and its vision path still float and untouched, which is
     the calibration contract for the LLM grids.  fingerprint names the
     float model work was derived from.  The samples run as packs of up to
-    PACK_ROWS rows, one float forward each.  The grids are min/max over
-    every recorded row, so they do not depend on how the rows are packed.
+    PACK_ROWS rows, one float forward each, in the order the quantized
+    forward runs them.  The grids are min/max over every recorded row, so
+    they do not depend on how the rows are packed.
     """
     if len(samples) == 0:
         raise ValueError("calibration needs at least one sample")
     llm_inputs: list[list] = [[] for _ in work.llm_blocks]
     vision_inputs: list[list] = [[] for _ in work.vision_blocks]
 
-    def recorder(name: str, x: np.ndarray) -> np.ndarray:
-        part, idx = name.split(".")[0], int(name.split(".")[1])
-        if part == "llm":
-            llm_inputs[idx].append(x)
-        elif part == "vision":
+    def recorder(name: str, x: np.ndarray, modality: np.ndarray | None) -> np.ndarray:
+        idx = int(name.split(".")[1])
+        if modality is None:
             vision_inputs[idx].append(x)
+        else:
+            llm_inputs[idx].append((x, ModalityLayout(modality)))
         return x
 
-    run_layouts = []
     for rows, modality, lengths in _packs(samples, work.config.d_model):
-        with lanes.held():
-            x, _, _ = embed_tokens(work, rows, modality, recorder, lengths)
-            perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
-            run_layouts.append(ModalityLayout(modality[perm]))
-            llm_stack(work, x[perm], plan, positions, recorder)
+        model_forward(work, rows, modality, recorder, lengths, pcfg.aifs)
 
     msq = [
-        calibrate_msq(
-            zip(llm_inputs[i], run_layouts),
-            pcfg.bits_a,
-            symmetric=pcfg.symmetric_activations,
-        )
-        for i in range(len(work.llm_blocks))
+        calibrate_msq(pairs, pcfg.bits_a, symmetric=pcfg.symmetric_activations)
+        for pairs in llm_inputs
     ]
     vision_act = [
-        calibrate_static(vision_inputs[i], pcfg.bits_a, symmetric=pcfg.symmetric_activations)
-        for i in range(len(work.vision_blocks))
+        calibrate_static(inputs, pcfg.bits_a, symmetric=pcfg.symmetric_activations)
+        for inputs in vision_inputs
     ]
     return CalibrationResult(
         fingerprint=fingerprint,
@@ -559,6 +531,8 @@ def stage_build_rms_plans(state: QuantizeState) -> None:
             w_original=state.snapshots[name],
             bits=state.pcfg.bits_w,
             split_bits=state.pcfg.split_bits,
+            granularity=Granularity(state.pcfg.weight_granularity),
+            group_size=state.pcfg.group_size,
         )
     state.mark("build_rms_plans")
 
@@ -607,38 +581,27 @@ class QuantizedModel:
         dynamic: bool = False,
         lengths: list[int] | None = None,
     ) -> np.ndarray:
-        """Simulated quantized pass, output rows in the original order.
-
-        sample may be a pack: the rows of several samples stacked in order,
-        with their row counts in lengths (None: one sequence, a pack of
-        one).  Each sample runs in its own _pack_order order within its rows
-        and attends only to itself; every row-wise step runs once over the
-        pack, so the static path applies its 2 scale ops per block once for
-        the whole pack.  dynamic swaps the static modality-split grids for
-        per-token grids computed on the fly.
+        """model_forward of the frozen model, in the AIFS order of the
+        config, with every block input fake-quantized on its grid: vision
+        inputs on their static grids, LLM inputs on their block's two
+        modality grids, or with dynamic on per-token grids computed on the
+        fly.  On a pack the static path applies its 2 scale ops per block
+        once for the whole pack.
         """
         self.counter.reset()
         pcfg = self.pcfg
 
-        def act_fn(name: str, x: np.ndarray) -> np.ndarray:
-            # name is "<part>.<i>.input" of a vision or llm block
-            part, idx = name.split(".")[0], int(name.split(".")[1])
-            if part == "vision":
+        def act_fn(name: str, x: np.ndarray, modality: np.ndarray | None) -> np.ndarray:
+            idx = int(name.split(".")[1])
+            if modality is None:  # a vision block
                 return fake_quant(x, self.calib.vision_act[idx])
             if dynamic:
                 return quantize_dynamic_per_token(
                     x, pcfg.bits_a, pcfg.symmetric_activations, self.counter
                 )
-            return quantize_msq(x, visual_rows, self.msq[idx], self.counter)
+            return quantize_msq(x, modality == VISUAL, self.msq[idx], self.counter)
 
-        with lanes.held():
-            x, modality, lengths = embed_tokens(self.model, sample, modality, act_fn, lengths)
-            perm, positions, plan = _pack_order(modality, lengths, pcfg.aifs)
-            # read by act_fn, which reaches the LLM blocks only after this
-            visual_rows = modality[perm] == VISUAL
-            out = np.empty_like(x)
-            out[perm] = llm_stack(self.model, x[perm], plan, positions, act_fn)
-        return out
+        return model_forward(self.model, sample, modality, act_fn, lengths, aifs=pcfg.aifs)
 
 
 def _freeze(state: QuantizeState) -> None:

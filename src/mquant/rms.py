@@ -6,7 +6,7 @@ weight BEFORE rotation: a column j triggers when sqrt(n) * mean(w[:, j])
 exceeds the signed column maximum, meaning the rotated row-0 entry would
 become the new extreme of that column.  Triggered layers route row 0 of the
 rotated weight through a separate vector product with its own scale so the
-main kernel's per-channel scales are not stretched by it.
+main kernel's scales are not stretched by it.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ def build_split_plan(
     bits: int,
     split_bits: int | None = None,
     tol: float = 1e-8,
+    granularity: Granularity = Granularity.PER_CHANNEL,
+    group_size: int | None = None,
 ) -> RmsSplitPlan:
     """Detect on the pre-rotation weight and split row 0 of the rotated one.
 
@@ -75,10 +77,11 @@ def build_split_plan(
         w_rotated: H @ w_original, shape (n, m); verified against a fresh
             transform of w_original within tol.
         w_original: the same weight before rotation.
-        bits: grid width for the main kernel (per output channel).
+        bits: grid width for the main kernel.
         split_bits: grid width for the split row; defaults to bits.  A wider
             grid here is the higher-precision split option.
         tol: max deviation allowed in the rotation consistency check.
+        granularity, group_size: the main kernel's grid, as for every linear.
 
     Returns:
         RmsSplitPlan with frozen quantization params and fake-quantized
@@ -111,10 +114,9 @@ def build_split_plan(
             split_row[None, :], split_bits, Granularity.PER_TENSOR, symmetric=True
         )
         split_q = fake_quant(split_row[None, :], split_params)[0]
-    # Weight grids are per output channel; channels are columns of the
-    # (in, out) layout, hence the transpose.
+    # Output channels are columns of the (in, out) layout, hence the transpose.
     main_params = compute_params_absmax(
-        main.T, bits, Granularity.PER_CHANNEL, symmetric=True
+        main.T, bits, granularity, symmetric=True, group_size=group_size
     )
     main_q = np.ascontiguousarray(fake_quant(main.T, main_params).T)
     return RmsSplitPlan(

@@ -85,6 +85,24 @@ def test_a_non_finite_sample_row_is_named_by_sample_in_a_batch(qm, bad):
         calibrate_pipeline(build_toy_mllm(SMALL), samples, PipelineConfig(model=SMALL))
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.zeros((12, 32)), "sample 2: sample width 32 != model d_model 16"),
+        (np.zeros(12), "sample 2: expected a 2-D tensor, got ndim=1"),
+    ],
+    ids=["wide", "1-D"],
+)
+def test_a_malformed_sample_is_named_by_its_index_in_a_batch(bad, match, qm):
+    samples = list(SAMPLES)
+    samples[2] = (bad, samples[2][1])
+    for dynamic in (False, True):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            evaluate(qm, samples, dynamic=dynamic)
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        calibrate_pipeline(build_toy_mllm(SMALL), samples, PipelineConfig(model=SMALL))
+
+
 @pytest.mark.parametrize("tag", [2, -1, 0.7])
 def test_a_tag_other_than_0_or_1_is_named_by_row(qm, tmp_path, tag):
     """A tag of 0.7 was truncated to 0, and 2 or -1 embedded the row as

@@ -1,8 +1,9 @@
 """Every module-level import in the package and its tests is used by its
 module, every definition is named by production code, only the mask
 primitives take a mask, only the boundaries check their inputs, the
-forward's one interception point is act_fn, and every function the
-benchmark tracer looks up by name exists."""
+forward's one interception point is act_fn, model_forward is the one
+forward driver, and every function the benchmark tracer looks up by name
+exists."""
 
 import ast
 import importlib
@@ -218,6 +219,21 @@ def test_act_fn_is_the_forwards_one_callable_parameter():
         assert all(arg.annotation is not None for arg in args), name
         callables = [arg.arg for arg in args if "Callable" in ast.unparse(arg.annotation)]
         assert callables == ["act_fn"], name
+
+
+def test_model_forward_is_the_one_forward_driver():
+    """The float reference, calibration and the quantized forward all run
+    model_forward: it is the only production caller of the forward's
+    entry, its run order and its LLM stack, so no second driver can
+    repeat them."""
+    for callee in ("embed_tokens", "run_order", "llm_stack"):
+        callers = {
+            name
+            for module, tree in module_trees(SRC).items()
+            for name, node in functions(tree, module)
+            if callee in called_names(node)
+        }
+        assert callers == {"model.model_forward"}, callee
 
 
 def test_benchmark_trace_targets_resolve():

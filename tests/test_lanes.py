@@ -214,7 +214,7 @@ def test_forwards_run_with_blas_held_and_restore_it(qm, monkeypatch, blas_two, l
     monkeypatch.setattr(lanes, "fork", counted)
     inside = []
 
-    def act_fn(name, x):
+    def act_fn(name, x, modality):
         inside.append(get())
         return x
 

@@ -202,7 +202,7 @@ def test_hooks_see_every_block_input():
     x, modality = sample_input(rng)
     seen = []
 
-    def act_fn(name, t):
+    def act_fn(name, t, modality):
         seen.append(name)
         return t
 

@@ -13,6 +13,7 @@ from mquant.model import (
     model_forward,
     model_from_dict,
     model_to_dict,
+    run_order,
 )
 from mquant.msq_aifs import (
     ATTENTION_TILE_ROWS,
@@ -40,7 +41,6 @@ from mquant.numerics import (
     matmul,
     softmax_rows,
 )
-from mquant.pipeline import _pack_order
 from mquant.quantizer import fake_quant
 
 
@@ -218,7 +218,8 @@ def test_unified_mask_matches_conjugation_on_long_sequences():
 def test_llm_order_multi_span_mask_is_conjugation():
     layout = layout_from_string("vtvt")
     want = conjugation_oracle(build_aifs_plan(layout), 4)
-    _, _, plan = _pack_order(layout.modality, [4], aifs=True)
+    _, positions = run_order(layout.modality, [4], aifs=True)
+    plan = build_attention_plan([4], positions)
     assert np.array_equal(plan_mask(plan), want)
 
 
@@ -238,7 +239,8 @@ def test_llm_order_without_aifs_is_standard_causal():
     rng = np.random.default_rng(12)
     for length in (1, 2, 63, 64, 65, 300):
         layout = random_layout(rng, length)
-        perm, positions, plan = _pack_order(layout.modality, [length], aifs=False)
+        perm, positions = run_order(layout.modality, [length], aifs=False)
+        plan = build_attention_plan([length], positions)
         np.testing.assert_array_equal(perm, np.arange(length))
         np.testing.assert_array_equal(positions, np.arange(length))
         assert plan_mask(plan).tobytes() == standard_causal_mask(length).tobytes()

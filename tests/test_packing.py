@@ -118,7 +118,7 @@ def calibrate_per_sample(float_model, samples, pcfg):
     llm_inputs = [[] for _ in work.llm_blocks]
     vision_inputs = [[] for _ in work.vision_blocks]
 
-    def recorder(name, x):
+    def recorder(name, x, modality):
         part, idx = name.split(".")[0], int(name.split(".")[1])
         (llm_inputs if part == "llm" else vision_inputs)[idx].append(x)
         return x
@@ -128,7 +128,10 @@ def calibrate_per_sample(float_model, samples, pcfg):
         x, _, _ = embed_tokens(work, rows, layout.modality, recorder)
         perm = build_aifs_plan(layout) if pcfg.aifs else np.arange(len(layout))
         run_layouts.append(ModalityLayout(layout.modality[perm]))
-        llm_stack(work, x[perm], build_attention_plan([len(layout)], perm), perm, recorder)
+        llm_stack(
+            work, x[perm], build_attention_plan([len(layout)], perm), perm,
+            layout.modality[perm], recorder,
+        )
     return CalibrationResult(
         fingerprint="",
         msq=[
@@ -350,6 +353,69 @@ def test_sample_rows_must_match_their_layout(qms):
         evaluate(qms[True], [a, (b[0][:, :8], b[1])])
 
 
+# ===== one forward driver =====
+
+
+@pytest.mark.parametrize("aifs", [True, False])
+def test_act_fn_sees_each_block_inputs_tags_in_run_order(float_model, aifs):
+    """act_fn gets None in the vision blocks and, in the LLM blocks, the
+    tags of x's rows in the order they run: each sample visual-first
+    under AIFS, the pack's own order without it."""
+    samples = [
+        generate_synthetic_samples(1, len(spec), spec, seed=i, d_model=D)[0]
+        for i, spec in enumerate(["tvvtv", "ttvvvtt", "ttt", "vvt"])
+    ]
+    rows, modality, lengths = stack(samples)
+    seen = {}
+
+    def act_fn(name, x, tags):
+        assert tags is None or tags.shape == (x.shape[0],), name
+        seen[name] = tags
+        return x
+
+    model_forward(float_model, rows, modality, act_fn, lengths, aifs)
+    # visual-first within each sample: its tags sorted 1s first
+    want = (
+        np.concatenate([np.sort(layout.modality)[::-1] for _, layout in samples])
+        if aifs
+        else modality
+    )
+    assert sorted(seen) == ["llm.0.input", "llm.1.input", "vision.0.input"]
+    assert seen["vision.0.input"] is None
+    for name in ("llm.0.input", "llm.1.input"):
+        assert np.array_equal(seen[name], want), name
+
+
+@pytest.mark.parametrize("aifs", [True, False])
+def test_calibration_records_the_quantized_forwards_run_order(float_model, qms, aifs, monkeypatch):
+    """The layout calibration records with each LLM block input is the
+    row order the quantized forward's static grids see at that block."""
+    samples = [make_sample(np.random.default_rng(i), n, "mixed") for i, n in enumerate((9, 14, 5))]
+    rows, modality, lengths = stack(samples)
+    recorded, applied = [], []
+    calibrate_msq_, quantize_msq_ = pipeline.calibrate_msq, pipeline.quantize_msq
+
+    def recording(pairs, *args, **kwargs):
+        pairs = list(pairs)
+        recorded.append(np.concatenate([layout.modality for _, layout in pairs]))
+        return calibrate_msq_(pairs, *args, **kwargs)
+
+    def applying(x, visual_rows, *args):
+        applied.append(visual_rows)
+        return quantize_msq_(x, visual_rows, *args)
+
+    monkeypatch.setattr(pipeline, "calibrate_msq", recording)
+    monkeypatch.setattr(pipeline, "quantize_msq", applying)
+    pcfg = small_pcfg(aifs=aifs)
+    pipeline.calibrate_pipeline(float_model, samples, pcfg)
+    qms[aifs].forward(rows, modality, lengths=lengths)
+    assert len(recorded) == len(applied) == pcfg.model.llm_blocks
+    for tags, visual_rows in zip(recorded, applied):
+        assert np.array_equal(tags == VISUAL, visual_rows)
+    # the samples are mixed, so visual-first is not the pack's own order
+    assert np.array_equal(applied[0], modality == VISUAL) != aifs
+
+
 # ===== the benchmark's tracer over packed calls =====
 
 
@@ -407,7 +473,7 @@ def test_each_forward_part_builds_one_attention_plan(monkeypatch):
         builds.append(sum(lengths))
         return real_build(lengths, positions)
 
-    for module in (msq_aifs, model_module, pipeline):
+    for module in (msq_aifs, model_module):
         monkeypatch.setattr(module, "build_attention_plan", counted_build)
     for run in (
         lambda: qm.forward(rows, modality, lengths=lengths),

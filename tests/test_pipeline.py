@@ -37,7 +37,7 @@ from mquant.pipeline import (
     stage_set_calibration,
     stage_vision_rewrite,
 )
-from mquant.quantizer import dequantize, fake_quant
+from mquant.quantizer import Granularity, dequantize, fake_quant
 
 
 def small_pcfg(**overrides):
@@ -359,6 +359,24 @@ def test_rms_off_builds_no_plans(setup):
     assert "llm.0.w_down" in qm.weight_q and "vision.0.w_down" in qm.weight_q
 
 
+def test_split_plans_take_the_configured_weight_grid(setup):
+    """A down-projection's main kernel is quantized like every other
+    linear: per group of group_size inputs when the config says per_group,
+    for the LLM plans that never split as for the vision plans that do."""
+    _, model, samples = setup
+    qm = mquant_quantize(
+        model, small_pcfg(weight_granularity="per_group", group_size=8), samples=samples
+    )
+    assert set(qm.plans) == {"vision.0.w_down", "llm.0.w_down", "llm.1.w_down"}
+    for name, plan in qm.plans.items():
+        assert plan.main_params.granularity is Granularity.PER_GROUP, name
+        assert plan.main_params.group_size == 8, name
+        assert plan.main_params.scales.shape == (16, 32 // 8), name
+    for name, qt in qm.weight_q.items():
+        assert qt.params.granularity is Granularity.PER_GROUP, name
+        assert qt.params.group_size == 8, name
+
+
 def test_aifs_off_matches_aifs_on(setup):
     pcfg, model, samples = setup
     r_on = evaluate(mquant_quantize(model, pcfg, samples=samples), samples)
@@ -449,7 +467,7 @@ def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
     modality = np.concatenate([layout.modality for _, layout in samples])
     lengths = [len(layout) for _, layout in samples]
 
-    def act_fn(name, x):
+    def act_fn(name, x, tags):
         part, idx = name.split(".")[0], int(name.split(".")[1])
         if part == "vision":
             return fake_quant(x, qm.calib.vision_act[idx])

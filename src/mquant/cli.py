@@ -166,7 +166,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}")
     print(f"stages: {' -> '.join(qm.stage_log)}")
     print(
-        f"weights: {len(qm.weight_q)} grids at {pcfg.bits_w}b "
+        f"weights: {len(qm.weight_grids)} grids at {pcfg.bits_w}b "
         f"({pcfg.weight_granularity}), activations at {pcfg.bits_a}b"
     )
     print(f"split plans: {len(qm.plans)} built, {triggered} triggered")
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ never trigger the split.
 
 model_forward is the one forward driver: the float reference, calibration
 and the quantized forward all run it, on whatever weights the model holds.
-The quantized pipeline freezes its dequantized weights into a copy of the
+The quantized pipeline freezes each weight on its grid in a copy of the
 model and attaches each outlier-row split plan to its block, so a block
 with a split runs its down-projection through rms_forward.  The one
 call-time interception point is act_fn, applied to every block input:

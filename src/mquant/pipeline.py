@@ -1,17 +1,19 @@
 """Staged quantization pipeline over the toy multimodal model.
 
 The driver runs seven stages in a fixed order: rotate the LLM part,
-freeze its weight grids, calibrate activations (modality-split grids for
-LLM block inputs, plain static grids for vision block inputs, always
-through the still-float vision path), rewrite the vision encoder's norms,
-rotate the vision part, freeze its weight grids, then build the
-outlier-row split plans for every down-projection.  Each stage checks its
+calibrate activations (modality-split grids for LLM block inputs, plain
+static grids for vision block inputs, always through float weights and the
+still-float vision path), freeze the LLM weights, rewrite the vision
+encoder's norms, rotate the vision part, freeze its weights, then build the
+outlier-row split plan of every down-projection.  Each stage checks its
 real preconditions, so running them out of order fails loudly instead of
-silently producing a model quantized in the wrong coordinates.  The
-quantized model then freezes its dequantized weights and split plans into
-the transformed model.  Calibration and the quantized forward both run
-model.model_forward, in the AIFS order of the config: calibration records
-each block input there, and the quantized forward fake-quantizes it.
+silently producing a model quantized in the wrong coordinates.  The stage
+that picks a weight's grid freezes the weight on it in place, and each
+split plan goes onto its block as it is built, so the transformed model is
+the model the quantized forward runs.  Calibration and the quantized
+forward both run model.model_forward, in the AIFS order of the config:
+calibration records each block input there, and the quantized forward
+fake-quantizes it.
 
 Weight grids are plain round-to-nearest absmax; no error-compensating
 sequential solver is used, and every report says so.
@@ -53,11 +55,9 @@ from .quantizer import (
     Granularity,
     calibrate_static,
     compute_params_absmax,
-    dequantize,
     fake_quant,
     params_from_dict,
     params_to_dict,
-    quantize,
 )
 from .rms import build_split_plan, compliance_ratio
 from .rotation import rotate_model_offline
@@ -358,7 +358,11 @@ def calibrate_rotated(
 
     for rows, modality, lengths in _packs(samples, work.config.d_model):
         model_forward(work, rows, modality, recorder, lengths, pcfg.aifs)
-
+    if not vision_inputs[0]:
+        raise ValueError(
+            "calibration stream is empty for vision_act: "
+            "no calibration sample holds a visual token"
+        )
     msq = [
         calibrate_msq(pairs, pcfg.bits_a, symmetric=pcfg.symmetric_activations)
         for pairs in llm_inputs
@@ -387,9 +391,8 @@ class QuantizeState:
     float_model: ToyMllm
     model: ToyMllm
     snapshots: dict = field(default_factory=dict)
-    weight_q: dict = field(default_factory=dict)
+    weight_grids: dict = field(default_factory=dict)
     calib: CalibrationResult | None = None
-    plans: dict = field(default_factory=dict)
     done: list = field(default_factory=list)
 
     def require(self, *stages: str) -> None:
@@ -420,34 +423,29 @@ def stage_rotate_llm(state: QuantizeState) -> None:
 
 
 def _quantize_weights(state: QuantizeState, parts: tuple) -> None:
-    """Freeze the symmetric weight grid of every linear of the given parts,
-    per output channel (or per group of them)."""
+    """Freeze every linear of the given parts on its symmetric weight grid,
+    per output channel (or per group of them): its weight becomes the
+    fake-quantized one, and its grid goes into weight_grids."""
     pcfg = state.pcfg
     for name, lin in iter_linears(state.model):
         if name.split(".")[0] not in parts:
             continue
         if name.endswith(".w_down") and pcfg.rms:
-            continue  # covered by its split plan
+            continue  # frozen by its split plan
         w_t = np.ascontiguousarray(lin.w.T)
         params = compute_params_absmax(
             w_t, pcfg.bits_w, Granularity(pcfg.weight_granularity), group_size=pcfg.group_size
         )
-        state.weight_q[name] = quantize(w_t, params)
-
-
-def stage_quantize_llm_weights(state: QuantizeState) -> None:
-    state.require("rotate_llm")
-    _quantize_weights(state, ("llm", "text_embed", "head"))
-    state.mark("quantize_llm_weights")
+        lin.w = np.ascontiguousarray(fake_quant(w_t, params).T)
+        state.weight_grids[name] = params
 
 
 def stage_calibrate(state: QuantizeState, samples: list) -> None:
     state.require("rotate_llm")
-    state.forbid(
-        "vision_rewrite",
-        "activation calibration must see the float vision path, "
-        "but the vision rewrite already ran",
-    )
+    for stage, what in ("quantize_llm_weights", "LLM weights"), ("vision_rewrite", "vision path"):
+        state.forbid(
+            stage, f"activation calibration must see the float {what}, but {stage} already ran"
+        )
     state.calib = calibrate_rotated(
         state.model, model_fingerprint(state.float_model), samples, state.pcfg
     )
@@ -500,6 +498,12 @@ def stage_set_calibration(state: QuantizeState, calib: CalibrationResult) -> Non
     state.mark("calibrate")
 
 
+def stage_quantize_llm_weights(state: QuantizeState) -> None:
+    state.require("rotate_llm")
+    _quantize_weights(state, ("llm", "text_embed", "head"))
+    state.mark("quantize_llm_weights")
+
+
 def stage_vision_rewrite(state: QuantizeState) -> None:
     state.model = preln_to_rmsnorm(state.model)
     state.mark("vision_rewrite")
@@ -522,18 +526,20 @@ def stage_build_rms_plans(state: QuantizeState) -> None:
     state.require("rotate_llm", "rotate_vision")
     if not state.pcfg.rms:
         raise ValueError("split plans are disabled (rms off)")
-    for name, lin in iter_linears(state.model):
-        if not name.endswith(".w_down"):
-            continue
-        state.plans[name] = build_split_plan(
-            name,
-            w_rotated=lin.w,
-            w_original=state.snapshots[name],
-            bits=state.pcfg.bits_w,
-            split_bits=state.pcfg.split_bits,
-            granularity=Granularity(state.pcfg.weight_granularity),
-            group_size=state.pcfg.group_size,
-        )
+    for part in ("vision", "llm"):
+        for i, blk in enumerate(getattr(state.model, f"{part}_blocks")):
+            name = f"{part}.{i}.w_down"
+            blk.split = build_split_plan(
+                name,
+                w_rotated=blk.w_down.w,
+                w_original=state.snapshots[name],
+                bits=state.pcfg.bits_w,
+                split_bits=state.pcfg.split_bits,
+                granularity=Granularity(state.pcfg.weight_granularity),
+                group_size=state.pcfg.group_size,
+            )
+            blk.w_down.w = blk.split.main_q
+            state.weight_grids[name] = blk.split.main_params
     state.mark("build_rms_plans")
 
 
@@ -554,18 +560,18 @@ def apply_lossless_stack(float_model: ToyMllm, pcfg: PipelineConfig) -> ToyMllm:
 class QuantizedModel:
     """The quantized model and every frozen grid, ready to simulate.
 
-    model is the transformed model with its weights frozen: each linear of
-    weight_q holds its dequantized weight, and each block with a split plan
-    carries it (see _freeze).  weight_q and plans stay for the reports.
-    calib is the calibration the model was built from.  msq starts as its
-    LLM block grids and is what forward reads.
+    model is the transformed model with its weights frozen: each linear
+    holds its weight fake-quantized on its grid in weight_grids (one per
+    linear, by name), and each block with a split plan carries it, its
+    w_down.w the plan's main_q.  calib is the calibration the model was
+    built from.  msq starts as its LLM block grids and is what forward
+    reads.
     """
 
     pcfg: PipelineConfig
     float_model: ToyMllm
     model: ToyMllm
-    weight_q: dict
-    plans: dict
+    weight_grids: dict
     calib: CalibrationResult
     stage_log: list
     counter: ScaleOpCounter = field(default_factory=ScaleOpCounter)
@@ -573,6 +579,12 @@ class QuantizedModel:
 
     def __post_init__(self):
         self.msq = self.calib.msq
+
+    @property
+    def plans(self) -> dict:
+        """The split plans by layer name, read off the blocks that hold them."""
+        blocks = self.model.vision_blocks + self.model.llm_blocks
+        return {blk.split.layer_id: blk.split for blk in blocks if blk.split is not None}
 
     def forward(
         self,
@@ -604,22 +616,6 @@ class QuantizedModel:
         return model_forward(self.model, sample, modality, act_fn, lengths, aifs=pcfg.aifs)
 
 
-def _freeze(state: QuantizeState) -> None:
-    """Make state.model the model the quantized forward runs: each linear
-    of weight_q takes its dequantized weight, and each block takes its
-    split plan (None for a block without one).  A block with a plan runs
-    its down-projection through it, so its w_down.w becomes the plan's
-    main_q, the same array, and the float rotated weight is dropped."""
-    linears = dict(iter_linears(state.model))
-    for name, qt in state.weight_q.items():
-        linears[name].w = np.ascontiguousarray(dequantize(qt).T)
-    for part in ("vision", "llm"):
-        for i, blk in enumerate(getattr(state.model, f"{part}_blocks")):
-            blk.split = state.plans.get(f"{part}.{i}.w_down")
-            if blk.split is not None:
-                blk.w_down.w = blk.split.main_q
-
-
 def mquant_quantize(
     float_model: ToyMllm,
     pcfg: PipelineConfig,
@@ -637,23 +633,21 @@ def mquant_quantize(
     pcfg = replace(pcfg, model=float_model.config)
     state = new_state(float_model, pcfg)
     stage_rotate_llm(state)
-    stage_quantize_llm_weights(state)
     if samples is not None:
         stage_calibrate(state, samples)
     else:
         stage_set_calibration(state, calib)
+    stage_quantize_llm_weights(state)
     stage_vision_rewrite(state)
     stage_rotate_vision(state)
     stage_quantize_vision_weights(state)
     if pcfg.rms:
         stage_build_rms_plans(state)
-    _freeze(state)
     return QuantizedModel(
         pcfg=pcfg,
         float_model=state.float_model,
         model=state.model,
-        weight_q=state.weight_q,
-        plans=state.plans,
+        weight_grids=state.weight_grids,
         calib=state.calib,
         stage_log=list(state.done),
     )
@@ -726,7 +720,7 @@ def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
         "stages": list(qm.stage_log),
         "activation_mode": "dynamic_per_token" if dynamic else "static_msq",
         "per_layer": {
-            name: params_to_dict(qt.params) for name, qt in sorted(qm.weight_q.items())
+            name: params_to_dict(p) for name, p in sorted(qm.weight_grids.items())
         },
         "activations": {
             "msq": _msq_to_dicts(qm.msq),

@@ -190,6 +190,56 @@ def test_cli_flag_overrides(workdir):
     assert qmodel_from_dict(q).plans == {}
 
 
+def test_quantize_reports_one_grid_per_linear(tmp_path, capsys):
+    """The default model has 28 linears, the four split down-projections
+    included, and quantize counts a grid for each."""
+    model, samples = str(tmp_path / "m.json"), str(tmp_path / "s.mqs")
+    run("gen-model", "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "8")
+    capsys.readouterr()
+    assert run("quantize", "--model", model, "--samples", samples,
+               "--out", str(tmp_path / "q.json")) == 0
+    out = capsys.readouterr().out
+    assert "weights: 28 grids at 8b" in out
+    assert "split plans: 4 built" in out
+
+
+@pytest.mark.parametrize("command", ["quantize", "gen-samples"])
+def test_a_directory_in_place_of_a_file_exits_2(workdir, capsys, command):
+    """An OS error on a path the user gave, here a directory where a file
+    belongs, is an error line and exit 2, not a traceback."""
+    tmp, cfg = workdir
+    model, samples = str(tmp / "m.json"), str(tmp / "s.mqs")
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6", "--d-model", "16")
+    capsys.readouterr()
+    argv = {
+        "quantize": ("quantize", "--config", cfg, "--model", str(tmp), "--samples", samples,
+                     "--out", str(tmp / "q.json")),
+        "gen-samples": ("gen-samples", "--out", str(tmp)),
+    }[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_calibration_without_visual_tokens_names_vision_act(workdir, capsys):
+    """A text-only batch leaves the vision blocks' streams empty: the
+    error names the vision_act grids and the cause, and writes nothing."""
+    tmp, cfg = workdir
+    model, samples, out = str(tmp / "m.json"), str(tmp / "t.mqs"), tmp / "c.json"
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "8",
+        "--d-model", "16", "--layout", "tttttttt")
+    capsys.readouterr()
+    assert run("calibrate", "--config", cfg, "--model", model, "--samples", samples,
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "calibration stream is empty for vision_act" in err
+    assert "no calibration sample holds a visual token" in err
+    assert not out.exists()
+
+
 def test_gen_model_deterministic(workdir, capsys):
     tmp, cfg = workdir
     run("gen-model", "--config", cfg, "--out", str(tmp / "m1.json"))

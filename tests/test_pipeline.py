@@ -37,7 +37,7 @@ from mquant.pipeline import (
     stage_set_calibration,
     stage_vision_rewrite,
 )
-from mquant.quantizer import Granularity, dequantize, fake_quant
+from mquant.quantizer import Granularity, fake_quant, params_to_dict
 
 
 def small_pcfg(**overrides):
@@ -171,6 +171,17 @@ def test_quantize_before_rotation_fails(setup):
     state = new_state(model, pcfg)
     with pytest.raises(ValueError, match="stage order violation"):
         stage_quantize_llm_weights(state)
+
+
+def test_calibrate_after_llm_weight_freeze_fails(setup):
+    """Calibration must see the float LLM weights, so it refuses to run
+    once they are frozen on their grids."""
+    pcfg, model, samples = setup
+    state = new_state(model, pcfg)
+    stage_rotate_llm(state)
+    stage_quantize_llm_weights(state)
+    with pytest.raises(ValueError, match="stage order violation: .*float LLM weights"):
+        stage_calibrate(state, samples)
 
 
 def test_calibrate_after_vision_rewrite_fails(setup):
@@ -311,7 +322,7 @@ def test_stage_log_order(setup):
     pcfg, model, samples = setup
     qm = mquant_quantize(model, pcfg, samples=samples)
     assert qm.stage_log == [
-        "rotate_llm", "quantize_llm_weights", "calibrate", "vision_rewrite",
+        "rotate_llm", "calibrate", "quantize_llm_weights", "vision_rewrite",
         "rotate_vision", "quantize_vision_weights", "build_rms_plans",
     ]
 
@@ -356,7 +367,7 @@ def test_rms_off_builds_no_plans(setup):
     assert qm.plans == {}
     assert "build_rms_plans" not in qm.stage_log
     # down-projections are then quantized like every other weight
-    assert "llm.0.w_down" in qm.weight_q and "vision.0.w_down" in qm.weight_q
+    assert "llm.0.w_down" in qm.weight_grids and "vision.0.w_down" in qm.weight_grids
 
 
 def test_split_plans_take_the_configured_weight_grid(setup):
@@ -372,9 +383,9 @@ def test_split_plans_take_the_configured_weight_grid(setup):
         assert plan.main_params.granularity is Granularity.PER_GROUP, name
         assert plan.main_params.group_size == 8, name
         assert plan.main_params.scales.shape == (16, 32 // 8), name
-    for name, qt in qm.weight_q.items():
-        assert qt.params.granularity is Granularity.PER_GROUP, name
-        assert qt.params.group_size == 8, name
+    for name, params in qm.weight_grids.items():
+        assert params.granularity is Granularity.PER_GROUP, name
+        assert params.group_size == 8, name
 
 
 def test_aifs_off_matches_aifs_on(setup):
@@ -394,7 +405,7 @@ def test_per_group_granularity_runs(setup):
     qm = mquant_quantize(model, pcfg, samples=samples)
     report = evaluate(qm, samples)
     assert report["metrics"]["cosine_mean"] > 0.9
-    some = qm.weight_q["llm.0.wq"].params
+    some = qm.weight_grids["llm.0.wq"]
     assert some.granularity.value == "per_group" and some.group_size == 8
 
 
@@ -443,17 +454,14 @@ def test_natural_order_passthrough_is_the_float_forward(setup, monkeypatch):
 
 @pytest.mark.parametrize("rms", [True, False])
 def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
-    """qm.model is the model the quantized forward runs: each weight_q
-    linear holds its dequantized weight, each split plan sits on its own
-    block and on no other, and in natural order qm.forward is model_forward
-    of qm.model with the static grids as act_fn, bit for bit."""
+    """qm.model is the model the quantized forward runs.  Each linear holds
+    the same linear of the float transform stack fake-quantized on its
+    weight_grids entry; a split down-projection first has row 0 zeroed when
+    its plan triggers, and holds its plan's main_q.  Each split plan sits on
+    its own block and on no other, and in natural order qm.forward is
+    model_forward of qm.model with the static grids as act_fn, bit for bit."""
     pcfg, model, samples = setup
     qm = mquant_quantize(model, small_pcfg(aifs=False, rms=rms), samples=samples)
-    linears = dict(iter_linears(qm.model))
-    for name, qt in qm.weight_q.items():
-        want = dequantize(qt).T
-        assert linears[name].w.shape == want.shape
-        assert linears[name].w.tobytes() == want.tobytes(), name
     blocks = {
         f"{part}.{i}.w_down": blk
         for part in ("vision", "llm")
@@ -462,6 +470,17 @@ def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
     assert set(qm.plans) == (set(blocks) if rms else set())
     for name, blk in blocks.items():
         assert blk.split is qm.plans.get(name), name
+    lossless = dict(iter_linears(apply_lossless_stack(qm.float_model, qm.pcfg)))
+    for name, lin in iter_linears(qm.model):
+        w = lossless[name].w.copy()
+        plan = qm.plans.get(name)
+        if plan is not None:
+            assert lin.w is plan.main_q, name
+            if plan.triggered:
+                w[0] = 0.0
+        want = fake_quant(w.T, qm.weight_grids[name]).T
+        assert lin.w.shape == want.shape
+        assert lin.w.tobytes() == np.ascontiguousarray(want).tobytes(), name
 
     rows = np.vstack([r for r, _ in samples])
     modality = np.concatenate([layout.modality for _, layout in samples])
@@ -475,6 +494,25 @@ def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
 
     want = model_forward(qm.model, rows, modality, act_fn, lengths)
     assert qm.forward(rows, modality, lengths=lengths).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rms", [True, False])
+def test_every_linear_has_one_weight_grid_in_the_report(rms):
+    """weight_grids and the report's per_layer name every linear of the
+    default model, 28 of 28; a split down-projection's grid is its plan's
+    main kernel grid."""
+    samples = generate_synthetic_samples(8, 16, seed=123)
+    pcfg = PipelineConfig(model=ToyMllmConfig(), rms=rms)
+    qm = mquant_quantize(build_toy_mllm(pcfg.model), pcfg, samples=samples)
+    names = sorted(name for name, _ in iter_linears(qm.model))
+    assert len(names) == 28
+    assert sorted(qm.weight_grids) == names
+    per_layer = evaluate(qm, samples[:1])["per_layer"]
+    assert sorted(per_layer) == names
+    assert len(qm.plans) == (4 if rms else 0)
+    for name, plan in qm.plans.items():
+        assert qm.weight_grids[name] is plan.main_params, name
+        assert per_layer[name] == params_to_dict(plan.main_params), name
 
 
 def test_model_file_refuses_a_model_holding_split_plans():

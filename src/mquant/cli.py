@@ -52,7 +52,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split-bits", type=int, dest="split_bits")
     p.add_argument("--no-rms", action="store_true", help="disable outlier-row splits")
     p.add_argument(
-        "--no-aifs", action="store_true", help="keep sequences in original order"
+        "--no-aifs", action="store_true", help="run LLM rows in original order (same outputs)"
     )
     p.add_argument(
         "--seed", type=int, help="model build seed; must match the model's when one is loaded"

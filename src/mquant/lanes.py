@@ -25,9 +25,10 @@ forward's entry: taken only at its first fork, after its first GEMMs ran
 on two threads, it left an L=1024 forward about a tenth of the lanes'
 gain (prefill_long -2 % against -19 %).
 
-The lane count comes from the CPUs this process may run on.  The worker
-pool, and its concurrent.futures import (which loads logging), wait for the
-first fork, so importing mquant starts no thread.
+The lane count comes from the CPUs this process may run on, or from the
+machine's CPU count where the OS does not say.  The worker pool, and its
+concurrent.futures import (which loads logging), wait for the first fork,
+so importing mquant starts no thread.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ import threading
 
 import numpy as np
 
-# The calling thread, plus one worker when a second CPU is there.
-LANES = 2 if len(os.sched_getaffinity(0)) > 1 else 1
+# The calling thread, plus one worker when a second CPU is there; without
+# sched_getaffinity (macOS, Windows), by the CPU count, which may be None.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+LANES = 2 if (_CPUS or 1) > 1 else 1
 
 # The work from which each kernel forks: score entries (heads x summed
 # group areas) for attention, elements for gelu and the FHT, pack rows for

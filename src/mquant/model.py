@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -539,24 +539,6 @@ def llm_stack(
     return check_finite(x, "model output")
 
 
-def run_order(
-    modality: np.ndarray, lengths: list[int], aifs: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, positions) of the order the LLM stack runs a pack in: each
-    sample within its own rows, visual-first (build_aifs_plan) under AIFS,
-    else in natural order.  perm[i] is the pack row of the token in slot i,
-    positions[i] its position within its sample (rotary phase and causal
-    order alike)."""
-    starts = np.cumsum([0] + lengths[:-1])
-    positions = np.concatenate(
-        [
-            build_aifs_plan(ModalityLayout(modality[s : s + n])) if aifs else np.arange(n)
-            for s, n in zip(starts.tolist(), lengths)
-        ]
-    )
-    return np.repeat(starts, lengths) + positions, positions
-
-
 def model_forward(
     model: ToyMllm,
     sample: np.ndarray,
@@ -565,25 +547,32 @@ def model_forward(
     lengths: list[int] | None = None,
     aifs: bool = False,
 ) -> np.ndarray:
-    """Embed sample, then run the LLM stack in run_order (visual-first
-    within each sample under aifs); output rows come back in the original
-    order.
+    """Embed sample, then run the LLM stack; output rows come back in the
+    original order.
 
     sample may be a pack: the rows of several samples stacked in order,
     with their row counts in lengths (None: one sequence).  Row-wise steps
     run once over the pack; each sample attends only to itself, from
     position 0, so its rows match its lone forward up to the rounding of a
-    taller GEMM.  act_fn(name, x, modality) sees every block input, with
-    the tags of x's rows in run order (None in the vision blocks).
+    taller GEMM.  Attention runs in position order, on the plan of each
+    sample's natural positions.  aifs chooses only the order of the
+    row-wise work: visual-first across the whole pack (build_aifs_plan), so
+    the pack's visual rows form one prefix.  Attention gathers its rows
+    into position order and its output back, so the output is the same bit
+    for bit either way.  act_fn(name, x, modality) sees every block input,
+    with the tags of x's rows in the order they run (None in the vision
+    blocks).
     """
     with lanes.held():
         x, modality, lengths = embed_tokens(model, sample, modality, act_fn, lengths)
-        perm, positions = run_order(modality, lengths, aifs)
+        positions = np.concatenate([np.arange(n) for n in lengths])
         plan = build_attention_plan(lengths, positions)
-        if not aifs:  # perm is the identity
+        if not aifs:
             return llm_stack(model, x, plan, positions, modality, act_fn)
+        perm = build_aifs_plan(ModalityLayout(modality))
+        plan = replace(plan, perm=perm, inverse=np.argsort(perm))
         out = np.empty_like(x)
-        out[perm] = llm_stack(model, x[perm], plan, positions, modality[perm], act_fn)
+        out[perm] = llm_stack(model, x[perm], plan, positions[perm], modality[perm], act_fn)
         return out
 
 

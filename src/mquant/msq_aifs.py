@@ -1,21 +1,20 @@
-"""Modality-aware static quantization and visual-first sequence reordering.
+"""Modality-aware static quantization and visual-first row order.
 
 A mixed sequence interleaves visual and text token rows whose magnitudes
 differ by more than an order of magnitude, so one shared static scale wrecks
 the text side.  Calibration here keeps one scale pair: one for visual rows,
-one for text rows.  To keep those segments contiguous at runtime, sequences
-are reordered visual-first with a stable permutation, and causality of the
-ORIGINAL order is preserved by one position rule: slot i may attend to slot
-j iff perm[j] <= perm[i].  Every causal mask is built from that rule.
-Rotary phases travel with the tokens: each token keeps the angle of its
-original position.
+one for text rows.  To keep those segments contiguous at runtime, the
+row-wise work runs visual-first in a stable order, while attention gathers
+its rows back into position order, so outputs are those of the original
+order bit for bit.  Every causal mask is built from one position rule:
+slot i may attend to slot j iff perm[j] <= perm[i].
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,8 +106,7 @@ def build_aifs_plan(layout: ModalityLayout) -> np.ndarray:
     then text tokens keep theirs.
 
     Returns perm: perm[i] is the original index of the token in reordered
-    slot i, and also its rotary position.  The name is kept because the
-    benchmark traces it.
+    slot i.  The name is kept because the benchmark traces it.
     """
     tags = layout.modality
     return np.concatenate(
@@ -170,9 +168,9 @@ def permuted_mask_oracle(perm: np.ndarray, length: int) -> np.ndarray:
     perm[i] is the original position of the token in slot i, so this is the
     causal mask of the original order, carried along with the tokens.  It
     is the one causal mask builder of the forward, called by
-    build_attention_plan once per sample, for the natural order
-    (perm = arange) and for any visual-first reorder, however many visual
-    spans it has.  The name is kept because the benchmark traces it.
+    build_attention_plan once per sample on natural positions, as
+    attention runs in position order; the tests pass it reorders too.  The
+    name is kept because the benchmark traces it.
     """
     if length < 1:
         raise ValueError(f"mask length must be >= 1, got {length}")
@@ -259,11 +257,15 @@ class AttentionPlan:
     short samples.  blocked is None when the whole band is free; otherwise
     it is the boolean blocked tile, (n, w) or (G, n, w), of the band's
     columns start .. start + w, the first to the last one that holds a
-    blocked entry.  areas holds each group's score entries per head."""
+    blocked entry.  areas holds each group's score entries per head.  The
+    rows attention takes run in the order perm (slot i holds position
+    perm[i]), undone by inverse; slices when that is position order."""
 
     tokens: int
     groups: list
     areas: list
+    perm: np.ndarray | slice = field(default_factory=lambda: slice(None))
+    inverse: np.ndarray | slice = field(default_factory=lambda: slice(None))
 
 
 def _blocked_band(tile: np.ndarray) -> tuple[int, np.ndarray | None]:
@@ -355,13 +357,15 @@ def attention_forward(
 
     x may be one sequence or a pack: several samples' rows stacked in order.
     plan, built once per forward and shared by every block, never crosses
-    a sample.  positions=None skips rotary phases (the bidirectional vision
-    blocks).  q, k and v are projected, q and k rotated, q scaled by
-    1/sqrt(d_head) (exact for a d_head that is a power of 4), and all three
-    copied head-major.  Each group of the plan then runs q.k^T, exp_rows
-    and P.V for all heads and samples as stacked products over its column
-    band only: the columns outside it are blocked for every row and would
-    get exactly zero probability.  A causal mask thus skips about half the
+    a sample.  x, positions and the output run in plan.perm's order.
+    positions=None skips rotary phases (the bidirectional vision blocks).
+    q, k and v are projected, q and k rotated, q scaled by 1/sqrt(d_head)
+    (exact for a d_head that is a power of 4), and all three copied
+    head-major in position order; the heads merge back in plan.perm's
+    order.  Each group of the plan then runs q.k^T, exp_rows and P.V for
+    all heads and samples as stacked products over its column band only:
+    the columns outside it are blocked for every row and would get exactly
+    zero probability.  A causal mask thus skips about half the
     score block, and a free mask nothing.  Blocked entries inside the band
     never reach exp, and each row is divided by its sum after P.V, over
     d_head columns instead of the band.  The scores of every group go into
@@ -396,9 +400,12 @@ def attention_forward(
         q = _rotate_pairs(q, c, s)
         k = _rotate_pairs(k, c, s)
     q *= 1.0 / np.sqrt(d_head)
-    qh = q.reshape(tokens, n_heads, d_head).transpose(1, 0, 2).copy()
-    kth = k.reshape(tokens, n_heads, d_head).transpose(1, 2, 0).copy()
-    vh = v.reshape(tokens, n_heads, d_head).transpose(1, 0, 2).copy()
+    # position order by whole rows, then head-major: a gather along the
+    # strided token axis of the head-major view took several times longer
+    heads = (tokens, n_heads, d_head)
+    qh = q.reshape(heads)[plan.inverse].transpose(1, 0, 2).copy()
+    kth = k.reshape(heads)[plan.inverse].transpose(1, 2, 0).copy()
+    vh = v.reshape(heads)[plan.inverse].transpose(1, 0, 2).copy()
     out = np.empty_like(qh)
     # the products read the head-major copies only; freed before out was
     # made, q, k and v raised a packed evaluate's peak RSS by ~4 MB at times
@@ -414,7 +421,8 @@ def attention_forward(
         # one score buffer per lane, reused by each group it runs
         lambda: np.empty(n_heads * max(areas)),
     )
-    return matmul(out.transpose(1, 0, 2).reshape(tokens, d), wo) + bo
+    # the one copy that merges the heads also restores the rows' order
+    return matmul(out.transpose(1, 0, 2)[plan.perm].reshape(tokens, d), wo) + bo
 
 
 def _attend(group, qh, kth, vh, out, buf) -> None:

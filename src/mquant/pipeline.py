@@ -11,9 +11,10 @@ silently producing a model quantized in the wrong coordinates.  The stage
 that picks a weight's grid freezes the weight on it in place, and each
 split plan goes onto its block as it is built, so the transformed model is
 the model the quantized forward runs.  Calibration and the quantized
-forward both run model.model_forward, in the AIFS order of the config:
-calibration records each block input there, and the quantized forward
-fake-quantizes it.
+forward both run model.model_forward, with the row order of the config's
+aifs: calibration records each block input there, and the quantized
+forward fake-quantizes it.  That order moves rows, not values, so a
+calibration serves either order.
 
 Weight grids are plain round-to-nearest absmax; no error-compensating
 sequential solver is used, and every report says so.
@@ -225,7 +226,6 @@ class CalibrationResult:
     sample_count: int
     bits_a: int
     symmetric: bool
-    aifs: bool
 
     def __post_init__(self):
         check_field_types(self, "calibration key")
@@ -238,7 +238,6 @@ class CalibrationResult:
             "sample_count": self.sample_count,
             "bits_a": self.bits_a,
             "symmetric": self.symmetric,
-            "aifs": self.aifs,
             "msq": _msq_to_dicts(self.msq),
             "vision_act": [params_to_dict(p) for p in self.vision_act],
         }
@@ -267,7 +266,6 @@ class CalibrationResult:
                 sample_count=d["sample_count"],
                 bits_a=d["bits_a"],
                 symmetric=d["symmetric"],
-                aifs=d["aifs"],
             )
         grids = [
             (f"msq[{i}].{part}", getattr(m, part))
@@ -378,7 +376,6 @@ def calibrate_rotated(
         sample_count=len(samples),
         bits_a=pcfg.bits_a,
         symmetric=pcfg.symmetric_activations,
-        aifs=pcfg.aifs,
     )
 
 
@@ -479,10 +476,6 @@ def stage_set_calibration(state: QuantizeState, calib: CalibrationResult) -> Non
     if calib.bits_a != state.pcfg.bits_a:
         raise ValueError(
             f"calibration used bits_a={calib.bits_a}, config says {state.pcfg.bits_a}"
-        )
-    if calib.aifs != state.pcfg.aifs:
-        raise ValueError(
-            f"calibration used aifs={calib.aifs}, config says {state.pcfg.aifs}"
         )
     if calib.symmetric != state.pcfg.symmetric_activations:
         raise ValueError(
@@ -593,12 +586,14 @@ class QuantizedModel:
         dynamic: bool = False,
         lengths: list[int] | None = None,
     ) -> np.ndarray:
-        """model_forward of the frozen model, in the AIFS order of the
-        config, with every block input fake-quantized on its grid: vision
-        inputs on their static grids, LLM inputs on their block's two
-        modality grids, or with dynamic on per-token grids computed on the
-        fly.  On a pack the static path applies its 2 scale ops per block
-        once for the whole pack.
+        """model_forward of the frozen model, with every block input
+        fake-quantized on its grid: vision inputs on their static grids, LLM
+        inputs on their block's two modality grids, or with dynamic on
+        per-token grids computed on the fly.  Under the config's aifs the
+        LLM rows run visual-first, so each grid meets one contiguous
+        segment of the pack; the output does not depend on it.  On a pack
+        the static path applies its 2 scale ops per block once for the
+        whole pack.
         """
         self.counter.reset()
         pcfg = self.pcfg

@@ -624,7 +624,6 @@ def test_malformed_artifact_fails_at_the_boundary(workdir, capsys, artifact, tam
         (_set("bits_a", "8"), "calibration key 'bits_a' must be an int, got str '8'"),
         (_set("sample_count", "x"), "calibration key 'sample_count' must be an int"),
         (_set("symmetric", 1), "calibration key 'symmetric' must be a bool, got int 1"),
-        (_set("aifs", "yes"), "calibration key 'aifs' must be a bool"),
         (_set("fingerprint", 7), "calibration key 'fingerprint' must be a string"),
     ],
 )

@@ -226,7 +226,7 @@ def test_model_forward_is_the_one_forward_driver():
     model_forward: it is the only production caller of the forward's
     entry, its run order and its LLM stack, so no second driver can
     repeat them."""
-    for callee in ("embed_tokens", "run_order", "llm_stack"):
+    for callee in ("embed_tokens", "build_aifs_plan", "llm_stack"):
         callers = {
             name
             for module, tree in module_trees(SRC).items()
@@ -252,6 +252,16 @@ def test_benchmark_trace_targets_resolve():
     assert missing == []
 
 
+def fresh_interpreter(code: str) -> str:
+    """What code prints in a new interpreter that imports this tree."""
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return done.stdout.strip()
+
+
 def test_runtime_loads_no_scipy():
     """scipy is a test-only dependency: importing the package and its CLI in
     a fresh interpreter loads no scipy module."""
@@ -259,12 +269,7 @@ def test_runtime_loads_no_scipy():
         "import sys, mquant, mquant.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path}, check=True,
-    )
-    assert done.stdout.strip() == "[]"
+    assert fresh_interpreter(code) == "[]"
 
 
 def test_import_loads_no_thread_pool():
@@ -276,9 +281,16 @@ def test_import_loads_no_thread_pool():
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('concurrent', 'logging')))"
     )
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path}, check=True,
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_import_without_sched_getaffinity():
+    """macOS and Windows have no os.sched_getaffinity: the package and its
+    CLI still import, and the lane count comes from the CPU count."""
+    code = (
+        "import os\n"
+        "if hasattr(os, 'sched_getaffinity'): del os.sched_getaffinity\n"
+        "import mquant, mquant.cli\n"
+        "print(mquant.lanes.LANES)"
     )
-    assert done.stdout.strip() == "[]"
+    assert fresh_interpreter(code) in ("1", "2")

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mquant import fileio, msq_aifs
+from mquant import model as model_module
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
     model_forward,
     model_from_dict,
     model_to_dict,
-    run_order,
 )
 from mquant.msq_aifs import (
     ATTENTION_TILE_ROWS,
@@ -215,14 +215,6 @@ def test_unified_mask_matches_conjugation_on_long_sequences():
         assert np.array_equal(unified_causal_mask(m, n, length), want), (m, n)
 
 
-def test_llm_order_multi_span_mask_is_conjugation():
-    layout = layout_from_string("vtvt")
-    want = conjugation_oracle(build_aifs_plan(layout), 4)
-    _, positions = run_order(layout.modality, [4], aifs=True)
-    plan = build_attention_plan([4], positions)
-    assert np.array_equal(plan_mask(plan), want)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     length=st.one_of(st.sampled_from([1, 2, 63, 64, 65, 300]), st.integers(1, 300)),
@@ -235,13 +227,31 @@ def test_position_rule_equals_conjugation(length, seed):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_llm_order_without_aifs_is_standard_causal():
+def forward_llm_plans(monkeypatch, modality, aifs, d_model=16):
+    """The attention plans model_forward hands the LLM blocks of a small
+    model for one sequence of these tags, with their rotary positions."""
+    cfg = ToyMllmConfig(d_model=d_model, n_heads=2, vision_blocks=1, llm_blocks=1, mlp_ratio=2)
+    seen = []
+    real = model_module.attention_forward
+
+    def recording(*args, plan, positions=None, **kwargs):
+        if positions is not None:
+            seen.append((plan, positions))
+        return real(*args, plan=plan, positions=positions, **kwargs)
+
+    monkeypatch.setattr(model_module, "attention_forward", recording)
+    rows = np.random.default_rng(0).uniform(-1.0, 1.0, size=(len(modality), d_model))
+    model_forward(build_toy_mllm(cfg), rows, modality, aifs=aifs)
+    monkeypatch.undo()
+    return seen
+
+
+def test_llm_order_without_aifs_is_standard_causal(monkeypatch):
     rng = np.random.default_rng(12)
     for length in (1, 2, 63, 64, 65, 300):
         layout = random_layout(rng, length)
-        perm, positions = run_order(layout.modality, [length], aifs=False)
-        plan = build_attention_plan([length], positions)
-        np.testing.assert_array_equal(perm, np.arange(length))
+        ((plan, positions),) = forward_llm_plans(monkeypatch, layout.modality, aifs=False)
+        assert plan.perm == slice(None) and plan.inverse == slice(None)
         np.testing.assert_array_equal(positions, np.arange(length))
         assert plan_mask(plan).tobytes() == standard_causal_mask(length).tobytes()
 
@@ -609,6 +619,22 @@ def test_causal_attention_skips_the_blocked_tiles(monkeypatch):
     got = score_entries_per_head(
         monkeypatch, length, build_attention_plan([length], np.arange(length))
     )
+    assert got == length * (length + 64) / 2
+
+
+def test_aifs_forward_scores_what_natural_order_does(monkeypatch):
+    """Text, then 768 visual tokens, L=1024: under AIFS the LLM blocks run
+    visual-first but get the natural causal plan, so they score the same
+    entries per head as natural order, not the wider bands of a plan built
+    from the reordered positions."""
+    length = 1024
+    modality = np.array([TEXT] * 256 + [VISUAL] * 768)
+    ((plan, positions),) = forward_llm_plans(monkeypatch, modality, aifs=True)
+    ((natural, _),) = forward_llm_plans(monkeypatch, modality, aifs=False)
+    np.testing.assert_array_equal(plan.perm, np.r_[256:length, 0:256])
+    np.testing.assert_array_equal(positions, plan.perm)
+    got = score_entries_per_head(monkeypatch, length, plan)
+    assert got == score_entries_per_head(monkeypatch, length, natural)
     assert got == length * (length + 64) / 2
 
 

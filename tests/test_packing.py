@@ -145,7 +145,6 @@ def calibrate_per_sample(float_model, samples, pcfg):
         sample_count=len(samples),
         bits_a=pcfg.bits_a,
         symmetric=pcfg.symmetric_activations,
-        aifs=pcfg.aifs,
     )
 
 
@@ -359,8 +358,8 @@ def test_sample_rows_must_match_their_layout(qms):
 @pytest.mark.parametrize("aifs", [True, False])
 def test_act_fn_sees_each_block_inputs_tags_in_run_order(float_model, aifs):
     """act_fn gets None in the vision blocks and, in the LLM blocks, the
-    tags of x's rows in the order they run: each sample visual-first
-    under AIFS, the pack's own order without it."""
+    tags of x's rows in the order they run: the pack's visual rows as one
+    prefix under AIFS, the pack's own order without it."""
     samples = [
         generate_synthetic_samples(1, len(spec), spec, seed=i, d_model=D)[0]
         for i, spec in enumerate(["tvvtv", "ttvvvtt", "ttt", "vvt"])
@@ -374,12 +373,8 @@ def test_act_fn_sees_each_block_inputs_tags_in_run_order(float_model, aifs):
         return x
 
     model_forward(float_model, rows, modality, act_fn, lengths, aifs)
-    # visual-first within each sample: its tags sorted 1s first
-    want = (
-        np.concatenate([np.sort(layout.modality)[::-1] for _, layout in samples])
-        if aifs
-        else modality
-    )
+    # visual-first across the pack: its tags sorted 1s first
+    want = np.sort(modality)[::-1] if aifs else modality
     assert sorted(seen) == ["llm.0.input", "llm.1.input", "vision.0.input"]
     assert seen["vision.0.input"] is None
     for name in ("llm.0.input", "llm.1.input"):

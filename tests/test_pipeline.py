@@ -15,7 +15,7 @@ from mquant.model import (
     model_forward,
     model_to_dict,
 )
-from mquant.msq_aifs import VISUAL, layout_from_string, quantize_msq
+from mquant.msq_aifs import TEXT, VISUAL, layout_from_string, quantize_msq
 from mquant.pipeline import (
     CalibrationResult,
     PipelineConfig,
@@ -237,7 +237,6 @@ def test_set_calibration_checks_settings(setup):
     calib = calibrate_pipeline(model, samples, pcfg)
     for override, field in (
         ({"bits_a": 4}, "bits_a"),
-        ({"aifs": False}, "aifs"),
         ({"symmetric_activations": False}, "symmetric"),
     ):
         state = new_state(model, small_pcfg(**override))
@@ -265,11 +264,11 @@ IDENTITY = st.fixed_dictionaries({
 })
 
 # What a rejection says for each identity field; the model seed shows up
-# as a fingerprint mismatch.
+# as a fingerprint mismatch.  aifs is no identity field: it moves rows, not
+# values, so a calibration made in either order serves both.
 REJECTION_NAMES = {
     "seed": "calibration was made for model",
     "bits_a": "bits_a=",
-    "aifs": "aifs=",
     "symmetric_activations": "symmetric=",
 }
 
@@ -297,7 +296,7 @@ def test_calibration_is_accepted_iff_its_identity_matches(
     calib = calibrations(made_with)
     pcfg = small_pcfg(llm_blocks=1, **used_with)
     model = build_toy_mllm(pcfg.model)
-    differing = [k for k in made_with if made_with[k] != used_with[k]]
+    differing = [k for k in REJECTION_NAMES if made_with[k] != used_with[k]]
     if not differing:
         assert mquant_quantize(model, pcfg, calib=calib).calib is calib
         return
@@ -397,6 +396,63 @@ def test_aifs_off_matches_aifs_on(setup):
     assert abs(
         r_on["metrics"]["cosine_mean"] - r_off["metrics"]["cosine_mean"]
     ) < 1e-6
+
+
+@pytest.mark.parametrize("bits_w", [8, 4])
+def test_aifs_forward_is_bitwise_the_natural_order_forward(bits_w):
+    """AIFS reorders the row-wise work, and attention gathers its rows
+    back into position order, so AIFS outputs equal natural order's bit
+    for bit, static and dynamic: one L=1024 sequence of 256 text then 768
+    visual tokens, one mixed pack, and evaluate's per-sample reports."""
+    model = build_toy_mllm(ToyMllmConfig())
+    desk = generate_synthetic_samples(8, 16, seed=123)
+    qms = [
+        mquant_quantize(model, PipelineConfig(bits_w=bits_w, aifs=aifs), samples=desk)
+        for aifs in (True, False)
+    ]
+    rng = np.random.default_rng(5)
+    tags = np.repeat([TEXT, VISUAL], [256, 768])
+    rows = rng.uniform(-0.5, 0.5, size=(1024, 64))
+    rows[256:] = rng.uniform(-20.0, 10.0, size=(768, 64))
+    mixed = [
+        generate_synthetic_samples(1, n, seed=40 + i)[0]
+        for i, n in enumerate((16, 32, 64, 300, 17, 5))
+    ]
+    pack = (
+        np.vstack([r for r, _ in mixed]),
+        np.concatenate([layout.modality for _, layout in mixed]),
+    )
+    lengths = [len(layout) for _, layout in mixed]
+    for dynamic in (False, True):
+        on, off = (qm.forward(rows, tags, dynamic=dynamic) for qm in qms)
+        assert np.array_equal(on, off)
+        on, off = (qm.forward(*pack, dynamic=dynamic, lengths=lengths) for qm in qms)
+        assert np.array_equal(on, off)
+        on, off = (evaluate(qm, mixed, dynamic=dynamic)["metrics"]["per_sample"] for qm in qms)
+        assert on == off
+
+
+def test_a_calibration_serves_either_row_order(setup):
+    """A calibration made under AIFS is the one made in natural order, and
+    each is accepted by a config with the other setting."""
+    _, model, samples = setup
+    calibs = {
+        aifs: calibrate_pipeline(model, samples, small_pcfg(aifs=aifs)) for aifs in (True, False)
+    }
+    assert calibs[True].to_dict() == calibs[False].to_dict()
+    for made, used in ((True, False), (False, True)):
+        qm = mquant_quantize(model, small_pcfg(aifs=used), calib=calibs[made])
+        assert qm.calib is calibs[made]
+
+
+def test_a_calibration_file_that_still_holds_aifs_loads(setup):
+    """Calibration files once recorded the AIFS setting; such a file still
+    loads, to the same grids."""
+    pcfg, model, samples = setup
+    calib = calibrate_pipeline(model, samples, pcfg)
+    old = CalibrationResult.from_dict(calib.to_dict() | {"aifs": pcfg.aifs})
+    assert old.to_dict() == calib.to_dict()
+    mquant_quantize(model, pcfg, calib=old)
 
 
 def test_per_group_granularity_runs(setup):

@@ -10,7 +10,9 @@ Tensor container layout, little-endian throughout:
 
 A sample batch file is a u64 sample count followed by one record per
 sample: a tensor container, then exactly `rows` modality bytes, 0 for a
-text token row and 1 for a visual token row.
+text token row and 1 for a visual token row.  A sample holds at least one
+row and one column: an empty one is refused on save and on load, by its
+index.
 """
 
 from __future__ import annotations
@@ -88,11 +90,19 @@ def keys_required(what: str):
         raise ValueError(f"{what} has no {exc.args[0]!r} entry") from None
 
 
+def _non_empty(tensor: np.ndarray, what: str) -> np.ndarray:
+    if tensor.size == 0:
+        raise ValueError(
+            f"{what} has shape {tensor.shape}; a sample needs at least one row and one column"
+        )
+    return tensor
+
+
 def save_samples(path, samples) -> None:
     """Write a batch of (tensor, modality) samples in the batch layout."""
     chunks = [struct.pack("<Q", len(samples))]
     for i, (tensor, modality) in enumerate(samples):
-        tensor = as_tensor(tensor)
+        tensor = _non_empty(as_tensor(tensor), f"sample {i}")
         mod = check_tags(modality, tensor.shape[0], f"sample {i} modality")
         chunks.append(tensor_to_bytes(tensor) + bytes(mod.tolist()))
     Path(path).write_bytes(b"".join(chunks))
@@ -113,6 +123,7 @@ def load_samples(path) -> list[tuple[np.ndarray, np.ndarray]]:
             tensor, used = tensor_from_bytes(view[offset:])
         except ValueError as exc:
             raise ValueError(f"{path}: sample {i}: {exc}") from None
+        _non_empty(tensor, f"{path}: sample {i}")
         offset += used
         tail = raw[offset : offset + tensor.shape[0]]
         if len(tail) != tensor.shape[0]:

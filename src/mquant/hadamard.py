@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import lanes
 from .numerics import as_tensor, frobenius_norm, matmul
 
 
@@ -42,9 +41,8 @@ def fht(x: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarr
     must be a power of two.  Each stage runs its butterflies as one
     vectorized add and subtract; the adds are the ones of the per-block
     loop, so the result equals it bit for bit.  The vectors run in blocks
-    of about FHT_CHUNK elements, on two lanes from lanes.FLOORS["fht"]
-    elements.  Each block is copied before it is transformed, so out may
-    be x itself.
+    of about FHT_CHUNK elements.  Each block is copied before it is
+    transformed, so out may be x itself.
     """
     x = np.asarray(x, dtype=np.float64)
     if out is None:
@@ -66,11 +64,9 @@ def fht(x: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarr
     res = out.reshape(x.shape)
     oc = res if axis == 0 else res.T
 
-    def run(_, i: int) -> None:
-        part = slice(i * step, (i + 1) * step)
+    for start in range(0, vectors, step):
+        part = slice(start, start + step)
         oc[:, part] = _fht_columns(xc[:, part].copy())
-
-    lanes.share("fht", xc.size, -(-vectors // step), run)
     return out
 
 

@@ -1,18 +1,28 @@
 """Two compute lanes for the forward: the calling thread and one pooled worker.
 
-Most of a long forward is elementwise numpy work on one core: attention's
-stacked products and exp_rows, gelu and the online FHT.  Each of them is
-independent row by row, so from a size floor up it runs as a list of items
-(attention groups, gelu chunks, FHT blocks) that both lanes claim one at a
-time, each item writing its own part of one output.  Every element is
-computed by the same operations as on one lane, so the outputs are
-bit-identical; no GEMM is split by rows, as the row count of a product can
-change BLAS's rounding.
+Most of a long forward is numpy work on one core whose rows are
+independent.  Three things fork:
 
-evaluate's packs are too short for any kernel floor, so there the two
-jobs are whole forwards (pair): a pack's float reference runs on the
-calling thread while its quantized forward runs on the worker, and every
-kernel inside them runs inline on its lane, as the worker is taken.
+- attention groups: from a size floor of score entries, a block's
+  stacked products and exp_rows run as a list of groups that both lanes
+  claim one at a time (share), each group writing its own part of one
+  output;
+- block row halves: from a floor of rows, while the worker is free, a
+  block's row-wise work runs as two share items, one per row half (halves):
+  the attention prologue (attention norm, q/k/v projections, rotary,
+  scale, head-major copies), then, after the groups, the epilogue (head merge and wo) with
+  the residual, mlp_norm, w_up, GELU, FHT and w_down;
+- evaluate's pair: its packs hold short samples, so there the two jobs
+  are whole forwards (pair), the float reference on the calling thread
+  and the quantized forward on the worker; every block inside them runs
+  whole, and every share inline on its lane, as the worker is taken.
+
+Every element is computed by the same operations as on one lane, so the
+outputs are bit-identical.  Rows split only at multiples of 64, and never
+into a half of fewer than 64 rows (numpy runs a one-row product as gemv,
+with its own rounding): a half's GEMMs then give the bits of the whole
+block's, which the tests check at lengths on each side of every split
+point.
 
 With two lanes, a forward runs with numpy's OpenBLAS held to one thread,
 from its entry to its end, and so does a fork made outside a forward.
@@ -49,21 +59,26 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 LANES = 2 if (_CPUS or 1) > 1 else 1
 
 # The work from which each kernel forks: score entries (heads x summed
-# group areas) for attention, elements for gelu and the FHT, pack rows for
-# evaluate's two forwards.  Each kernel floor sits above the size where
-# its two lanes first win when timed alone (about 2^16 elements for gelu
-# and the FHT, 2^18 score entries for attention): whichever lane finishes
-# first waits for the item the other holds, and on a shared VM that lane
-# can lose its CPU for milliseconds, which below the floors cost evaluate's
-# ≈600-row packs more than the second lane saved.  evaluate's floor is
-# in pack rows.  On packs of 16/32/64-row samples a forked evaluate took
+# group areas) for attention, rows for a block's row halves, pack rows for
+# evaluate's two forwards.  Below a floor the fork's wake-ups and the two
+# lanes' queueing for the interpreter lock cost more than the second lane
+# saves.  Timed alone, forked against inline (2 vCPUs, medians of 200-300
+# interleaved calls, in several runs as the host's load moved them):
+# attention over 2^17 score entries took 1.01x, 2^18 (a 256-row vision
+# block) 0.88x and 2^19 0.75x; a block as two row halves took 1.02-1.29x at
+# 192 rows, 0.84-0.97x at 256 rows for a vision block (0.87-1.23x for a
+# causal LLM one) and 0.74-0.80x at 512.  evaluate's floor is in pack
+# rows.  On packs of 16/32/64-row samples a forked evaluate took
 # 1.48x its serial time at 48 rows, 1.07x at 112, 0.97x at 128, 0.86x at
 # 160 (1.12x in a second run), 0.80x at 224 and 0.77x at 576 (2 vCPUs,
 # medians of 40-80 calls): short forwards are mostly Python between
 # numpy calls, and the two lanes queue for the interpreter lock.  192
 # keeps the 128-row desk pack serial, where the second forward's
 # working set would cost more memory than its time saves.
-FLOORS = {"attention": 1 << 19, "gelu": 1 << 18, "fht": 1 << 18, "evaluate": 192}
+FLOORS = {"attention": 1 << 18, "block": 256, "evaluate": 192}
+
+# Row halves split at a multiple of this many rows.
+ROW_ALIGN = 64
 
 # The worker takes one job at a time; a fork that finds it busy (a second
 # caller's, or one made inside a job) runs both of its jobs itself.
@@ -112,10 +127,9 @@ def share(kernel: str, size: int, n: int, run, scratch=tuple) -> None:
     lane 1 on the worker, and each claims the next i when it comes free,
     so a lane whose CPU is taken elsewhere, or which drew the larger
     items, leaves more to the other.  Each lane makes its scratch()
-    itself: scratch made on the calling thread and written on the worker
-    left gelu no faster on two lanes than on one.
+    itself, in its own thread's memory.
     """
-    if LANES < 2 or size < FLOORS[kernel]:
+    if LANES < 2 or n < 2 or size < FLOORS[kernel]:
         s = scratch()
         for i in range(n):
             run(s, i)
@@ -140,6 +154,27 @@ def share(kernel: str, size: int, n: int, run, scratch=tuple) -> None:
         fork(lane, lane)
 
 
+def halves(rows: int) -> list[slice]:
+    """The row ranges a block's row-wise work runs in, as share items.
+
+    From FLOORS["block"] rows, with two lanes and while the worker is
+    free, two halves split at the multiple of ROW_ALIGN nearest rows / 2,
+    each of at least ROW_ALIGN rows; otherwise all rows at once.  Inside
+    evaluate's pair the worker is taken, so its forwards run whole blocks.
+    """
+    if LANES < 2 or rows < max(FLOORS["block"], 2 * ROW_ALIGN) or not _worker_free():
+        return [slice(0, rows)]
+    cut = ROW_ALIGN * ((rows + ROW_ALIGN) // (2 * ROW_ALIGN))
+    return [slice(0, cut), slice(cut, rows)]
+
+
+def _worker_free() -> bool:
+    if not _free.acquire(blocking=False):
+        return False
+    _free.release()
+    return True
+
+
 def pair(kernel: str, size: int, a, b):
     """(a(), b()): from the kernel's floor of work (size), a fork with BLAS
     held, a on the calling thread and b on the worker if it is free;
@@ -157,6 +192,11 @@ def pair(kernel: str, size: int, a, b):
 
 
 # ===== BLAS hold =====
+
+
+def blas_hold_found() -> bool:
+    """Whether held() found the thread-count symbol of numpy's OpenBLAS."""
+    return _openblas_threads() is not None
 
 
 @functools.cache

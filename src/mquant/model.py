@@ -40,6 +40,7 @@ from .msq_aifs import (
     build_attention_plan,
     check_tags,
     pack_lengths,
+    rope_tables,
 )
 from .numerics import (
     NormParams,
@@ -358,8 +359,7 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     g is exactly 1/2.  The table takes the erf formula's own rounded
     argument x / sqrt(2), so both approximate the same erf value.  Each
     element gathers its interval's coefficients and evaluates them by
-    Horner's rule, GELU_CHUNK elements at a time (on two lanes from
-    lanes.FLOORS["gelu"] elements).  Against
+    Horner's rule, GELU_CHUNK elements at a time.  Against
     0.5 * x * (1 + erf(x / sqrt(2))) the error is at most 4e-15 * |x|
     (measured below 5e-16 * |x|; the tests hold the bound), and
     gelu(0) = 0 exactly.  NaN propagates, gelu(inf) = inf and gelu(-inf) is
@@ -373,16 +373,11 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     flat = x.ravel()
     flat_out = out.reshape(-1)
     m = min(flat.size, GELU_CHUNK)
-
-    def scratch():
-        # t, p, c and the interval index k of one chunk
-        return np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=np.intp)
-
-    def run(bufs, i: int) -> None:
-        part = slice(i * GELU_CHUNK, (i + 1) * GELU_CHUNK)
+    # t, p, c and the interval index k of one chunk
+    bufs = np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=np.intp)
+    for start in range(0, flat.size, GELU_CHUNK):
+        part = slice(start, start + GELU_CHUNK)
         _gelu_chunk(flat[part], flat_out[part], *bufs)
-
-    lanes.share("gelu", flat.size, -(-flat.size // GELU_CHUNK), run, scratch)
     return out
 
 
@@ -421,17 +416,41 @@ def block_forward(
     n_heads: int,
     plan: AttentionPlan,
     positions: np.ndarray | None,
+    rope: tuple | None = None,
     modality: np.ndarray | None = None,
     act_fn: Callable = _identity_act,
 ) -> np.ndarray:
     """One pre-norm transformer block over a (tokens, d_model) input, with
-    the forward's attention plan.  act_fn maps ("<name>.input", input,
-    modality) to the input the block runs on."""
-    x = act_fn(f"{name}.input", x, modality)
+    the forward's attention plan and, in the LLM blocks, its rotary
+    positions and their rope_tables.  act_fn maps ("<name>.input", input,
+    modality) to the input the block runs on, whole.
 
-    h = norm_forward(block.attn_norm, x)
-    attn = attention_forward(
-        h,
+    Everything else but attention's group products is row-wise, and runs
+    per range of lanes.halves: two row halves on the two lanes from its
+    floor, else all rows at once.  On each range's lane, attention's
+    prologue takes the attention norm of its rows, and its epilogue hands
+    them to mlp: the residual, mlp_norm, w_up, GELU, the online FHT and
+    w_down (or the split plan), then the second residual."""
+    x = act_fn(f"{name}.input", x, modality)
+    y = np.empty_like(x)
+
+    def mlp(rows: slice, attn: np.ndarray) -> None:
+        xr = x[rows] + attn
+        h = norm_forward(block.mlp_norm, xr)
+        # one d_ff buffer: the bias add, GELU and the online FHT write into it
+        u = matmul(h, block.w_up.w)
+        u += block.w_up.b
+        gelu(u, out=u)
+        if block.online_fht:
+            fht(u, axis=1, out=u)
+        if block.split is not None:
+            down = rms_forward(u, block.split)
+        else:
+            down = matmul(u, block.w_down.w)
+        y[rows] = xr + down + block.w_down.b
+
+    attention_forward(
+        x,
         block.wq.w, block.wq.b,
         block.wk.w, block.wk.b,
         block.wv.w, block.wv.b,
@@ -439,22 +458,12 @@ def block_forward(
         n_heads=n_heads,
         plan=plan,
         positions=positions if block.rope else None,
+        rope=rope if block.rope else None,
+        rows=lanes.halves(x.shape[0]),
+        pre=lambda xr: norm_forward(block.attn_norm, xr),
+        post=mlp,
     )
-    x = x + attn
-
-    h = norm_forward(block.mlp_norm, x)
-    # one d_ff buffer: the bias add, GELU and the online FHT write into it
-    u = matmul(h, block.w_up.w)
-    u += block.w_up.b
-    gelu(u, out=u)
-    if block.online_fht:
-        fht(u, axis=1, out=u)
-    if block.split is not None:
-        mlp = rms_forward(u, block.split)
-    else:
-        mlp = matmul(u, block.w_down.w)
-    x = x + mlp + block.w_down.b
-    return x
+    return y
 
 
 def vision_encode(
@@ -532,8 +541,11 @@ def llm_stack(
     forward, such as by an overflowing score product, reaches the rows that
     depend on it."""
     cfg = model.config
+    rope = rope_tables(cfg.d_model // cfg.n_heads, cfg.n_heads, positions)
     for i, blk in enumerate(model.llm_blocks):
-        x = block_forward(f"llm.{i}", blk, x, cfg.n_heads, plan, positions, modality, act_fn)
+        x = block_forward(
+            f"llm.{i}", blk, x, cfg.n_heads, plan, positions, rope, modality, act_fn
+        )
     x = norm_forward(model.llm_final_norm, x)
     x = matmul(x, model.head.w) + model.head.b
     return check_finite(x, "model output")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -196,6 +197,15 @@ def _rope_tables(d: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.cos(ang), np.sin(ang)
 
 
+def rope_tables(d: int, n_heads: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every (token, pair) angle for n_heads d-wide heads
+    side by side, (tokens, n_heads * d / 2) each: every head turns its
+    pairs by the same angles.  A forward builds them once for all its
+    blocks."""
+    c, s = _rope_tables(d, positions)
+    return np.tile(c, n_heads), np.tile(s, n_heads)
+
+
 def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     x1, x2 = x[:, 0::2], x[:, 1::2]
     out = np.empty(x.shape)
@@ -352,26 +362,39 @@ def attention_forward(
     n_heads: int,
     plan: AttentionPlan,
     positions: np.ndarray | None = None,
-) -> np.ndarray:
+    rope: tuple | None = None,
+    rows: list | None = None,
+    pre: Callable | None = None,
+    post: Callable | None = None,
+) -> np.ndarray | None:
     """Multi-head attention over a pre-normalized input.
 
     x may be one sequence or a pack: several samples' rows stacked in order.
     plan, built once per forward and shared by every block, never crosses
     a sample.  x, positions and the output run in plan.perm's order.
-    positions=None skips rotary phases (the bidirectional vision blocks).
-    q, k and v are projected, q and k rotated, q scaled by 1/sqrt(d_head)
-    (exact for a d_head that is a power of 4), and all three copied
-    head-major in position order; the heads merge back in plan.perm's
-    order.  Each group of the plan then runs q.k^T, exp_rows and P.V for
-    all heads and samples as stacked products over its column band only:
-    the columns outside it are blocked for every row and would get exactly
-    zero probability.  A causal mask thus skips about half the
-    score block, and a free mask nothing.  Blocked entries inside the band
-    never reach exp, and each row is divided by its sum after P.V, over
-    d_head columns instead of the band.  The scores of every group go into
-    one buffer, sized for the largest group; from lanes.FLOORS["attention"]
-    score entries the groups, largest first, run on two lanes, each with
-    its own buffer.
+    positions=None skips rotary phases (the bidirectional vision blocks);
+    rope may carry their rope_tables, built once for all blocks.
+
+    The row-wise work runs per range of rows (rows: a list of slices, all
+    rows at once by default), each range one lanes.share item.  The
+    prologue projects q, k and v, rotates q and k, scales q by
+    1/sqrt(d_head) (exact for a d_head that is a power of 4), and copies
+    all three head-major into position order.  Each group of the plan then
+    runs q.k^T, exp_rows and P.V for all heads and samples as stacked
+    products over its column band only: the columns outside it are
+    blocked for every row and would get exactly zero probability.  A
+    causal mask thus skips about half the score block, and a free mask
+    nothing.  Blocked entries inside the band never reach exp, and each
+    row is divided by its sum after P.V, over d_head columns instead of
+    the band.  The scores of every group go into one buffer, sized for the
+    largest group; from lanes.FLOORS["attention"] score entries the groups,
+    largest first, run on two lanes, each with its own buffer.  The
+    epilogue merges the heads back into plan.perm's order and applies wo.
+
+    pre, if given, maps a range's input rows to the rows attention takes
+    (the block's attention norm), and post(rows, out) takes each range's
+    output rows in place of the return value (the block's residual and
+    MLP), both on the range's lane.
 
     Nothing here is checked: the operands are the forward's, checked where
     they entered it.  A non-finite q or k row meets at least its own row's
@@ -386,30 +409,42 @@ def attention_forward(
         positions: per-token rotary positions, or None.
 
     Returns:
-        Attention output of shape (tokens, d_model), pre-residual.
+        Attention output of shape (tokens, d_model), pre-residual, or None
+        with post.
     """
     tokens, d = x.shape
     d_head = d // n_heads
-    q = matmul(x, wq) + bq
-    k = matmul(x, wk) + bk
-    v = matmul(x, wv) + bv
-    if positions is not None:
-        # every head turns its pairs by the same angles
-        c, s = _rope_tables(d_head, positions)
-        c, s = np.tile(c, n_heads), np.tile(s, n_heads)
-        q = _rotate_pairs(q, c, s)
-        k = _rotate_pairs(k, c, s)
-    q *= 1.0 / np.sqrt(d_head)
-    # position order by whole rows, then head-major: a gather along the
-    # strided token axis of the head-major view took several times longer
-    heads = (tokens, n_heads, d_head)
-    qh = q.reshape(heads)[plan.inverse].transpose(1, 0, 2).copy()
-    kth = k.reshape(heads)[plan.inverse].transpose(1, 2, 0).copy()
-    vh = v.reshape(heads)[plan.inverse].transpose(1, 0, 2).copy()
-    out = np.empty_like(qh)
-    # the products read the head-major copies only; freed before out was
-    # made, q, k and v raised a packed evaluate's peak RSS by ~4 MB at times
-    del q, k, v
+    rows = [slice(0, tokens)] if rows is None else rows
+    if positions is not None and rope is None:
+        rope = rope_tables(d_head, n_heads, positions)
+    # head-major, in position order: each range writes its rows' slots.
+    # out is made before any range's q, k and v are freed: made after,
+    # it moved a packed evaluate's peak RSS by ~4 MB at times
+    qh, vh, out = (np.empty((n_heads, tokens, d_head)) for _ in range(3))
+    kth = np.empty((n_heads, d_head, tokens))
+    perm = plan.perm
+
+    def slots(r: slice):
+        return r if isinstance(perm, slice) else perm[r]
+
+    def prologue(_, i: int) -> None:
+        r = rows[i]
+        h = x[r] if pre is None else pre(x[r])
+        q = matmul(h, wq) + bq
+        k = matmul(h, wk) + bk
+        v = matmul(h, wv) + bv
+        if rope is not None:
+            c, s = rope[0][r], rope[1][r]
+            q = _rotate_pairs(q, c, s)
+            k = _rotate_pairs(k, c, s)
+        q *= 1.0 / np.sqrt(d_head)
+        heads = (q.shape[0], n_heads, d_head)
+        at = slots(r)
+        qh[:, at] = q.reshape(heads).transpose(1, 0, 2)
+        kth[:, :, at] = k.reshape(heads).transpose(1, 2, 0)
+        vh[:, at] = v.reshape(heads).transpose(1, 0, 2)
+
+    lanes.share("block", tokens, len(rows), prologue)
     areas = plan.areas
     # largest first, so that the last groups claimed are the smallest
     order = sorted(range(len(areas)), key=lambda i: -areas[i])
@@ -421,8 +456,20 @@ def attention_forward(
         # one score buffer per lane, reused by each group it runs
         lambda: np.empty(n_heads * max(areas)),
     )
-    # the one copy that merges the heads also restores the rows' order
-    return matmul(out.transpose(1, 0, 2)[plan.perm].reshape(tokens, d), wo) + bo
+    # the epilogue reads out only
+    del qh, kth, vh
+    merged = None
+    if post is None:
+        merged = np.empty((tokens, d))
+        post = merged.__setitem__
+
+    def epilogue(_, i: int) -> None:
+        r = rows[i]
+        # the one copy that merges the heads also restores the rows' order
+        post(r, matmul(out.transpose(1, 0, 2)[slots(r)].reshape(-1, d), wo) + bo)
+
+    lanes.share("block", tokens, len(rows), epilogue)
+    return merged
 
 
 def _attend(group, qh, kth, vh, out, buf) -> None:

@@ -167,6 +167,8 @@ def generate_synthetic_samples(
         raise ValueError(f"count must be >= 1, got {count}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if d_model < 1:
+        raise ValueError(f"d_model must be >= 1, got {d_model}")
     if isinstance(layout_spec, str):
         layout_spec = layout_from_string(layout_spec)
     if isinstance(layout_spec, ModalityLayout) and len(layout_spec) != length:
@@ -740,7 +742,9 @@ def bench(qm: QuantizedModel, lengths: list, seed: int = 0) -> dict:
     """Static vs dynamic activation paths across sequence lengths.
 
     Scale-op counts are the contract; wall-clock seconds are informational
-    only and never asserted anywhere.
+    only and never asserted anywhere.  The report records what the seconds
+    ran on: the lane count, and whether the OpenBLAS hold found numpy's
+    thread-count symbol (without it, BLAS keeps its own thread count).
     """
     if len(lengths) == 0:
         raise ValueError("bench needs at least one length")
@@ -766,6 +770,7 @@ def bench(qm: QuantizedModel, lengths: list, seed: int = 0) -> dict:
         "weight_solver": WEIGHT_SOLVER_NOTE,
         "llm_blocks": len(qm.model.llm_blocks),
         "note": "seconds are informational; scale_ops are the asserted contract",
+        "lanes": {"count": lanes.LANES, "blas_hold_found": lanes.blas_hold_found()},
         "entries": entries,
     }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mquant.cli import main
-from mquant.fileio import save_samples
+from mquant.fileio import save_samples, tensor_to_bytes
 from mquant.pipeline import qmodel_from_dict
 
 
@@ -291,6 +291,38 @@ def test_eval_rejects_samples_of_another_width(workdir, capsys):
                "--report", str(tmp / "r.json"))
     assert code == 2
     assert "sample width 32 != model d_model 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_model", ["0", "-5"])
+def test_gen_samples_of_no_width_exits_2_naming_d_model(workdir, capsys, d_model):
+    tmp, _ = workdir
+    out = tmp / "s.mqs"
+    assert run("gen-samples", "--out", str(out), "--count", "2", "--length", "6",
+               "--d-model", d_model) == 2
+    assert f"d_model must be >= 1, got {d_model}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_a_batch_holding_an_empty_sample_exits_2_naming_it(workdir, capsys):
+    """A 0-row sample failed in the forward, with "layout must contain at
+    least one token"; now the load names the file and the sample."""
+    tmp, cfg = workdir
+    model, qmodel, samples = (str(tmp / name) for name in ("m.json", "q.json", "s.mqs"))
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6", "--d-model", "16")
+    run("quantize", "--config", cfg, "--model", model, "--samples", samples, "--out", qmodel)
+    batch = tmp / "empty.mqs"
+    records = [
+        tensor_to_bytes(np.ones((3, 16))) + bytes([0, 1, 0]),
+        tensor_to_bytes(np.zeros((0, 16))),
+    ]
+    batch.write_bytes((2).to_bytes(8, "little") + b"".join(records))
+    capsys.readouterr()
+    code = run("eval", "--qmodel", qmodel, "--samples", str(batch),
+               "--report", str(tmp / "r.json"))
+    assert code == 2
+    assert f"{batch}: sample 1 has shape (0, 16)" in capsys.readouterr().err
+    assert not (tmp / "r.json").exists()
 
 
 def write_batch(path, widths, seed=0):

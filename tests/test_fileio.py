@@ -1,4 +1,5 @@
 import base64
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,24 @@ def test_sample_modality_length_checked(tmp_path):
 def test_sample_modality_values_checked(tmp_path):
     with pytest.raises(ValueError, match="0 .* or 1"):
         fileio.save_samples(tmp_path / "x", [(np.ones((2, 2)), [0, 2])])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)], ids=["no_rows", "no_columns"])
+def test_an_empty_sample_is_refused_on_save_and_load_by_its_index(tmp_path, shape):
+    """A 0-row sample used to round-trip and fail only in a forward, with
+    an error naming neither file nor sample."""
+    ok = (np.ones((2, 3)), [0, 1])
+    empty = (np.zeros(shape), np.zeros(shape[0], dtype=np.int64))
+    path = tmp_path / "b.mqs"
+    want = f"sample 1 has shape {shape}; a sample needs at least one row and one column"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        fileio.save_samples(path, [ok, empty])
+    assert not path.exists()
+    # the same batch written record by record, as another writer might
+    records = [fileio.tensor_to_bytes(t) + bytes(list(m)) for t, m in (ok, empty)]
+    path.write_bytes((2).to_bytes(8, "little") + b"".join(records))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {want}')}$"):
+        fileio.load_samples(path)
 
 
 def test_samples_batch_roundtrip(tmp_path):

@@ -12,9 +12,8 @@ import threading
 import numpy as np
 import pytest
 
-from mquant import lanes, pipeline
-from mquant.hadamard import fht
-from mquant.model import ToyMllmConfig, build_toy_mllm, gelu, model_forward
+from mquant import lanes, model, pipeline
+from mquant.model import ToyMllmConfig, build_toy_mllm, model_forward
 from mquant.numerics import check_finite
 from mquant.pipeline import (
     PACK_ROWS,
@@ -45,26 +44,46 @@ def qm():
     return mquant_quantize(build_toy_mllm(pcfg.model), pcfg, samples=DESK)
 
 
+@pytest.fixture(scope="module")
+def variants(qm):
+    """The default quantized model (W8, AIFS) and a W4 one without AIFS."""
+    pcfg = PipelineConfig(model=ToyMllmConfig(), bits_w=4, aifs=False)
+    return [qm, mquant_quantize(build_toy_mllm(pcfg.model), pcfg, samples=DESK)]
+
+
 @pytest.fixture
 def floors_zero(monkeypatch):
     """Every kernel runs on two lanes, whatever its size."""
     monkeypatch.setattr(lanes, "FLOORS", dict.fromkeys(lanes.FLOORS, 0))
 
 
-def digest(qm) -> str:
+# Lengths on each side of the row halves' split points and floors
+SPLIT_LENGTHS = (1, 40, 63, 64, 65, 255, 256, 257, 300, 511, 513, 1024)
+
+
+def digest(qm, variants) -> str:
     """sha256 over static and dynamic evaluate reports on the desk batch
-    and a mixed pack, quantized forwards and their scale ops at L = 1, 40,
-    300 and 1024, a float forward at L = 1024 and the qmodel JSON."""
+    and a mixed pack, quantized forwards and their scale ops at
+    SPLIT_LENGTHS and of a 3x300 pack for each variant, a float forward
+    at L = 1024 and the qmodel JSON."""
     h = hashlib.sha256()
     for batch in (DESK, PACK):
         for dynamic in (False, True):
             report = evaluate(qm, batch, dynamic=dynamic)
             h.update(json.dumps(report, sort_keys=True).encode())
-    for length in (1, 40, 300, 1024):
-        rows, layout = generate_synthetic_samples(1, length, seed=length)[0]
+    pack = generate_synthetic_samples(3, 300, seed=301)
+    pack_rows = np.concatenate([rows for rows, _ in pack])
+    pack_tags = np.concatenate([layout.modality for _, layout in pack])
+    for variant in variants:
+        for length in SPLIT_LENGTHS:
+            rows, layout = generate_synthetic_samples(1, length, seed=length)[0]
+            for dynamic in (False, True):
+                h.update(variant.forward(rows, layout.modality, dynamic=dynamic).tobytes())
+                h.update(str(variant.counter.scale_ops).encode())
         for dynamic in (False, True):
-            h.update(qm.forward(rows, layout.modality, dynamic=dynamic).tobytes())
-            h.update(str(qm.counter.scale_ops).encode())
+            out = variant.forward(pack_rows, pack_tags, dynamic=dynamic, lengths=[300] * 3)
+            h.update(out.tobytes())
+            h.update(str(variant.counter.scale_ops).encode())
     rows, layout = generate_synthetic_samples(1, 1024, seed=7)[0]
     h.update(model_forward(qm.float_model, rows, layout.modality).tobytes())
     h.update(json.dumps(qmodel_to_dict(qm), sort_keys=True).encode())
@@ -89,41 +108,60 @@ def worker_is_free() -> bool:
 
 
 @pytest.mark.parametrize("floors", ["measured", "zero"])
-def test_digest_is_the_same_on_one_lane_and_two(qm, monkeypatch, request, floors):
+def test_digest_is_the_same_on_one_lane_and_two(qm, variants, monkeypatch, request, floors):
     """At the measured floors only the long forwards and evaluate's
     408-row pack fork; at zero floors every kernel and every pack does,
-    down to one-row attention groups."""
+    down to one-row attention groups, and every block of 128 rows or more
+    runs as two row halves."""
     if floors == "zero":
         request.getfixturevalue("floors_zero")
     monkeypatch.setattr(lanes, "LANES", 1)
-    one = digest(qm)
-    forks = []
-    fork = lanes.fork
+    one = digest(qm, variants)
+    forks, splits = [], set()
+    fork, halves = lanes.fork, lanes.halves
 
     def counted(a, b):
         forks.append(1)
         return fork(a, b)
 
+    def recorded(rows):
+        ranges = halves(rows)
+        if len(ranges) == 2:
+            splits.add((rows, ranges[0].stop))
+        return ranges
+
     monkeypatch.setattr(lanes, "fork", counted)
+    monkeypatch.setattr(lanes, "halves", recorded)
     monkeypatch.setattr(lanes, "LANES", 2)
-    assert digest(qm) == one
+    assert digest(qm, variants) == one
     assert forks
+    assert all(cut % lanes.ROW_ALIGN == 0 and rows - cut >= lanes.ROW_ALIGN for rows, cut in splits)
+    # the 1024-row LLM blocks split at the measured floor, the 65-row ones never
+    assert (1024, 512) in splits
+    assert not any(rows < 2 * lanes.ROW_ALIGN for rows, _ in splits)
 
 
 @pytest.mark.parametrize("row", [3, 1000], ids=["first_half", "second_half"])
-@pytest.mark.parametrize("kernel", ["attention", "fht"])
-def test_a_nan_row_in_either_half_raises_the_single_lane_error(monkeypatch, kernel, row):
+@pytest.mark.parametrize("kernel, items", [("attention", 16), ("block", 2)], ids=["attention", "block"])
+def test_a_nan_row_in_either_half_raises_the_single_lane_error(monkeypatch, kernel, items, row):
     """An item that raises, here on a NaN row of its block, raises the one
     lane's error whichever lane runs it, and the worker is free for the
-    next fork."""
+    next fork.  A block's two row halves run at once, one on each lane:
+    each waits for the other to start."""
     x = np.random.default_rng(1).normal(size=(1024, 256))
     x[row, 7] = np.nan
+    size = 1024 // items
+    both = threading.Barrier(2, timeout=10)
+    ran_on = set()
 
     def run(_, i: int) -> None:
-        check_finite(x[i * 64 : (i + 1) * 64], f"block {i}")
+        if kernel == "block" and lanes.LANES > 1:
+            both.wait()
+            ran_on.add(threading.get_ident())
+        check_finite(x[i * size : (i + 1) * size], f"block {i}")
 
     def call():
-        lanes.share(kernel, lanes.FLOORS[kernel], 16, run)
+        lanes.share(kernel, lanes.FLOORS[kernel], items, run)
 
     monkeypatch.setattr(lanes, "LANES", 1)
     with pytest.raises(ValueError) as single:
@@ -133,6 +171,7 @@ def test_a_nan_row_in_either_half_raises_the_single_lane_error(monkeypatch, kern
         call()
     assert str(two.value) == str(single.value)
     assert "non-finite" in str(single.value)
+    assert len(ran_on) == (2 if kernel == "block" else 0)
     assert worker_is_free()
 
 
@@ -166,16 +205,35 @@ def test_the_callers_errstate_holds_on_both_lanes(monkeypatch, lane):
     assert worker_is_free()
 
 
-def test_gelu_raises_under_the_callers_errstate_on_two_lanes(monkeypatch):
+def test_gelu_raises_under_the_callers_errstate_on_two_lanes(qm, monkeypatch):
     """gelu(-inf) is -inf * 0: with the caller's errstate(all="raise") a
-    two-lane gelu raises, wherever the element sits."""
+    two-lane L=1024 forward raises when the -inf sits in the row half that
+    the worker runs, at either end of it.  The forward raises nothing
+    else under that errstate; the first block's GELU on the calling thread
+    waits for the worker's to start, so the worker takes the other half."""
     monkeypatch.setattr(lanes, "LANES", 2)
-    for row in (3, 1000):
-        x = np.ones((1024, 256))
-        x[row, 5] = -np.inf
-        assert x.size >= lanes.FLOORS["gelu"]
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            gelu(x)
+    caller = threading.get_ident()
+    rows, layout = generate_synthetic_samples(1, 1024, seed=3)[0]
+    real = model.gelu
+    for row in (0, -1):
+        started = threading.Event()
+        poisoned = []
+
+        def gelu(u, out=None):
+            if threading.get_ident() == caller:
+                started.wait(timeout=10)
+            elif not poisoned:
+                started.set()
+                u[row, 5] = -np.inf
+                poisoned.append(u.shape[0])
+            return real(u, out=out)
+
+        monkeypatch.setattr(model, "gelu", gelu)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="invalid value"):
+                model_forward(qm.float_model, rows, layout.modality)
+        assert poisoned
+        assert worker_is_free()
 
 
 @pytest.fixture
@@ -199,9 +257,9 @@ def blas_two():
 @pytest.mark.parametrize("length", [16, 600, 1024])
 def test_forwards_run_with_blas_held_and_restore_it(qm, monkeypatch, blas_two, length):
     """OpenBLAS runs on one thread from a forward's entry to its end, so
-    also at every fork, and gets its count back after.  At L=600 only
-    attention forks, at 1024 gelu and the FHT do too, and a 16-row
-    forward forks nowhere."""
+    also at every fork, and gets its count back after.  At L=600 and
+    1024 the blocks' row halves and attention fork, and a 16-row forward
+    forks nowhere."""
     get, _ = blas_two
     monkeypatch.setattr(lanes, "LANES", 2)
     at_fork = []
@@ -259,7 +317,7 @@ def test_failing_and_nested_forwards_restore_the_blas_thread_count(
         return fork(a, b)
 
     monkeypatch.setattr(lanes, "fork", counted)
-    fht(np.ones((1024, 256)), axis=1)
+    lanes.share("block", lanes.FLOORS["block"], 2, lambda _, i: None)
     assert held == [1] and get() == 2
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mquant import msq_aifs, pipeline
+from mquant import lanes, msq_aifs, pipeline
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
@@ -155,6 +155,14 @@ def test_samples_fixed_layout():
         np.testing.assert_array_equal(layout.modality, [0, 1, 1, 0])
     with pytest.raises(ValueError, match="layout length"):
         generate_synthetic_samples(1, 5, layout_spec="tv", d_model=4)
+
+
+@pytest.mark.parametrize("d_model", [0, -5])
+def test_samples_need_a_positive_width(d_model):
+    """d_model=0 made zero-width samples and -5 a numpy error naming no
+    field."""
+    with pytest.raises(ValueError, match=f"^d_model must be >= 1, got {d_model}$"):
+        generate_synthetic_samples(2, 4, seed=0, d_model=d_model)
 
 
 def test_samples_length_one_is_text():
@@ -675,6 +683,13 @@ def test_bench_scale_op_columns(setup):
         assert entry["dynamic"]["scale_ops"] == entry["length"] * blocks
         assert entry["static"]["seconds"] >= 0.0
     assert "informational" in report["note"]
+    # what the seconds ran on
+    assert report["lanes"] == {
+        "count": lanes.LANES,
+        "blas_hold_found": lanes._openblas_threads() is not None,
+    }
+    assert report["lanes"]["count"] in (1, 2)
+    assert isinstance(report["lanes"]["blas_hold_found"], bool)
 
 
 # ===== serialization =====

@@ -11,7 +11,6 @@ from .quantizer import (
     Granularity,
     QuantParams,
     QuantizedTensor,
-    calibrate_static,
     compute_params_absmax,
     dequantize,
     fake_quant,

@@ -1,10 +1,10 @@
 """Command line front end for the quantization toolkit.
 
 Subcommands cover the whole desk workflow: gen-model and gen-samples
-write the float model and calibration batches, calibrate freezes the
-activation grids, quantize runs the staged pipeline, eval scores the
-quantized model against its float reference, bench compares the static
-and dynamic activation paths.
+write the float model and calibration batches, calibrate records the
+activation ranges the static grids are derived from, quantize runs the
+staged pipeline, eval scores the quantized model against its float
+reference, bench compares the static and dynamic activation paths.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     _write_json(args.out, calib.to_dict())
     print(
         f"wrote {args.out} ({calib.sample_count} samples, "
-        f"{len(calib.msq)} block grids, fingerprint {calib.fingerprint})"
+        f"{len(calib.points)} points, fingerprint {calib.fingerprint})"
     )
     return 0
 
@@ -190,7 +190,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     qm = qmodel_from_dict(_read_json(args.qmodel))
-    lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
+    lengths = []
+    for tok in filter(str.strip, args.lengths.split(",")):
+        try:
+            lengths.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--lengths takes comma-separated ints, got {tok!r}") from None
     report = bench(qm, lengths, seed=args.seed)
     _write_json(args.out, report)
     print(f"wrote {args.out}")
@@ -223,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", help="fixed layout string like tvvt (default: random spans)")
     p.set_defaults(fn=cmd_gen_samples)
 
-    p = sub.add_parser("calibrate", help="freeze activation grids from samples")
+    p = sub.add_parser("calibrate", help="record activation ranges from samples")
     _add_config_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--samples", required=True, help="batch file or directory of batches")

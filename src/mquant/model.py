@@ -34,7 +34,6 @@ from .msq_aifs import (
     TEXT,
     VISUAL,
     AttentionPlan,
-    ModalityLayout,
     attention_forward,
     build_aifs_plan,
     build_attention_plan,
@@ -581,7 +580,7 @@ def model_forward(
         plan = build_attention_plan(lengths, positions)
         if not aifs:
             return llm_stack(model, x, plan, positions, modality, act_fn)
-        perm = build_aifs_plan(ModalityLayout(modality))
+        perm = build_aifs_plan(modality)
         plan = replace(plan, perm=perm, inverse=np.argsort(perm))
         out = np.empty_like(x)
         out[perm] = llm_stack(model, x[perm], plan, positions[perm], modality[perm], act_fn)

@@ -2,18 +2,18 @@
 
 A mixed sequence interleaves visual and text token rows whose magnitudes
 differ by more than an order of magnitude, so one shared static scale wrecks
-the text side.  Calibration here keeps one scale pair: one for visual rows,
-one for text rows.  To keep those segments contiguous at runtime, the
-row-wise work runs visual-first in a stable order, while attention gathers
-its rows back into position order, so outputs are those of the original
-order bit for bit.  Every causal mask is built from one position rule:
-slot i may attend to slot j iff perm[j] <= perm[i].
+the text side.  Calibration keeps a min/max per modality, and the static
+grids derived from them give visual rows one scale and text rows another.
+To keep those segments contiguous at runtime, the row-wise work runs
+visual-first in a stable order, while attention gathers its rows back into
+position order, so outputs are those of the original order bit for bit.
+Every causal mask is built from one position rule: slot i may attend to
+slot j iff perm[j] <= perm[i].
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,8 +23,6 @@ from . import lanes
 from .numerics import (
     MASK_BLOCKED,
     MASK_FREE,
-    as_tensor,
-    check_finite,
     exp_rows,
     matmul,
 )
@@ -37,6 +35,8 @@ from .quantizer import (
 
 TEXT = 0
 VISUAL = 1
+# Each modality's tag, by its name in calibration files.
+MODALITIES = {"visual": VISUAL, "text": TEXT}
 
 
 def check_tags(tags, rows: int, what: str = "modality") -> np.ndarray:
@@ -102,14 +102,13 @@ def layout_from_string(text: str) -> ModalityLayout:
     return ModalityLayout(np.array(tags))
 
 
-def build_aifs_plan(layout: ModalityLayout) -> np.ndarray:
-    """Visual-first stable reorder: visual tokens keep their relative order,
-    then text tokens keep theirs.
+def build_aifs_plan(tags: np.ndarray) -> np.ndarray:
+    """Visual-first stable reorder of checked tags (check_tags): visual
+    tokens keep their relative order, then text tokens keep theirs.
 
     Returns perm: perm[i] is the original index of the token in reordered
     slot i.  The name is kept because the benchmark traces it.
     """
-    tags = layout.modality
     return np.concatenate(
         [np.flatnonzero(tags == VISUAL), np.flatnonzero(tags == TEXT)]
     ).astype(np.int64)
@@ -516,65 +515,22 @@ class MsqParams:
     text: QuantParams
 
 
-def _segment_params(lo: float, hi: float, bits: int, symmetric: bool) -> QuantParams:
+def segment_params(lo: float, hi: float, bits: int, symmetric: bool) -> QuantParams:
+    """The per-tensor grid covering [lo, hi]: every static activation grid
+    is derived here from its calibration range."""
     probe = np.array([[lo, hi]])
     return compute_params_absmax(probe, bits, Granularity.PER_TENSOR, symmetric)
 
 
-def calibrate_msq(
-    samples,
-    bits: int,
-    symmetric: bool = True,
-) -> MsqParams:
-    """Separate static scales for visual and text rows of a token stream.
-
-    Accumulates per-modality min/max over all samples in one pass, so the
-    result does not depend on sample order.  A modality absent from every
-    sample gets the sentinel unit scale and a warning.
-
-    Args:
-        samples: iterable of (tensor, ModalityLayout) pairs; tensor rows are
-            token activations aligned with the layout.
-        bits: grid width for both segments.
-        symmetric: zero-point-free grids when True.
-
-    Returns:
-        MsqParams with one PER_TENSOR grid per modality.
-    """
-    bounds = {VISUAL: [np.inf, -np.inf], TEXT: [np.inf, -np.inf]}
-    seen = {VISUAL: 0, TEXT: 0}
-    count = 0
-    for tensor, layout in samples:
-        tensor = check_finite(as_tensor(tensor), "calibration tensor")
-        if tensor.shape[0] != len(layout):
-            raise ValueError(
-                f"sample has {tensor.shape[0]} rows but layout tags {len(layout)} tokens"
-            )
-        for modality in (VISUAL, TEXT):
-            rows = tensor[layout.modality == modality]
-            if rows.size:
-                bounds[modality][0] = min(bounds[modality][0], float(rows.min()))
-                bounds[modality][1] = max(bounds[modality][1], float(rows.max()))
-                seen[modality] += rows.shape[0]
-        count += 1
-    if count == 0:
-        raise ValueError("calibration stream is empty")
-
-    params = {}
-    names = {VISUAL: "visual", TEXT: "text"}
-    for modality in (VISUAL, TEXT):
-        if seen[modality] == 0:
-            warnings.warn(
-                f"no {names[modality]} tokens in calibration stream, "
-                "using unit-scale sentinel"
-            )
-            params[modality] = _segment_params(0.0, 0.0, bits, symmetric)
-        else:
-            lo, hi = bounds[modality]
-            params[modality] = _segment_params(lo, hi, bits, symmetric)
-    return MsqParams(
-        bits=bits, symmetric=symmetric, visual=params[VISUAL], text=params[TEXT]
+def calibrate_msq(ranges: dict, bits: int, symmetric: bool = True) -> MsqParams:
+    """The two static grids of an LLM block input from its calibration
+    ranges, {"visual": [lo, hi], "text": [lo, hi]}.  A modality that no
+    calibration row had has no range, and gets the unit-scale sentinel
+    grid."""
+    visual, text = (
+        segment_params(*ranges.get(key, (0.0, 0.0)), bits, symmetric) for key in MODALITIES
     )
+    return MsqParams(bits, symmetric, visual, text)
 
 
 def quantize_msq(

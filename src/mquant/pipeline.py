@@ -1,20 +1,24 @@
 """Staged quantization pipeline over the toy multimodal model.
 
 The driver runs seven stages in a fixed order: rotate the LLM part,
-calibrate activations (modality-split grids for LLM block inputs, plain
-static grids for vision block inputs, always through float weights and the
-still-float vision path), freeze the LLM weights, rewrite the vision
-encoder's norms, rotate the vision part, freeze its weights, then build the
-outlier-row split plan of every down-projection.  Each stage checks its
-real preconditions, so running them out of order fails loudly instead of
+calibrate activations (always through float weights and the still-float
+vision path), freeze the LLM weights, rewrite the vision encoder's norms,
+rotate the vision part, freeze its weights, then build the outlier-row
+split plan of every down-projection.  Each stage checks its real
+preconditions, so running them out of order fails loudly instead of
 silently producing a model quantized in the wrong coordinates.  The stage
 that picks a weight's grid freezes the weight on it in place, and each
 split plan goes onto its block as it is built, so the transformed model is
 the model the quantized forward runs.  Calibration and the quantized
 forward both run model.model_forward, with the row order of the config's
-aifs: calibration records each block input there, and the quantized
-forward fake-quantizes it.  That order moves rows, not values, so a
-calibration serves either order.
+aifs: calibration folds each block input into its point's per-modality
+min/max there, and the quantized forward fake-quantizes it.  That order
+moves rows, not values, so a calibration serves either order.
+
+A calibration holds statistics, not grids: one [lo, hi] per quantization
+point (a block input, named as act_fn names it) and modality.  The
+quantized model derives its static grids from them at the config's bits_a
+and symmetry, so one calibration serves every activation setting.
 
 Weight grids are plain round-to-nearest absmax; no error-compensating
 sequential solver is used, and every report says so.
@@ -22,7 +26,9 @@ sequential solver is used, and every report says so.
 
 from __future__ import annotations
 
+import math
 import time
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -39,31 +45,30 @@ from .model import (
     model_to_dict,
 )
 from .msq_aifs import (
+    MODALITIES,
     TEXT,
     VISUAL,
     ModalityLayout,
-    MsqParams,
     ScaleOpCounter,
     calibrate_msq,
     layout_from_string,
     quantize_dynamic_per_token,
     quantize_msq,
+    segment_params,
 )
 from .norm_rewrite import preln_to_rmsnorm
 from .numerics import as_tensor, check_finite, matmul
 from .quantizer import (
     SUPPORTED_BITS,
     Granularity,
-    calibrate_static,
     compute_params_absmax,
     fake_quant,
-    params_from_dict,
     params_to_dict,
 )
 from .rms import build_split_plan, compliance_ratio
 from .rotation import rotate_model_offline
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 WEIGHT_SOLVER_NOTE = (
     "rtn-absmax: weights snapped to the nearest grid point; "
@@ -198,8 +203,9 @@ def generate_synthetic_samples(
 # ===== calibration =====
 
 
-def _check_header(d: dict, kind: str, what: str) -> None:
-    """Reject a non-object file, or one of another kind or layout version."""
+def _check_header(d: dict, kind: str, what: str, keys: tuple) -> None:
+    """Reject a non-object file, one of another kind or layout version, or
+    one holding a key other than keys."""
     fileio.require(d, dict, f"{what} file")
     if d.get("kind") != kind:
         raise ValueError(f"not a {what} file (kind={d.get('kind')!r})")
@@ -208,6 +214,9 @@ def _check_header(d: dict, kind: str, what: str) -> None:
             f"{what} file has schema_version={d.get('schema_version')!r}, "
             f"this version reads {SCHEMA_VERSION}"
         )
+    unknown = set(d) - {"schema_version", "kind", *keys}
+    if unknown:
+        raise ValueError(f"{what} file has unknown keys {sorted(unknown)}")
 
 
 def _msq_to_dicts(msq: list) -> list:
@@ -218,19 +227,60 @@ def _msq_to_dicts(msq: list) -> list:
     ]
 
 
+def block_inputs(cfg: ToyMllmConfig) -> list[str]:
+    """The quantization points of a model: every block input, named as
+    act_fn receives it."""
+    return [
+        f"{part}.{i}.input"
+        for part in ("vision", "llm")
+        for i in range(getattr(cfg, f"{part}_blocks"))
+    ]
+
+
+def _check_points(points) -> dict:
+    """points, the point table of a calibration file, if each point holds
+    one or more ranges of the modalities it takes (a vision point: visual
+    only), each a finite [lo, hi] pair of floats with lo <= hi (json writes
+    every range as floats); otherwise a ValueError naming the point and
+    range."""
+    fileio.require(points, dict, "calibration points")
+    for name, ranges in points.items():
+        fileio.require(ranges, dict, f"calibration point {name!r}")
+        allowed = ["visual"] if name.startswith("vision.") else list(MODALITIES)
+        if not ranges or set(ranges) - set(allowed):
+            raise ValueError(
+                f"calibration point {name!r} holds ranges {sorted(ranges)}; "
+                f"it takes one or more of {allowed}"
+            )
+        for key, r in ranges.items():
+            what = f"calibration {name}.{key}"
+            if not (isinstance(r, list) and len(r) == 2 and all(isinstance(v, float) for v in r)):
+                raise ValueError(f"{what} must be a [lo, hi] pair of floats, got {r!r:.60}")
+            if not all(map(math.isfinite, r)):
+                raise ValueError(f"{what} must be finite, got {r!r}")
+            if r[0] > r[1]:
+                raise ValueError(f"{what} has lo {r[0]!r} > hi {r[1]!r}")
+    return points
+
+
 @dataclass
 class CalibrationResult:
-    """Frozen activation grids, tied to a specific float model."""
+    """Calibration statistics of a specific float model: for every
+    quantization point (block_inputs), the [lo, hi] of its calibration
+    rows of each modality, {"visual": [lo, hi], "text": [lo, hi]}.  A
+    modality no row had has no range.  Grids are derived from it where
+    they are used (QuantizedModel), so it holds no bits or symmetry."""
 
     fingerprint: str
-    msq: list
-    vision_act: list
     sample_count: int
-    bits_a: int
-    symmetric: bool
+    points: dict
 
     def __post_init__(self):
         check_field_types(self, "calibration key")
+        if self.sample_count < 1:
+            raise ValueError(
+                f"calibration key 'sample_count' must be >= 1, got {self.sample_count}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -238,51 +288,19 @@ class CalibrationResult:
             "kind": "calibration",
             "fingerprint": self.fingerprint,
             "sample_count": self.sample_count,
-            "bits_a": self.bits_a,
-            "symmetric": self.symmetric,
-            "msq": _msq_to_dicts(self.msq),
-            "vision_act": [params_to_dict(p) for p in self.vision_act],
+            "points": {
+                name: {key: list(r) for key, r in ranges.items()}
+                for name, ranges in self.points.items()
+            },
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationResult":
-        _check_header(d, "calibration", "calibration")
+        keys = ("fingerprint", "sample_count", "points")
+        _check_header(d, "calibration", "calibration", keys)
         with fileio.keys_required("calibration file"):
-            msq, vision_act = (
-                fileio.require(d[key], list, f"calibration {key}") for key in ("msq", "vision_act")
-            )
-            pairs = [fileio.require(m, dict, f"calibration msq[{i}]") for i, m in enumerate(msq)]
-            calib = cls(
-                fingerprint=d["fingerprint"],
-                msq=[
-                    MsqParams(d["bits_a"], d["symmetric"], *(
-                        params_from_dict(m[part], f"calibration msq[{i}].{part}")
-                        for part in ("visual", "text")
-                    ))
-                    for i, m in enumerate(pairs)
-                ],
-                vision_act=[
-                    params_from_dict(p, f"calibration vision_act[{i}]")
-                    for i, p in enumerate(vision_act)
-                ],
-                sample_count=d["sample_count"],
-                bits_a=d["bits_a"],
-                symmetric=d["symmetric"],
-            )
-        grids = [
-            (f"msq[{i}].{part}", getattr(m, part))
-            for i, m in enumerate(calib.msq)
-            for part in ("visual", "text")
-        ] + [(f"vision_act[{i}]", p) for i, p in enumerate(calib.vision_act)]
-        want = (Granularity.PER_TENSOR, calib.bits_a, calib.symmetric)
-        for name, p in grids:
-            if (p.granularity, p.bits, p.symmetric) != want:
-                raise ValueError(
-                    f"calibration {name} must be per_tensor at the file's bits_a="
-                    f"{calib.bits_a}, symmetric={calib.symmetric}; it is "
-                    f"{p.granularity.value} at bits={p.bits}, symmetric={p.symmetric}"
-                )
-        return calib
+            fingerprint, sample_count, points = (d[key] for key in keys)
+        return cls(fingerprint, sample_count, _check_points(points))
 
 
 # Rows per pack in evaluate and calibrate_rotated.  Consecutive samples are
@@ -333,52 +351,50 @@ def _stack(pack: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
 def calibrate_rotated(
     work: ToyMllm, fingerprint: str, samples: list, pcfg: PipelineConfig
 ) -> CalibrationResult:
-    """Collect activation grids from float forwards of an LLM-rotated model.
+    """Per-modality min/max of every block input, from float forwards of
+    an LLM-rotated model.
 
     work has its LLM part rotated, so block inputs live in their final
     coordinates, and its vision path still float and untouched, which is
     the calibration contract for the LLM grids.  fingerprint names the
     float model work was derived from.  The samples run as packs of up to
     PACK_ROWS rows, one float forward each, in the order the quantized
-    forward runs them.  The grids are min/max over every recorded row, so
-    they do not depend on how the rows are packed.
+    forward runs them; each block input is folded into its point's ranges
+    as it is made, so memory holds one pack.  Min and max merge exactly,
+    so the ranges depend neither on the packing nor on the sample order.
+    A non-finite block input reaches the forward's output check.
     """
     if len(samples) == 0:
         raise ValueError("calibration needs at least one sample")
-    llm_inputs: list[list] = [[] for _ in work.llm_blocks]
-    vision_inputs: list[list] = [[] for _ in work.vision_blocks]
+    points: dict = {name: {} for name in block_inputs(work.config)}
 
     def recorder(name: str, x: np.ndarray, modality: np.ndarray | None) -> np.ndarray:
-        idx = int(name.split(".")[1])
-        if modality is None:
-            vision_inputs[idx].append(x)
-        else:
-            llm_inputs[idx].append((x, ModalityLayout(modality)))
+        lo, hi = x.min(axis=1), x.max(axis=1)
+        # a vision block's rows are all visual
+        segments = (
+            {"visual": slice(None)}
+            if modality is None
+            else {key: modality == tag for key, tag in MODALITIES.items()}
+        )
+        ranges = points[name]
+        for key, rows in segments.items():
+            seg_lo, seg_hi = lo[rows], hi[rows]
+            if seg_lo.size:
+                was = ranges.get(key, (math.inf, -math.inf))
+                ranges[key] = [min(was[0], float(seg_lo.min())), max(was[1], float(seg_hi.max()))]
         return x
 
     for rows, modality, lengths in _packs(samples, work.config.d_model):
         model_forward(work, rows, modality, recorder, lengths, pcfg.aifs)
-    if not vision_inputs[0]:
+    # every LLM block input holds every row, so only a vision point can be empty
+    if not all(points.values()):
         raise ValueError(
             "calibration stream is empty for vision_act: "
             "no calibration sample holds a visual token"
         )
-    msq = [
-        calibrate_msq(pairs, pcfg.bits_a, symmetric=pcfg.symmetric_activations)
-        for pairs in llm_inputs
-    ]
-    vision_act = [
-        calibrate_static(inputs, pcfg.bits_a, symmetric=pcfg.symmetric_activations)
-        for inputs in vision_inputs
-    ]
-    return CalibrationResult(
-        fingerprint=fingerprint,
-        msq=msq,
-        vision_act=vision_act,
-        sample_count=len(samples),
-        bits_a=pcfg.bits_a,
-        symmetric=pcfg.symmetric_activations,
-    )
+    if "text" not in points["llm.0.input"]:
+        warnings.warn("no text tokens in calibration stream, using unit-scale sentinel")
+    return CalibrationResult(fingerprint, len(samples), points)
 
 
 # ===== staged transform =====
@@ -454,8 +470,8 @@ def stage_calibrate(state: QuantizeState, samples: list) -> None:
 def calibrate_pipeline(
     float_model: ToyMllm, samples: list, pcfg: PipelineConfig
 ) -> CalibrationResult:
-    """Activation grids for float_model, as the quantize pipeline would
-    collect them: rotate the LLM part, then calibrate."""
+    """The calibration of float_model, as the quantize pipeline would
+    collect it: rotate the LLM part, then calibrate."""
     state = new_state(float_model, pcfg)
     stage_rotate_llm(state)
     return calibrate_rotated(
@@ -475,20 +491,13 @@ def stage_set_calibration(state: QuantizeState, calib: CalibrationResult) -> Non
             f"calibration was made for model {calib.fingerprint}, "
             f"this model is {expect}"
         )
-    if calib.bits_a != state.pcfg.bits_a:
+    want = block_inputs(state.float_model.config)
+    if set(calib.points) != set(want):
         raise ValueError(
-            f"calibration used bits_a={calib.bits_a}, config says {state.pcfg.bits_a}"
+            f"calibration points do not match the model's block inputs: "
+            f"missing {sorted(set(want) - set(calib.points))}, "
+            f"extra {sorted(set(calib.points) - set(want))}"
         )
-    if calib.symmetric != state.pcfg.symmetric_activations:
-        raise ValueError(
-            f"calibration used symmetric={calib.symmetric}, config says "
-            f"symmetric_activations={state.pcfg.symmetric_activations}"
-        )
-    for key, part in (("msq", "llm"), ("vision_act", "vision")):
-        held = len(getattr(calib, key))
-        blocks = getattr(state.float_model.config, f"{part}_blocks")
-        if held != blocks:
-            raise ValueError(f"calibration holds {held} {key} grids for {blocks} {part} blocks")
     state.calib = calib
     state.mark("calibrate")
 
@@ -559,8 +568,10 @@ class QuantizedModel:
     holds its weight fake-quantized on its grid in weight_grids (one per
     linear, by name), and each block with a split plan carries it, its
     w_down.w the plan's main_q.  calib is the calibration the model was
-    built from.  msq starts as its LLM block grids and is what forward
-    reads.
+    built from.  The static activation grids are derived from its ranges
+    at the config's bits_a and symmetry, per block: vision_act for the
+    vision block inputs, msq for the LLM block inputs' two modality grids.
+    forward reads both by block index.
     """
 
     pcfg: PipelineConfig
@@ -570,10 +581,20 @@ class QuantizedModel:
     calib: CalibrationResult
     stage_log: list
     counter: ScaleOpCounter = field(default_factory=ScaleOpCounter)
+    vision_act: list = field(init=False)
     msq: list = field(init=False)
 
     def __post_init__(self):
-        self.msq = self.calib.msq
+        bits, symmetric = self.pcfg.bits_a, self.pcfg.symmetric_activations
+        points = self.calib.points
+        self.vision_act = [
+            segment_params(*points[f"vision.{i}.input"]["visual"], bits, symmetric)
+            for i in range(len(self.model.vision_blocks))
+        ]
+        self.msq = [
+            calibrate_msq(points[f"llm.{i}.input"], bits, symmetric)
+            for i in range(len(self.model.llm_blocks))
+        ]
 
     @property
     def plans(self) -> dict:
@@ -603,7 +624,7 @@ class QuantizedModel:
         def act_fn(name: str, x: np.ndarray, modality: np.ndarray | None) -> np.ndarray:
             idx = int(name.split(".")[1])
             if modality is None:  # a vision block
-                return fake_quant(x, self.calib.vision_act[idx])
+                return fake_quant(x, self.vision_act[idx])
             if dynamic:
                 return quantize_dynamic_per_token(
                     x, pcfg.bits_a, pcfg.symmetric_activations, self.counter
@@ -621,8 +642,8 @@ def mquant_quantize(
 ) -> QuantizedModel:
     """Run the full staged pipeline and assemble the quantized model.
 
-    Exactly one of samples (calibrate here) or calib (precomputed grids)
-    must be provided.  The model part of pcfg is replaced by the config of
+    Exactly one of samples (calibrate here) or calib (a calibration made
+    before) must be provided.  The model part of pcfg is replaced by the config of
     float_model, so the quantized model echoes the model it holds.
     """
     if (samples is None) == (calib is None):
@@ -721,7 +742,7 @@ def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
         },
         "activations": {
             "msq": _msq_to_dicts(qm.msq),
-            "vision": [params_to_dict(p) for p in qm.calib.vision_act],
+            "vision": [params_to_dict(p) for p in qm.vision_act],
         },
         "rms_compliance": compliance_ratio(list(qm.plans.values())),
         "counters": {
@@ -793,11 +814,12 @@ def qmodel_to_dict(qm: QuantizedModel) -> dict:
 def qmodel_from_dict(d: dict) -> QuantizedModel:
     """Re-run the pipeline on the stored float model and calibration, so the
     config's and the calibration's pairing checks apply on every load."""
-    _check_header(d, "qmodel", "quantized model")
+    keys = ("float_model", "config", "calibration")
+    _check_header(d, "qmodel", "quantized model", keys)
     with fileio.keys_required("quantized model file"):
         model, config, calib = (
             fileio.require(d[key], dict, f"quantized model file section {key!r}")
-            for key in ("float_model", "config", "calibration")
+            for key in keys
         )
     float_model = model_from_dict(model)
     return mquant_quantize(

@@ -232,38 +232,6 @@ def fake_quant(x: np.ndarray, params: QuantParams) -> np.ndarray:
     return dequantize(quantize(x, params))
 
 
-def calibrate_static(
-    tensors,
-    bits: int,
-    symmetric: bool = True,
-) -> QuantParams:
-    """Single per-tensor parameter set covering a stream of calibration tensors.
-
-    Accumulates running min/max, so the result is independent of sample
-    order and of how the stream is chunked.
-
-    Args:
-        tensors: iterable of 2-D tensors.
-        bits: grid width, one of 4, 8, 16.
-        symmetric: zero-point-free grid when True.
-
-    Returns:
-        PER_TENSOR QuantParams covering everything seen.
-    """
-    lo = math.inf
-    hi = -math.inf
-    count = 0
-    for t in tensors:
-        t = check_finite(as_tensor(t), "calibration tensor")
-        lo = min(lo, float(t.min()))
-        hi = max(hi, float(t.max()))
-        count += 1
-    if count == 0:
-        raise ValueError("calibration stream is empty")
-    probe = np.array([[lo, hi]])
-    return compute_params_absmax(probe, bits, Granularity.PER_TENSOR, symmetric)
-
-
 # ===== serialization =====
 
 

@@ -86,10 +86,21 @@ def _span_perm(m: int, n: int, length: int) -> np.ndarray:
     )
 
 
+def _ranges(pairs):
+    """Each modality's [lo, hi] over (x, layout) pairs: what calibration
+    records at a block input, and calibrate_msq derives its grids from."""
+    x = np.vstack([x for x, _ in pairs])
+    tags = np.concatenate([layout.modality for _, layout in pairs])
+    return {
+        key: [x[tags == tag].min(), x[tags == tag].max()]
+        for key, tag in (("visual", VISUAL), ("text", TEXT))
+    }
+
+
 def _aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     """Visual-first reorder, mask of the original order, original rotary
     positions, then the rows restored to the original order."""
-    perm = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout.modality)
     out_r = attention_forward(
         x[perm], wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=n_heads,
@@ -344,7 +355,7 @@ def test_modality_grids_never_worse_than_shared_grid_on_text():
         x[tags == VISUAL] = rng.uniform(-20.0, 10.0, size=(12, 8))
         x[tags == TEXT] = rng.uniform(-0.5, 0.5, size=(12, 8))
         layout = ModalityLayout(tags)
-        msq = calibrate_msq([(x, layout)], bits=8)
+        msq = calibrate_msq(_ranges([(x, layout)]), bits=8)
         shared = compute_params_absmax(x, 8, Granularity.PER_TENSOR)
         text_rows = x[tags == TEXT]
         mse_msq = np.mean((fake_quant(text_rows, msq.text) - text_rows) ** 2)
@@ -391,9 +402,9 @@ def test_padded_batch_members_match_their_unpadded_runs():
         x[vis] = rng.uniform(-20.0, 10.0, size=(int(vis.sum()), d))
         x[~vis] = rng.uniform(-0.5, 0.5, size=(int((~vis).sum()), d))
         calib.append((x, layout))
-    params = calibrate_msq(calib, bits=8)
+    params = calibrate_msq(_ranges(calib), bits=8)
 
-    perms = [build_aifs_plan(layout) for layout in layouts]
+    perms = [build_aifs_plan(layout.modality) for layout in layouts]
     rows = [x[perm] for (x, _), perm in zip(calib, perms)]
     vis_rows = [layout.modality[perm] == VISUAL for layout, perm in zip(layouts, perms)]
     packed = attention_forward(

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,12 +498,12 @@ def test_config_values_of_the_wrong_type_fail(workdir, capsys, command, key, val
     assert captured.out == "" and not out.exists()
 
 
-def _drop_last_msq(q):
-    q["calibration"]["msq"].pop()
+def _drop_llm_point(q):
+    del q["calibration"]["points"]["llm.0.input"]
 
 
-def _drop_vision_act(c):
-    del c["vision_act"]
+def _drop_vision_point(c):
+    del c["points"]["vision.0.input"]
 
 
 def _drop_head_weight(m):
@@ -511,15 +513,16 @@ def _drop_head_weight(m):
 @pytest.mark.parametrize(
     "artifact, tamper, command, named",
     [
-        ("qmodel", _drop_last_msq, "eval", "0 msq grids for 1 llm blocks"),
-        ("calib", _drop_vision_act, "quantize", "calibration file has no 'vision_act'"),
+        ("qmodel", _drop_llm_point, "eval", "missing ['llm.0.input'], extra []"),
+        ("calib", _drop_vision_point, "quantize", "missing ['vision.0.input'], extra []"),
         ("model", _drop_head_weight, "calibrate", "model file has no 'head.w'"),
     ],
     ids=["qmodel-short-msq", "calib-no-vision_act", "model-no-head.w"],
 )
 def test_artifact_mismatches_fail_at_load(workdir, capsys, artifact, tamper, command, named):
-    """An artifact missing a field, or holding grids for fewer blocks than
-    its model, fails when it is loaded, with the field named."""
+    """An artifact missing a field, or a calibration without the point of
+    one of its model's blocks, fails when it is loaded, with the field or
+    point named."""
     tmp, cfg = workdir
     paths = {name: tmp / f"{name}.json" for name in ("model", "calib", "qmodel")}
     samples = str(tmp / "s.mqs")
@@ -595,16 +598,15 @@ def _set(*path_and_value):
 @pytest.mark.parametrize(
     "artifact, tamper, match",
     [
-        ("calib", _set("msq", 5), "calibration msq must be a list, got int"),
-        ("calib", _set("msq", 0, []), "calibration msq[0] must be an object, got list"),
-        ("calib", _set("msq", 0, "visual", "x"),
-         "calibration msq[0].visual must be an object, got str"),
-        ("calib", _set("vision_act", None),
-         "calibration vision_act must be a list, got NoneType"),
-        ("calib", _set("msq", 0, "visual", "scales", {"a": 1}),
-         "calibration msq[0].visual: 'scales' must be a list of numbers"),
-        ("calib", _set("vision_act", 0, "zero_points", [True]),
-         "calibration vision_act[0]: 'zero_points' must be a list of ints"),
+        ("calib", _set("points", 5), "calibration points must be an object, got int"),
+        ("calib", _set("points", "llm.0.input", []),
+         "calibration point 'llm.0.input' must be an object, got list"),
+        ("calib", _set("points", "llm.0.input", "visual", "x"),
+         "calibration llm.0.input.visual must be a [lo, hi] pair of floats, got 'x'"),
+        ("calib", _set("points", "vision.0.input", "visual", [1.0]),
+         "calibration vision.0.input.visual must be a [lo, hi] pair of floats, got [1.0]"),
+        ("calib", _set("points", "llm.0.input", "text", [0, 1.0]),
+         "calibration llm.0.input.text must be a [lo, hi] pair of floats, got [0, 1.0]"),
         ("calib", _set([]), "calibration file must be an object, got list"),
         ("qmodel", _set("config", []),
          "quantized model file section 'config' must be an object, got list"),
@@ -649,19 +651,13 @@ def test_malformed_artifact_fails_at_the_boundary(workdir, capsys, artifact, tam
 @pytest.mark.parametrize(
     "tamper, match",
     [
-        (_set("msq", 0, "text", "scales", [1e309]),
-         "calibration msq[0].text: all scales must be finite"),
-        (_set("vision_act", 0, "scales", [float("nan")]),
-         "calibration vision_act[0]: all scales must be finite"),
-        (_set("bits_a", "8"), "calibration key 'bits_a' must be an int, got str '8'"),
         (_set("sample_count", "x"), "calibration key 'sample_count' must be an int"),
-        (_set("symmetric", 1), "calibration key 'symmetric' must be a bool, got int 1"),
         (_set("fingerprint", 7), "calibration key 'fingerprint' must be a string"),
     ],
 )
 def test_calibration_grids_and_keys_are_checked_on_load(workdir, capsys, tamper, match):
-    """A non-finite grid scale, or a calibration key of the wrong type, fails
-    quantize --calib before any qmodel is written."""
+    """A calibration key of the wrong type fails quantize --calib before
+    any qmodel is written."""
     tmp, cfg = workdir
     model, calib, out = tmp / "m.json", tmp / "c.json", tmp / "q.json"
     samples = str(tmp / "s.mqs")
@@ -680,31 +676,134 @@ def test_calibration_grids_and_keys_are_checked_on_load(workdir, capsys, tamper,
     assert not out.exists()
 
 
-def test_calibration_grid_off_the_file_grid_fails_at_load(tmp_path, capsys):
-    """The README desk calibration with msq[0].visual at 4 bits and
-    vision_act[1] asymmetric: quantize --calib names the first grid that is
-    not per-tensor at the file's bits_a and symmetric, then the second once
-    the first is restored, and writes nothing."""
-    model, calib, out = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "q.json"
-    samples = str(tmp_path / "s.mqs")
-    run("gen-model", "--out", str(model), "--seed", "0")
-    run("gen-samples", "--out", samples, "--count", "8", "--length", "16", "--seed", "123")
-    run("calibrate", "--model", str(model), "--samples", samples, "--out", str(calib))
-    d = json.loads(calib.read_text())
-    bits = d["msq"][0]["visual"]["bits"]
-    d["msq"][0]["visual"]["bits"] = 4
-    d["vision_act"][1]["symmetric"] = False
-    for grid, detail in (
-        ("msq[0].visual", "it is per_tensor at bits=4, symmetric=True"),
-        ("vision_act[1]", "it is per_tensor at bits=8, symmetric=False"),
-    ):
-        calib.write_text(json.dumps(d))
-        capsys.readouterr()
-        code = run("quantize", "--model", str(model), "--calib", str(calib), "--out", str(out))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert f"calibration {grid} must be per_tensor at the file's bits_a=8, symmetric=True" in err
-        assert detail in err
-        assert not out.exists()
-        d["msq"][0]["visual"]["bits"] = bits
+@pytest.fixture
+def calibrated(workdir):
+    """A model, a sample batch, and the calibration and qmodel made from
+    them, as paths in the work directory."""
+    tmp, cfg = workdir
+    paths = {name: tmp / f"{name}.json" for name in ("model", "calib", "qmodel")}
+    paths["samples"] = tmp / "s.mqs"
+    run("gen-model", "--config", cfg, "--out", str(paths["model"]))
+    run("gen-samples", "--out", str(paths["samples"]), "--count", "2", "--length", "6",
+        "--d-model", "16")
+    run("calibrate", "--model", str(paths["model"]), "--samples", str(paths["samples"]),
+        "--out", str(paths["calib"]))
+    run("quantize", "--model", str(paths["model"]), "--calib", str(paths["calib"]),
+        "--out", str(paths["qmodel"]))
+    return paths
+
+
+def _refused(paths, capsys, command) -> str:
+    """The error of quantize --calib (command "quantize") or eval on the
+    files in paths, checked to exit 2 and write nothing."""
+    out = paths["model"].parent / "out.json"
+    capsys.readouterr()
+    if command == "quantize":
+        code = run("quantize", "--model", str(paths["model"]), "--calib", str(paths["calib"]),
+                   "--out", str(out))
+    else:
+        code = run("eval", "--qmodel", str(paths["qmodel"]), "--samples",
+                   str(paths["samples"]), "--report", str(out))
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("command", ["quantize", "eval"])
+@pytest.mark.parametrize(
+    "tamper, match",
+    [
+        (_set("sample_count", -5), "calibration key 'sample_count' must be >= 1, got -5"),
+        (_set("sample_count", 0), "calibration key 'sample_count' must be >= 1, got 0"),
+        (_set("aifs", True), "calibration file has unknown keys ['aifs']"),
+        (_set("points", "llm.0.input", "text", [float("nan"), 1.0]),
+         "calibration llm.0.input.text must be finite, got [nan, 1.0]"),
+        (_set("points", "vision.0.input", "visual", [-1.0, 1e309]),
+         "calibration vision.0.input.visual must be finite, got [-1.0, inf]"),
+        (_set("points", "vision.0.input", "visual", [2.0, 1.0]),
+         "calibration vision.0.input.visual has lo 2.0 > hi 1.0"),
+        (_set("points", "llm.0.input", "audio", [0.0, 1.0]),
+         "calibration point 'llm.0.input' holds ranges ['audio', 'text', 'visual']; "
+         "it takes one or more of ['visual', 'text']"),
+        (_set("points", "vision.0.input", "text", [0.0, 1.0]),
+         "calibration point 'vision.0.input' holds ranges ['text', 'visual']; "
+         "it takes one or more of ['visual']"),
+    ],
+)
+def test_a_calibration_out_of_its_schema_is_refused_on_load(
+    calibrated, capsys, tamper, match, command
+):
+    """A calibration, alone or inside a qmodel, whose sample count is below
+    1, that holds a key of no schema-3 file, a non-finite or reversed
+    range, or a range for a modality its point does not take, exits 2
+    naming the field."""
+    path = calibrated["calib" if command == "quantize" else "qmodel"]
+    d = json.loads(path.read_text())
+    tamper(d if command == "quantize" else d["calibration"])
+    path.write_text(json.dumps(d))
+    assert match in _refused(calibrated, capsys, command)
+
+
+def test_a_qmodel_with_an_unknown_key_is_refused(calibrated, capsys):
+    d = json.loads(calibrated["qmodel"].read_text())
+    d["weights"] = {}
+    calibrated["qmodel"].write_text(json.dumps(d))
+    assert "quantized model file has unknown keys ['weights']" in _refused(
+        calibrated, capsys, "eval"
+    )
+
+
+@pytest.mark.parametrize("command", ["quantize", "eval"])
+def test_a_schema_2_file_is_refused_naming_schema_version(calibrated, capsys, command):
+    """A schema-2 calibration stored grids with their bits and symmetry;
+    it is refused by its version, alone or inside a qmodel, not by its
+    keys."""
+    path = calibrated["calib" if command == "quantize" else "qmodel"]
+    d = json.loads(path.read_text())
+    d["schema_version"] = 2
+    calib = d if command == "quantize" else d["calibration"]
+    del calib["points"]
+    calib.update(schema_version=2, bits_a=8, symmetric=True, msq=[], vision_act=[])
+    path.write_text(json.dumps(d))
+    assert "schema_version=2, this version reads 3" in _refused(calibrated, capsys, command)
+
+
+def test_bench_lengths_that_are_not_ints_are_named(calibrated, capsys):
+    out = calibrated["model"].parent / "bench.json"
+    capsys.readouterr()
+    code = run("bench", "--qmodel", str(calibrated["qmodel"]), "--lengths", "16,x",
+               "--report", str(out))
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: --lengths takes comma-separated ints, got 'x'\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_transcript() -> list:
+    """(argv, printed lines) of each command of README's CLI walkthrough.
+    A line README wraps, indented under the one it continues, is joined
+    onto it with one space."""
+    block = README.read_text().split("```\n$ mquant gen-model", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in ("$ mquant gen-model" + block).splitlines():
+        if line.startswith("$ mquant "):
+            commands.append((shlex.split(line.removeprefix("$ mquant ")), []))
+        elif line.startswith(" "):
+            commands[-1][1][-1] += " " + line.strip()
+        elif line:
+            commands[-1][1].append(line)
+    return commands
+
+
+def test_the_readme_walkthrough_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    transcript = readme_transcript()
+    assert [argv[0] for argv, _ in transcript] == [
+        "gen-model", "gen-samples", "calibrate", "quantize", "eval", "bench"
+    ]
+    for argv, printed in transcript:
+        assert run(*argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == printed, argv

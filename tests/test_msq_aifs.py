@@ -89,7 +89,7 @@ def plan_mask(plan):
 def aifs_attention(x, layout, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     """The AIFS path written out: reorder visual-first, mask by the
     original order, rotate by original positions, restore the order."""
-    perm = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout.modality)
     out_r = attention_forward(
         x[perm], wq, bq, wk, bk, wv, bv, wo, bo,
         n_heads=n_heads,
@@ -123,7 +123,7 @@ def test_visual_spans():
 
 
 def test_plan_tvvt():
-    perm = build_aifs_plan(layout_from_string("tvvt"))
+    perm = build_aifs_plan(layout_from_string("tvvt").modality)
     np.testing.assert_array_equal(perm, [1, 2, 0, 3])
 
 
@@ -131,7 +131,7 @@ def test_plan_is_stable():
     rng = np.random.default_rng(0)
     for _ in range(20):
         layout = random_layout(rng, int(rng.integers(1, 20)))
-        perm = build_aifs_plan(layout)
+        perm = build_aifs_plan(layout.modality)
         vis = perm[: layout.visual_count]
         txt = perm[layout.visual_count :]
         assert np.all(np.diff(vis) > 0) if len(vis) > 1 else True
@@ -141,7 +141,7 @@ def test_plan_is_stable():
 
 
 def test_all_text_plan_is_identity():
-    perm = build_aifs_plan(layout_from_string("tttt"))
+    perm = build_aifs_plan(layout_from_string("tttt").modality)
     np.testing.assert_array_equal(perm, [0, 1, 2, 3])
 
 
@@ -196,7 +196,7 @@ def test_unified_mask_matches_conjugation_all_single_spans():
                 tags = np.zeros(length, dtype=np.int64)
                 if n >= m:
                     tags[m : n + 1] = VISUAL
-                perm = build_aifs_plan(ModalityLayout(tags))
+                perm = build_aifs_plan(tags)
                 want = permuted_mask_oracle(perm, length)
                 got = unified_causal_mask(m, n, length)
                 assert np.array_equal(got, want), (length, m, n)
@@ -210,7 +210,7 @@ def test_unified_mask_matches_conjugation_on_long_sequences():
     ]:
         tags = np.zeros(length, dtype=np.int64)
         tags[m : n + 1] = VISUAL
-        perm = build_aifs_plan(ModalityLayout(tags))
+        perm = build_aifs_plan(tags)
         want = permuted_mask_oracle(perm, length)
         assert np.array_equal(unified_causal_mask(m, n, length), want), (m, n)
 
@@ -343,7 +343,7 @@ def test_mask_bounds_checked():
 def test_every_mask_row_has_a_free_slot():
     rng = np.random.default_rng(1)
     for _ in range(30):
-        perm = build_aifs_plan(random_layout(rng, int(rng.integers(1, 16))))
+        perm = build_aifs_plan(random_layout(rng, int(rng.integers(1, 16))).modality)
         mask = permuted_mask_oracle(perm, len(perm))
         assert np.all((mask == MASK_FREE).any(axis=1))
 
@@ -393,7 +393,7 @@ def test_remap_rope_conjugates_scores():
     permuted score matrix of the natural pass."""
     rng = np.random.default_rng(5)
     layout = layout_from_string("tvtvvt")
-    perm = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout.modality)
     q = rng.normal(size=(6, 8))
     k = rng.normal(size=(6, 8))
     qn = rope_rotate(q, np.arange(6))
@@ -548,7 +548,7 @@ def oracle_case(rng, kind, length):
         n = int(rng.integers(m - 1, length))
         tags = np.full(length, TEXT)
         tags[m : n + 1] = VISUAL
-        return unified_causal_mask(m, n, length), build_aifs_plan(ModalityLayout(tags))
+        return unified_causal_mask(m, n, length), build_aifs_plan(tags)
     if kind == "permuted":
         perm = rng.permutation(length)
         return conjugation_oracle(perm, length), perm
@@ -782,7 +782,7 @@ def test_one_row_tile_over_a_narrow_band_equals_the_reference_bitwise(heads):
     rng = np.random.default_rng(19)
     d = 32
     (wq, wk, wv, wo), (bq, bk, bv, bo) = random_attn_weights(rng, d)
-    perm = build_aifs_plan(layout_from_string("tt" + "v" * 63))
+    perm = build_aifs_plan(layout_from_string("tt" + "v" * 63).modality)
     masks = [conjugation_oracle(perm, 65), standard_causal_mask(5)]
     plan = build_attention_plan([65, 5], np.concatenate([perm, np.arange(5)]))
     args = (rng.normal(size=(70, d)) * 10, wq, bq, wk, bk, wv, bv, wo, bo)
@@ -807,10 +807,22 @@ def designed_stream(rng, count=6, length=10, d=4, v_amp=20.0, t_amp=0.5):
     return samples
 
 
+def stream_ranges(samples):
+    """Each modality's [lo, hi] over a stream of (x, layout) samples, the
+    ranges calibration records at a point; a modality no row has has none."""
+    x = np.vstack([x for x, _ in samples])
+    tags = np.concatenate([layout.modality for _, layout in samples])
+    return {
+        key: [x[tags == tag].min(), x[tags == tag].max()]
+        for key, tag in (("visual", VISUAL), ("text", TEXT))
+        if (tags == tag).any()
+    }
+
+
 def test_calibrate_msq_separates_scales():
     rng = np.random.default_rng(8)
     samples = designed_stream(rng)
-    params = calibrate_msq(samples, bits=8)
+    params = calibrate_msq(stream_ranges(samples), bits=8)
     s_v, s_t = params.visual.scales[0], params.text.scales[0]
     assert s_v <= 20.0 / 127 + 1e-12
     assert s_t <= 0.5 / 127 + 1e-12
@@ -818,37 +830,21 @@ def test_calibrate_msq_separates_scales():
     assert s_v / s_t > 10.0
 
 
-def test_calibrate_msq_order_invariant():
-    rng = np.random.default_rng(9)
-    samples = designed_stream(rng)
-    a = calibrate_msq(samples, bits=8)
-    b = calibrate_msq(samples[::-1], bits=8)
-    assert a.visual.scales[0] == b.visual.scales[0]
-    assert a.text.scales[0] == b.text.scales[0]
-
-
-def test_calibrate_msq_missing_modality_warns():
-    x = np.ones((3, 2))
-    layout = layout_from_string("ttt")
-    with pytest.warns(UserWarning, match="no visual tokens"):
-        params = calibrate_msq([(x, layout)], bits=8)
-    assert params.visual.scales[0] == 1.0  # absent modality gets the zero-range sentinel
-
-
-def test_calibrate_msq_row_count_mismatch():
-    with pytest.raises(ValueError, match="rows"):
-        calibrate_msq([(np.ones((3, 2)), layout_from_string("tt"))], bits=8)
-
-
-def test_calibrate_msq_empty():
-    with pytest.raises(ValueError, match="empty"):
-        calibrate_msq([], bits=8)
+def test_calibrate_msq_gives_an_absent_modality_the_sentinel():
+    """A modality no calibration row had has no range, and gets the
+    zero-range sentinel grid, silently: calibration warned once."""
+    ranges = stream_ranges([(np.ones((3, 2)), layout_from_string("ttt"))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = calibrate_msq(ranges, bits=8)
+    assert params.visual.scales[0] == 1.0 and params.visual.zero_points[0] == 0
+    assert params.text.scales[0] == 1.0 / 127
 
 
 def test_quantize_msq_counts_two_ops():
     rng = np.random.default_rng(10)
     samples = designed_stream(rng)
-    params = calibrate_msq(samples, bits=8)
+    params = calibrate_msq(stream_ranges(samples), bits=8)
     counter = ScaleOpCounter()
     x, layout = samples[0]
     vis = layout.modality == VISUAL
@@ -861,9 +857,9 @@ def test_quantize_msq_counts_two_ops():
 def test_quantize_msq_applies_segment_grids():
     rng = np.random.default_rng(11)
     samples = designed_stream(rng)
-    params = calibrate_msq(samples, bits=8)
+    params = calibrate_msq(stream_ranges(samples), bits=8)
     x, layout = samples[1]
-    perm = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout.modality)
     m = layout.visual_count
     xr = x[perm]
     out = quantize_msq(xr, np.arange(len(perm)) < m, params)
@@ -876,9 +872,9 @@ def test_quantize_msq_mask_matches_prefix_form():
     quantization of the reordered tensor, mapped back."""
     rng = np.random.default_rng(12)
     samples = designed_stream(rng)
-    params = calibrate_msq(samples, bits=8)
+    params = calibrate_msq(stream_ranges(samples), bits=8)
     x, layout = samples[2]
-    perm = build_aifs_plan(layout)
+    perm = build_aifs_plan(layout.modality)
     prefix_rows = np.arange(len(perm)) < layout.visual_count
     prefix = quantize_msq(x[perm], prefix_rows, params)[np.argsort(perm)]
     scattered = quantize_msq(x, layout.modality == VISUAL, params)
@@ -887,7 +883,7 @@ def test_quantize_msq_mask_matches_prefix_form():
 
 def test_quantize_msq_uniform_masks():
     rng = np.random.default_rng(13)
-    params = calibrate_msq(designed_stream(rng), bits=8)
+    params = calibrate_msq(stream_ranges(designed_stream(rng)), bits=8)
     x = rng.normal(size=(4, 4))
     out_all_text = quantize_msq(x, np.zeros(4, dtype=bool), params)
     np.testing.assert_array_equal(out_all_text, fake_quant(x, params.text))
@@ -909,7 +905,7 @@ def test_dynamic_per_token_counts_length():
 
 def test_static_cost_is_length_free():
     rng = np.random.default_rng(15)
-    params = calibrate_msq(designed_stream(rng), bits=8)
+    params = calibrate_msq(stream_ranges(designed_stream(rng)), bits=8)
     for length in (1, 16, 128):
         counter = ScaleOpCounter()
         x = rng.normal(size=(length, 4))

@@ -31,11 +31,9 @@ from mquant.msq_aifs import (
     ModalityLayout,
     build_aifs_plan,
     build_attention_plan,
-    calibrate_msq,
 )
 from mquant.pipeline import (
     PACK_ROWS,
-    CalibrationResult,
     PipelineConfig,
     calibrate_pipeline,
     cosine_and_mse,
@@ -45,7 +43,6 @@ from mquant.pipeline import (
     new_state,
     stage_rotate_llm,
 )
-from mquant.quantizer import calibrate_static
 
 D = 16
 
@@ -111,41 +108,37 @@ def evaluate_per_sample(qm, samples, dynamic=False):
 
 
 def calibrate_per_sample(float_model, samples, pcfg):
-    """calibrate_pipeline with one float forward per sample."""
+    """calibrate_pipeline's (sample_count, points) with one float forward
+    per sample, each point's ranges the min/max of its stacked inputs."""
     state = new_state(float_model, pcfg)
     stage_rotate_llm(state)
     work = state.model
-    llm_inputs = [[] for _ in work.llm_blocks]
-    vision_inputs = [[] for _ in work.vision_blocks]
+    inputs = {}
 
     def recorder(name, x, modality):
-        part, idx = name.split(".")[0], int(name.split(".")[1])
-        (llm_inputs if part == "llm" else vision_inputs)[idx].append(x)
+        tags = np.full(x.shape[0], VISUAL) if modality is None else modality
+        inputs.setdefault(name, []).append((x, tags))
         return x
 
-    run_layouts = []
     for rows, layout in samples:
         x, _, _ = embed_tokens(work, rows, layout.modality, recorder)
-        perm = build_aifs_plan(layout) if pcfg.aifs else np.arange(len(layout))
-        run_layouts.append(ModalityLayout(layout.modality[perm]))
+        perm = build_aifs_plan(layout.modality) if pcfg.aifs else np.arange(len(layout))
         llm_stack(
             work, x[perm], build_attention_plan([len(layout)], perm), perm,
             layout.modality[perm], recorder,
         )
-    return CalibrationResult(
-        fingerprint="",
-        msq=[
-            calibrate_msq(zip(inputs, run_layouts), pcfg.bits_a, pcfg.symmetric_activations)
-            for inputs in llm_inputs
-        ],
-        vision_act=[
-            calibrate_static(inputs, pcfg.bits_a, pcfg.symmetric_activations)
-            for inputs in vision_inputs
-        ],
-        sample_count=len(samples),
-        bits_a=pcfg.bits_a,
-        symmetric=pcfg.symmetric_activations,
-    )
+    if not any(name.startswith("vision.") for name in inputs):
+        raise ValueError("calibration stream is empty: no visual rows")
+    points = {}
+    for name, pairs in inputs.items():
+        x = np.vstack([x for x, _ in pairs])
+        tags = np.concatenate([tags for _, tags in pairs])
+        points[name] = {
+            key: [x[tags == tag].min(), x[tags == tag].max()]
+            for key, tag in (("visual", VISUAL), ("text", TEXT))
+            if (tags == tag).any()
+        }
+    return len(samples), points
 
 
 def assert_close(got, lone):
@@ -153,18 +146,14 @@ def assert_close(got, lone):
     assert np.abs(got - lone).max() <= 1e-12 * np.abs(lone).max()
 
 
-def assert_params_close(got, want):
-    np.testing.assert_allclose(got.scales, want.scales, rtol=1e-12, atol=0)
-    assert np.array_equal(got.zero_points, want.zero_points)
-
-
 def assert_calibration_matches(got, want):
-    assert got.sample_count == want.sample_count
-    for g, w in zip(got.msq, want.msq, strict=True):
-        assert_params_close(g.visual, w.visual)
-        assert_params_close(g.text, w.text)
-    for g, w in zip(got.vision_act, want.vision_act, strict=True):
-        assert_params_close(g, w)
+    sample_count, points = want
+    assert got.sample_count == sample_count
+    assert got.points.keys() == points.keys()
+    for name, ranges in points.items():
+        assert got.points[name].keys() == ranges.keys(), name
+        for key, r in ranges.items():
+            np.testing.assert_allclose(got.points[name][key], r, rtol=1e-12, atol=0)
 
 
 def assert_report_matches(report, oracle):
@@ -383,26 +372,33 @@ def test_act_fn_sees_each_block_inputs_tags_in_run_order(float_model, aifs):
 
 @pytest.mark.parametrize("aifs", [True, False])
 def test_calibration_records_the_quantized_forwards_run_order(float_model, qms, aifs, monkeypatch):
-    """The layout calibration records with each LLM block input is the
-    row order the quantized forward's static grids see at that block."""
+    """The tags calibration's recorder sees with each LLM block input are
+    the row order the quantized forward's static grids see at that block."""
     samples = [make_sample(np.random.default_rng(i), n, "mixed") for i, n in enumerate((9, 14, 5))]
     rows, modality, lengths = stack(samples)
     recorded, applied = [], []
-    calibrate_msq_, quantize_msq_ = pipeline.calibrate_msq, pipeline.quantize_msq
+    model_forward_, quantize_msq_ = pipeline.model_forward, pipeline.quantize_msq
 
-    def recording(pairs, *args, **kwargs):
-        pairs = list(pairs)
-        recorded.append(np.concatenate([layout.modality for _, layout in pairs]))
-        return calibrate_msq_(pairs, *args, **kwargs)
+    def recording(model, rows, modality, recorder, *args):
+        """The calibration forward, with the tags its recorder sees at
+        each LLM block input written down."""
+
+        def seen(name, x, tags):
+            if tags is not None:
+                recorded.append(tags)
+            return recorder(name, x, tags)
+
+        return model_forward_(model, rows, modality, seen, *args)
 
     def applying(x, visual_rows, *args):
         applied.append(visual_rows)
         return quantize_msq_(x, visual_rows, *args)
 
-    monkeypatch.setattr(pipeline, "calibrate_msq", recording)
-    monkeypatch.setattr(pipeline, "quantize_msq", applying)
+    monkeypatch.setattr(pipeline, "model_forward", recording)
     pcfg = small_pcfg(aifs=aifs)
     pipeline.calibrate_pipeline(float_model, samples, pcfg)
+    monkeypatch.setattr(pipeline, "model_forward", model_forward_)
+    monkeypatch.setattr(pipeline, "quantize_msq", applying)
     qms[aifs].forward(rows, modality, lengths=lengths)
     assert len(recorded) == len(applied) == pcfg.model.llm_blocks
     for tags, visual_rows in zip(recorded, applied):

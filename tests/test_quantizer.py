@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mquant.quantizer import (
     Granularity,
     QuantParams,
-    calibrate_static,
     compute_params_absmax,
     fake_quant,
     params_from_dict,
@@ -135,20 +134,6 @@ def test_codes_stay_in_range():
             p = compute_params_absmax(x, bits, symmetric=symmetric)
             q = quantize(x, p).values
             assert q.min() >= p.q_min and q.max() <= p.q_max
-
-
-def test_calibrate_static_order_invariant():
-    rng = np.random.default_rng(6)
-    chunks = [rng.normal(size=(4, 8)) * s for s in (1.0, 10.0, 0.1)]
-    a = calibrate_static(chunks, 8)
-    b = calibrate_static(chunks[::-1], 8)
-    np.testing.assert_array_equal(a.scales, b.scales)
-    np.testing.assert_array_equal(a.zero_points, b.zero_points)
-
-
-def test_calibrate_static_empty_stream():
-    with pytest.raises(ValueError, match="empty"):
-        calibrate_static([], 8)
 
 
 def test_params_validation():

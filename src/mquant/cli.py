@@ -164,7 +164,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     _write_json(args.out, qmodel_to_dict(qm))
     triggered = sum(1 for p in qm.plans.values() if p.triggered)
     print(f"wrote {args.out}")
-    print(f"stages: {' -> '.join(qm.stage_log)}")
+    print(f"stages: {' -> '.join(qm.stages)}")
     print(
         f"weights: {len(qm.weight_grids)} grids at {pcfg.bits_w}b "
         f"({pcfg.weight_granularity}), activations at {pcfg.bits_a}b"

@@ -665,6 +665,17 @@ def model_from_dict(d: dict) -> ToyMllm:
                 raise ValueError(
                     f"model file flag online_fht[{key!r}] must be a bool, got {value!r}"
                 )
+        blocks_of_config = {
+            f"{part}.{i}"
+            for part in ("vision", "llm")
+            for i in range(getattr(cfg, f"{part}_blocks"))
+        }
+        if set(online_fht) != blocks_of_config:
+            raise ValueError(
+                "model file flag 'online_fht' must name exactly the config's blocks: "
+                f"missing {sorted(blocks_of_config - set(online_fht))}, "
+                f"extra {sorted(set(online_fht) - blocks_of_config)}"
+            )
 
         d_model, d_ff = cfg.d_model, cfg.d_ff
         # (d_in, d_out) of each block linear
@@ -695,7 +706,7 @@ def model_from_dict(d: dict) -> ToyMllm:
                     attn_norm=norm(f"{part}.{i}.attn_norm"),
                     mlp_norm=norm(f"{part}.{i}.mlp_norm"),
                     rope=rope,
-                    online_fht=online_fht.get(f"{part}.{i}", False),
+                    online_fht=online_fht[f"{part}.{i}"],
                     **{tag: lin(f"{part}.{i}.{tag}", *shapes[tag]) for tag in BLOCK_LINEARS},
                 )
                 for i in range(count)

@@ -1,12 +1,13 @@
 """Staged quantization pipeline over the toy multimodal model.
 
-The driver runs seven stages in a fixed order: rotate the LLM part,
-calibrate activations (always through float weights and the still-float
-vision path), freeze the LLM weights, rewrite the vision encoder's norms,
-rotate the vision part, freeze its weights, then build the outlier-row
-split plan of every down-projection.  Each stage checks its real
-preconditions, so running them out of order fails loudly instead of
-silently producing a model quantized in the wrong coordinates.  The stage
+Each stage is a plain transform: it takes what it uses and returns what
+it makes.  mquant_quantize is the one composer of all seven, and the order
+is its code: rotate the LLM part, calibrate activations (through the float
+weights and the still-float vision path), freeze the LLM weights, rewrite
+the vision encoder's norms, rotate the vision part, freeze its weights,
+then build the outlier-row split plan of every down-projection.
+calibrate_pipeline runs the first two stages, and apply_lossless_stack the
+three float-equivalent ones (both rotations and the rewrite).  The stage
 that picks a weight's grid freezes the weight on it in place, and each
 split plan goes onto its block as it is built, so the transformed model is
 the model the quantized forward runs.  Calibration and the quantized
@@ -303,7 +304,7 @@ class CalibrationResult:
         return cls(fingerprint, sample_count, _check_points(points))
 
 
-# Rows per pack in evaluate and calibrate_rotated.  Consecutive samples are
+# Rows per pack in evaluate and stage_calibrate.  Consecutive samples are
 # stacked up to this many rows; a longer sample is a pack of its own.  It
 # bounds the peak memory of a forward by a pack, not by the batch.
 PACK_ROWS = 1024
@@ -348,7 +349,28 @@ def _stack(pack: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
     )
 
 
-def calibrate_rotated(
+# ===== staged transform =====
+
+# The stages mquant_quantize runs, in its order; build_rms_plans runs only
+# under the config's rms.
+STAGES = (
+    "rotate_llm",
+    "calibrate",
+    "quantize_llm_weights",
+    "vision_rewrite",
+    "rotate_vision",
+    "quantize_vision_weights",
+    "build_rms_plans",
+)
+
+
+def stage_rotate_llm(model: ToyMllm) -> tuple[ToyMllm, dict]:
+    """A copy of model with its LLM part rotated, and the snapshots of its
+    down-projections (rotate_model_offline)."""
+    return rotate_model_offline(model, parts=("llm",))
+
+
+def stage_calibrate(
     work: ToyMllm, fingerprint: str, samples: list, pcfg: PipelineConfig
 ) -> CalibrationResult:
     """Per-modality min/max of every block input, from float forwards of
@@ -397,52 +419,42 @@ def calibrate_rotated(
     return CalibrationResult(fingerprint, len(samples), points)
 
 
-# ===== staged transform =====
+def calibrate_pipeline(
+    float_model: ToyMllm, samples: list, pcfg: PipelineConfig
+) -> CalibrationResult:
+    """The calibration of float_model, as the quantize pipeline would
+    collect it: rotate the LLM part, then calibrate."""
+    work, _ = stage_rotate_llm(float_model)
+    return stage_calibrate(work, model_fingerprint(float_model), samples, pcfg)
 
 
-@dataclass
-class QuantizeState:
-    pcfg: PipelineConfig
-    float_model: ToyMllm
-    model: ToyMllm
-    snapshots: dict = field(default_factory=dict)
-    weight_grids: dict = field(default_factory=dict)
-    calib: CalibrationResult | None = None
-    done: list = field(default_factory=list)
-
-    def require(self, *stages: str) -> None:
-        missing = [s for s in stages if s not in self.done]
-        if missing:
-            raise ValueError(
-                f"stage order violation: {missing} must run first (done: {self.done})"
-            )
-
-    def forbid(self, stage: str, reason: str) -> None:
-        if stage in self.done:
-            raise ValueError(f"stage order violation: {reason}")
-
-    def mark(self, stage: str) -> None:
-        if stage in self.done:
-            raise ValueError(f"stage {stage!r} already ran")
-        self.done.append(stage)
+def stage_set_calibration(
+    float_model: ToyMllm, calib: CalibrationResult
+) -> CalibrationResult:
+    """calib, if it was made for float_model and holds exactly its block
+    inputs; otherwise a ValueError naming the mismatch."""
+    expect = model_fingerprint(float_model)
+    if calib.fingerprint != expect:
+        raise ValueError(
+            f"calibration was made for model {calib.fingerprint}, "
+            f"this model is {expect}"
+        )
+    want = block_inputs(float_model.config)
+    if set(calib.points) != set(want):
+        raise ValueError(
+            f"calibration points do not match the model's block inputs: "
+            f"missing {sorted(set(want) - set(calib.points))}, "
+            f"extra {sorted(set(calib.points) - set(want))}"
+        )
+    return calib
 
 
-def new_state(float_model: ToyMllm, pcfg: PipelineConfig) -> QuantizeState:
-    return QuantizeState(pcfg=pcfg, float_model=float_model, model=float_model)
-
-
-def stage_rotate_llm(state: QuantizeState) -> None:
-    state.model, snaps = rotate_model_offline(state.model, parts=("llm",))
-    state.snapshots.update(snaps)
-    state.mark("rotate_llm")
-
-
-def _quantize_weights(state: QuantizeState, parts: tuple) -> None:
+def _quantize_weights(model: ToyMllm, pcfg: PipelineConfig, parts: tuple) -> dict:
     """Freeze every linear of the given parts on its symmetric weight grid,
     per output channel (or per group of them): its weight becomes the
-    fake-quantized one, and its grid goes into weight_grids."""
-    pcfg = state.pcfg
-    for name, lin in iter_linears(state.model):
+    fake-quantized one.  Returns the grids by linear name."""
+    grids = {}
+    for name, lin in iter_linears(model):
         if name.split(".")[0] not in parts:
             continue
         if name.endswith(".w_down") and pcfg.rms:
@@ -452,109 +464,57 @@ def _quantize_weights(state: QuantizeState, parts: tuple) -> None:
             w_t, pcfg.bits_w, Granularity(pcfg.weight_granularity), group_size=pcfg.group_size
         )
         lin.w = np.ascontiguousarray(fake_quant(w_t, params).T)
-        state.weight_grids[name] = params
+        grids[name] = params
+    return grids
 
 
-def stage_calibrate(state: QuantizeState, samples: list) -> None:
-    state.require("rotate_llm")
-    for stage, what in ("quantize_llm_weights", "LLM weights"), ("vision_rewrite", "vision path"):
-        state.forbid(
-            stage, f"activation calibration must see the float {what}, but {stage} already ran"
-        )
-    state.calib = calibrate_rotated(
-        state.model, model_fingerprint(state.float_model), samples, state.pcfg
-    )
-    state.mark("calibrate")
+def stage_quantize_llm_weights(model: ToyMllm, pcfg: PipelineConfig) -> dict:
+    return _quantize_weights(model, pcfg, ("llm", "text_embed", "head"))
 
 
-def calibrate_pipeline(
-    float_model: ToyMllm, samples: list, pcfg: PipelineConfig
-) -> CalibrationResult:
-    """The calibration of float_model, as the quantize pipeline would
-    collect it: rotate the LLM part, then calibrate."""
-    state = new_state(float_model, pcfg)
-    stage_rotate_llm(state)
-    return calibrate_rotated(
-        state.model, model_fingerprint(float_model), samples, pcfg
-    )
+def stage_vision_rewrite(model: ToyMllm) -> ToyMllm:
+    return preln_to_rmsnorm(model)
 
 
-def stage_set_calibration(state: QuantizeState, calib: CalibrationResult) -> None:
-    state.require("rotate_llm")
-    state.forbid(
-        "vision_rewrite",
-        "calibration must be attached before the vision rewrite stage",
-    )
-    expect = model_fingerprint(state.float_model)
-    if calib.fingerprint != expect:
-        raise ValueError(
-            f"calibration was made for model {calib.fingerprint}, "
-            f"this model is {expect}"
-        )
-    want = block_inputs(state.float_model.config)
-    if set(calib.points) != set(want):
-        raise ValueError(
-            f"calibration points do not match the model's block inputs: "
-            f"missing {sorted(set(want) - set(calib.points))}, "
-            f"extra {sorted(set(calib.points) - set(want))}"
-        )
-    state.calib = calib
-    state.mark("calibrate")
+def stage_rotate_vision(model: ToyMllm) -> tuple[ToyMllm, dict]:
+    """A copy of model with its vision part rotated, and the snapshots of
+    its down-projections.  The vision norms must already be RMS kind
+    (stage_vision_rewrite)."""
+    return rotate_model_offline(model, parts=("vision",))
 
 
-def stage_quantize_llm_weights(state: QuantizeState) -> None:
-    state.require("rotate_llm")
-    _quantize_weights(state, ("llm", "text_embed", "head"))
-    state.mark("quantize_llm_weights")
+def stage_quantize_vision_weights(model: ToyMllm, pcfg: PipelineConfig) -> dict:
+    return _quantize_weights(model, pcfg, ("vision", "vision_embed", "projector"))
 
 
-def stage_vision_rewrite(state: QuantizeState) -> None:
-    state.model = preln_to_rmsnorm(state.model)
-    state.mark("vision_rewrite")
-
-
-def stage_rotate_vision(state: QuantizeState) -> None:
-    state.require("vision_rewrite")
-    state.model, snaps = rotate_model_offline(state.model, parts=("vision",))
-    state.snapshots.update(snaps)
-    state.mark("rotate_vision")
-
-
-def stage_quantize_vision_weights(state: QuantizeState) -> None:
-    state.require("rotate_vision")
-    _quantize_weights(state, ("vision", "vision_embed", "projector"))
-    state.mark("quantize_vision_weights")
-
-
-def stage_build_rms_plans(state: QuantizeState) -> None:
-    state.require("rotate_llm", "rotate_vision")
-    if not state.pcfg.rms:
-        raise ValueError("split plans are disabled (rms off)")
+def stage_build_rms_plans(model: ToyMllm, snapshots: dict, pcfg: PipelineConfig) -> dict:
+    """Put the split plan of every down-projection onto its block, built
+    from the rotated weight and its snapshot, and freeze the weight on the
+    plan's main grid.  Returns those grids by linear name."""
+    grids = {}
     for part in ("vision", "llm"):
-        for i, blk in enumerate(getattr(state.model, f"{part}_blocks")):
+        for i, blk in enumerate(getattr(model, f"{part}_blocks")):
             name = f"{part}.{i}.w_down"
             blk.split = build_split_plan(
                 name,
                 w_rotated=blk.w_down.w,
-                w_original=state.snapshots[name],
-                bits=state.pcfg.bits_w,
-                split_bits=state.pcfg.split_bits,
-                granularity=Granularity(state.pcfg.weight_granularity),
-                group_size=state.pcfg.group_size,
+                w_original=snapshots[name],
+                bits=pcfg.bits_w,
+                split_bits=pcfg.split_bits,
+                granularity=Granularity(pcfg.weight_granularity),
+                group_size=pcfg.group_size,
             )
             blk.w_down.w = blk.split.main_q
-            state.weight_grids[name] = blk.split.main_params
-    state.mark("build_rms_plans")
+            grids[name] = blk.split.main_params
+    return grids
 
 
 def apply_lossless_stack(float_model: ToyMllm, pcfg: PipelineConfig) -> ToyMllm:
     """Rewrite plus both rotations, no quantization: the float-equivalent
     transform stack."""
-    state = new_state(float_model, pcfg)
-    stage_rotate_llm(state)
-    stage_vision_rewrite(state)
-    stage_rotate_vision(state)
-    return state.model
+    model, _ = stage_rotate_llm(float_model)
+    model, _ = stage_rotate_vision(stage_vision_rewrite(model))
+    return model
 
 
 # ===== quantized model =====
@@ -579,7 +539,6 @@ class QuantizedModel:
     model: ToyMllm
     weight_grids: dict
     calib: CalibrationResult
-    stage_log: list
     counter: ScaleOpCounter = field(default_factory=ScaleOpCounter)
     vision_act: list = field(init=False)
     msq: list = field(init=False)
@@ -595,6 +554,11 @@ class QuantizedModel:
             calibrate_msq(points[f"llm.{i}.input"], bits, symmetric)
             for i in range(len(self.model.llm_blocks))
         ]
+
+    @property
+    def stages(self) -> list:
+        """The stages that built the model, in the order they ran."""
+        return [s for s in STAGES if self.pcfg.rms or s != "build_rms_plans"]
 
     @property
     def plans(self) -> dict:
@@ -640,7 +604,8 @@ def mquant_quantize(
     samples: list | None = None,
     calib: CalibrationResult | None = None,
 ) -> QuantizedModel:
-    """Run the full staged pipeline and assemble the quantized model.
+    """Run the stages in the order STAGES names and assemble the quantized
+    model.
 
     Exactly one of samples (calibrate here) or calib (a calibration made
     before) must be provided.  The model part of pcfg is replaced by the config of
@@ -649,26 +614,18 @@ def mquant_quantize(
     if (samples is None) == (calib is None):
         raise ValueError("provide exactly one of samples or calib")
     pcfg = replace(pcfg, model=float_model.config)
-    state = new_state(float_model, pcfg)
-    stage_rotate_llm(state)
+    model, snapshots = stage_rotate_llm(float_model)
     if samples is not None:
-        stage_calibrate(state, samples)
+        calib = stage_calibrate(model, model_fingerprint(float_model), samples, pcfg)
     else:
-        stage_set_calibration(state, calib)
-    stage_quantize_llm_weights(state)
-    stage_vision_rewrite(state)
-    stage_rotate_vision(state)
-    stage_quantize_vision_weights(state)
+        calib = stage_set_calibration(float_model, calib)
+    weight_grids = stage_quantize_llm_weights(model, pcfg)
+    model = stage_vision_rewrite(model)
+    model, vision_snapshots = stage_rotate_vision(model)
+    weight_grids |= stage_quantize_vision_weights(model, pcfg)
     if pcfg.rms:
-        stage_build_rms_plans(state)
-    return QuantizedModel(
-        pcfg=pcfg,
-        float_model=state.float_model,
-        model=state.model,
-        weight_grids=state.weight_grids,
-        calib=state.calib,
-        stage_log=list(state.done),
-    )
+        weight_grids |= stage_build_rms_plans(model, snapshots | vision_snapshots, pcfg)
+    return QuantizedModel(pcfg, float_model, model, weight_grids, calib)
 
 
 # ===== evaluation =====
@@ -735,7 +692,7 @@ def evaluate(qm: QuantizedModel, samples: list, dynamic: bool = False) -> dict:
         "kind": "eval",
         "config": qm.pcfg.to_dict(),
         "weight_solver": WEIGHT_SOLVER_NOTE,
-        "stages": list(qm.stage_log),
+        "stages": qm.stages,
         "activation_mode": "dynamic_per_token" if dynamic else "static_msq",
         "per_layer": {
             name: params_to_dict(p) for name, p in sorted(qm.weight_grids.items())

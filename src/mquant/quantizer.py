@@ -9,7 +9,6 @@ half away from zero everywhere.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -247,46 +246,3 @@ def params_to_dict(params: QuantParams) -> dict:
         d["group_size"] = params.group_size
         d["scales_rows"] = params.scales.shape[0]
     return d
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# (JSON field, the test its value must pass, what it must be); the last two
-# are read for per_group grids only
-_GRID_FIELDS = (
-    ("bits", _is_int, "an int"),
-    ("symmetric", lambda v: isinstance(v, bool), "a bool"),
-    ("scales", lambda v: isinstance(v, list) and all(
-        _is_int(x) or isinstance(x, float) for x in v), "a list of numbers"),
-    ("zero_points", lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of ints"),
-    ("scales_rows", _is_int, "an int"),
-    ("group_size", _is_int, "an int"),
-)
-
-
-def params_from_dict(d: dict, what: str = "grid") -> QuantParams:
-    """The grid params_to_dict wrote.  A missing field, or one of the wrong
-    type or value, raises a ValueError naming what and the field."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
-    try:
-        granularity = Granularity(d["granularity"])
-        per_group = granularity is Granularity.PER_GROUP
-        for key, ok, must in _GRID_FIELDS[: 6 if per_group else 4]:
-            if not ok(d[key]):
-                raise ValueError(f"{key!r} must be {must}, got {reprlib.repr(d[key])}")
-        shape = (d["scales_rows"], -1) if per_group else (-1,)
-        return QuantParams(
-            bits=d["bits"],
-            symmetric=d["symmetric"],
-            granularity=granularity,
-            scales=np.array(d["scales"], dtype=np.float64).reshape(shape),
-            zero_points=np.array(d["zero_points"], dtype=np.int64).reshape(shape),
-            group_size=d.get("group_size"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{what} has no {exc.args[0]!r} entry") from None
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{what}: {exc}") from None

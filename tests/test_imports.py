@@ -2,8 +2,8 @@
 module, every definition is named by production code, only the mask
 primitives take a mask, only the boundaries check their inputs, the
 forward's one interception point is act_fn, model_forward is the one
-forward driver, and every function the benchmark tracer looks up by name
-exists."""
+forward driver, mquant_quantize is the one stage composer, and every
+function the benchmark tracer looks up by name exists."""
 
 import ast
 import importlib
@@ -34,8 +34,6 @@ UNREFERENCED = {
     "pipeline.apply_lossless_stack": "acceptance test 8's float-equivalent stack",
     "hadamard.incoherence_ratio": "waits for the per-layer incoherence report "
     "(ROADMAP item 2)",
-    "quantizer.params_from_dict": "reads the grids params_to_dict writes; since "
-    "calibration files hold ranges, no artifact stores a grid",
 }
 
 
@@ -234,6 +232,31 @@ def test_model_forward_is_the_one_forward_driver():
             if callee in called_names(node)
         }
         assert callers == {"model.model_forward"}, callee
+
+
+def test_mquant_quantize_is_the_one_stage_composer():
+    """The quantize order lives in one function: mquant_quantize calls
+    every stage (the seven the benchmark traces, and stage_set_calibration
+    in place of stage_calibrate), and the only other production callers of
+    a stage are calibrate_pipeline and apply_lossless_stack, which each run
+    a part of it in the same order."""
+    stages = {
+        node.name
+        for node in module_trees(SRC)["pipeline"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("stage_")
+    }
+    assert len(stages) == 8
+    calls = {
+        name: called_names(node) & stages
+        for module, tree in module_trees(SRC).items()
+        for name, node in functions(tree, module)
+    }
+    assert {name for name, called in calls.items() if called} == {
+        "pipeline.mquant_quantize",
+        "pipeline.calibrate_pipeline",
+        "pipeline.apply_lossless_stack",
+    }
+    assert calls["pipeline.mquant_quantize"] == stages
 
 
 def test_benchmark_trace_targets_resolve():

@@ -262,6 +262,18 @@ def _set_online_fht_entry(d):
     d["flags"]["online_fht"]["llm.0"] = "yes"
 
 
+def _add_online_fht_block(d):
+    d["flags"]["online_fht"]["llm.7"] = True
+
+
+def _misspell_online_fht_block(d):
+    d["flags"]["online_fht"]["llm.0 "] = d["flags"]["online_fht"].pop("llm.0")
+
+
+def _drop_online_fht_block(d):
+    del d["flags"]["online_fht"]["vision.0"]
+
+
 def _set_norm_entry(d):
     d["norms"]["llm.0.attn_norm"] = [1.0]
 
@@ -282,6 +294,9 @@ def _set_norm_eps(d):
         (_set_norms, "section 'norms' must be an object, got list"),
         (_set_online_fht, "flag 'online_fht' must be an object, got str"),
         (_set_online_fht_entry, r"online_fht\['llm.0'\] must be a bool"),
+        (_add_online_fht_block, r"config's blocks: missing \[\], extra \['llm.7'\]"),
+        (_misspell_online_fht_block, r"missing \['llm.0'\], extra \['llm.0 '\]"),
+        (_drop_online_fht_block, r"config's blocks: missing \['vision.0'\], extra \[\]"),
         (_set_norm_entry, "norm 'llm.0.attn_norm' must be an object, got list"),
         (_set_tensor_entry, "embedded tensor must be a base64 string, got int"),
         (_set_norm_eps, "eps must be > 0, got 'x'"),

@@ -1,7 +1,7 @@
 """Packed forwards: several samples stacked into one forward, with
 attention confined to each sample.
 
-The per-sample loops that evaluate and calibrate_rotated ran before
+The per-sample loops that evaluate and calibration ran before
 packing are kept here as the oracles: a packed member must match its lone
 forward within 1e-12 * max |lone|, reports must match the per-sample loop,
 and no member may see another.
@@ -40,7 +40,6 @@ from mquant.pipeline import (
     evaluate,
     generate_synthetic_samples,
     mquant_quantize,
-    new_state,
     stage_rotate_llm,
 )
 
@@ -110,9 +109,7 @@ def evaluate_per_sample(qm, samples, dynamic=False):
 def calibrate_per_sample(float_model, samples, pcfg):
     """calibrate_pipeline's (sample_count, points) with one float forward
     per sample, each point's ranges the min/max of its stacked inputs."""
-    state = new_state(float_model, pcfg)
-    stage_rotate_llm(state)
-    work = state.model
+    work, _ = stage_rotate_llm(float_model)
     inputs = {}
 
     def recorder(name, x, modality):
@@ -443,7 +440,7 @@ def test_tracer_runs_over_packed_evaluate_and_calibrate(float_model, qms):
 
 def test_each_forward_part_builds_one_attention_plan(monkeypatch):
     """With 3 + 3 blocks, QuantizedModel.forward, model_forward and
-    calibrate_rotated each build one vision and one LLM attention plan per
+    stage_calibrate each build one vision and one LLM attention plan per
     pack, not once per block."""
     pcfg = small_pcfg(vision_blocks=3, llm_blocks=3)
     model = build_toy_mllm(pcfg.model)
@@ -470,7 +467,7 @@ def test_each_forward_part_builds_one_attention_plan(monkeypatch):
         lambda: qm.forward(rows, modality, lengths=lengths),
         lambda: qm.forward(rows, modality, dynamic=True, lengths=lengths),
         lambda: model_forward(model, rows, modality, lengths=lengths),
-        lambda: pipeline.calibrate_rotated(model, "", samples, pcfg),
+        lambda: pipeline.stage_calibrate(model, "", samples, pcfg),
     ):
         builds.clear()
         run()

@@ -28,12 +28,8 @@ from mquant.pipeline import (
     evaluate,
     generate_synthetic_samples,
     mquant_quantize,
-    new_state,
     qmodel_from_dict,
     qmodel_to_dict,
-    stage_build_rms_plans,
-    stage_calibrate,
-    stage_quantize_llm_weights,
     stage_rotate_llm,
     stage_rotate_vision,
     stage_set_calibration,
@@ -176,70 +172,32 @@ def test_samples_length_one_is_text():
 # ===== stage guards =====
 
 
-def test_quantize_before_rotation_fails(setup):
-    pcfg, model, _ = setup
-    state = new_state(model, pcfg)
-    with pytest.raises(ValueError, match="stage order violation"):
-        stage_quantize_llm_weights(state)
-
-
-def test_calibrate_after_llm_weight_freeze_fails(setup):
-    """Calibration must see the float LLM weights, so it refuses to run
-    once they are frozen on their grids."""
-    pcfg, model, samples = setup
-    state = new_state(model, pcfg)
-    stage_rotate_llm(state)
-    stage_quantize_llm_weights(state)
-    with pytest.raises(ValueError, match="stage order violation: .*float LLM weights"):
-        stage_calibrate(state, samples)
-
-
-def test_calibrate_after_vision_rewrite_fails(setup):
-    pcfg, model, samples = setup
-    state = new_state(model, pcfg)
-    stage_rotate_llm(state)
-    stage_vision_rewrite(state)
-    with pytest.raises(ValueError, match="float vision"):
-        stage_calibrate(state, samples)
-
-
 def test_vision_rotation_requires_rewrite(setup):
-    pcfg, model, _ = setup
-    state = new_state(model, pcfg)
-    stage_rotate_llm(state)
-    with pytest.raises(ValueError, match="vision_rewrite"):
-        stage_rotate_vision(state)
-
-
-def test_split_plans_require_both_rotations(setup):
-    pcfg, model, _ = setup
-    state = new_state(model, pcfg)
-    stage_rotate_llm(state)
-    with pytest.raises(ValueError, match="rotate_vision"):
-        stage_build_rms_plans(state)
+    """The vision rotation commutes with RMS norms only, so it refuses a
+    vision part that still holds LayerNorm; after the rewrite it runs."""
+    _, model, _ = setup
+    work, _ = stage_rotate_llm(model)
+    with pytest.raises(ValueError, match="vision part still contains LayerNorm"):
+        stage_rotate_vision(work)
+    rotated, snapshots = stage_rotate_vision(stage_vision_rewrite(work))
+    assert all(blk.online_fht for blk in rotated.vision_blocks)
+    assert set(snapshots) == {"vision.0.w_down"}
 
 
 def test_stage_cannot_run_twice(setup):
-    pcfg, model, _ = setup
-    state = new_state(model, pcfg)
-    stage_rotate_llm(state)
-    with pytest.raises(ValueError, match="already"):
-        stage_rotate_llm(state)
-    state2 = new_state(model, pcfg)
-    stage_rotate_llm(state2)
-    stage_vision_rewrite(state2)
-    with pytest.raises(ValueError, match="already ran"):
-        stage_vision_rewrite(state2)
+    """A second LLM rotation would rotate rotated weights; it refuses."""
+    _, model, _ = setup
+    work, _ = stage_rotate_llm(model)
+    with pytest.raises(ValueError, match="llm part is already rotated"):
+        stage_rotate_llm(work)
 
 
 def test_set_calibration_checks_fingerprint(setup):
     pcfg, model, samples = setup
     calib = calibrate_pipeline(model, samples, pcfg)
     other = build_toy_mllm(small_pcfg(seed=99).model)
-    state = new_state(other, pcfg)
-    stage_rotate_llm(state)
     with pytest.raises(ValueError, match="calibration was made for"):
-        stage_set_calibration(state, calib)
+        stage_set_calibration(other, calib)
 
 
 def test_set_calibration_checks_grid_counts(setup):
@@ -251,10 +209,8 @@ def test_set_calibration_checks_grid_counts(setup):
     for old, new in moved.items():
         points = dict(calib.points)
         points[new] = points.pop(old)
-        state = new_state(model, pcfg)
-        stage_rotate_llm(state)
         with pytest.raises(ValueError, match=rf"missing \['{old}'\], extra \['{new}'\]"):
-            stage_set_calibration(state, replace(calib, points=points))
+            stage_set_calibration(model, replace(calib, points=points))
 
 
 IDENTITY = st.fixed_dictionaries({
@@ -398,7 +354,7 @@ def test_exactly_one_calibration_source(setup):
 def test_stage_log_order(setup):
     pcfg, model, samples = setup
     qm = mquant_quantize(model, pcfg, samples=samples)
-    assert qm.stage_log == [
+    assert qm.stages == [
         "rotate_llm", "calibrate", "quantize_llm_weights", "vision_rewrite",
         "rotate_vision", "quantize_vision_weights", "build_rms_plans",
     ]
@@ -442,7 +398,7 @@ def test_rms_off_builds_no_plans(setup):
     _, model, samples = setup
     qm = mquant_quantize(model, small_pcfg(rms=False), samples=samples)
     assert qm.plans == {}
-    assert "build_rms_plans" not in qm.stage_log
+    assert "build_rms_plans" not in qm.stages
     # down-projections are then quantized like every other weight
     assert "llm.0.w_down" in qm.weight_grids and "vision.0.w_down" in qm.weight_grids
 

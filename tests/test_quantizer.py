@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from mquant.quantizer import (
     QuantParams,
     compute_params_absmax,
     fake_quant,
-    params_from_dict,
     params_to_dict,
     quant_range,
     quantize,
@@ -159,20 +160,27 @@ def test_params_shape_mismatch_detected():
         quantize(np.ones((5, 4)), p)
 
 
-def test_params_dict_roundtrip():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(4, 16))
-    for granularity, gs in [
-        (Granularity.PER_TENSOR, None),
-        (Granularity.PER_CHANNEL, None),
-        (Granularity.PER_GROUP, 4),
+def test_params_to_dict_writes_every_field():
+    """The JSON of a grid holds its bits, symmetry and granularity and its
+    scales and zero points as flat lists of floats and ints; a per-group
+    grid adds group_size and scales_rows, which give the lists back their
+    (rows, groups) shape."""
+    x = np.random.default_rng(7).normal(size=(4, 16))
+    for granularity, gs, shape in [
+        (Granularity.PER_TENSOR, None, (1,)),
+        (Granularity.PER_CHANNEL, None, (4,)),
+        (Granularity.PER_GROUP, 4, (4, 4)),
     ]:
         p = compute_params_absmax(x, 8, granularity, symmetric=False, group_size=gs)
-        q = params_from_dict(params_to_dict(p))
-        assert np.array_equal(p.scales, q.scales)
-        assert np.array_equal(p.zero_points, q.zero_points)
-        assert p.granularity is q.granularity
-        assert np.array_equal(fake_quant(x, p), fake_quant(x, q))
+        d = json.loads(json.dumps(params_to_dict(p)))
+        per_group = {"group_size": 4, "scales_rows": 4} if gs else {}
+        assert set(d) == {"bits", "symmetric", "granularity", "scales", "zero_points", *per_group}
+        assert (d["bits"], d["symmetric"], d["granularity"]) == (8, False, granularity.value)
+        assert {k: d[k] for k in per_group} == per_group
+        assert all(type(v) is float for v in d["scales"])
+        assert all(type(v) is int for v in d["zero_points"])
+        assert np.array_equal(np.reshape(d["scales"], shape), p.scales)
+        assert np.array_equal(np.reshape(d["zero_points"], shape), p.zero_points)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
@@ -185,32 +193,37 @@ def test_params_reject_non_finite_scales(bad):
 
 
 @pytest.mark.parametrize(
-    "key, value, match",
+    "fields, match",
     [
-        ("bits", 8.0, "'bits' must be an int"),
-        ("bits", True, "'bits' must be an int"),
-        ("symmetric", 0, "'symmetric' must be a bool"),
-        ("scales", ["0.5"], "'scales' must be a list of numbers"),
-        ("scales", 0.5, "'scales' must be a list of numbers"),
-        ("scales", [1e309] * 16, "finite and strictly positive"),
-        ("zero_points", [0.0], "'zero_points' must be a list of ints"),
-        ("zero_points", [10**30], "too large"),
-        ("granularity", "per_row", "not a valid Granularity"),
-        ("scales_rows", "4", "'scales_rows' must be an int"),
-        ("group_size", None, "'group_size' must be an int"),
+        ({"bits": 3}, r"unsupported bit width 3, expected one of \(4, 8, 16\)"),
+        ({"zero_points": [0]}, r"scales shape \(2,\) != zero_points shape \(1,\)"),
+        ({"scales": [1.0, -0.5]}, "all scales must be finite and strictly positive"),
+        ({"bits": 4, "zero_points": [0, 8]}, r"zero points outside \[-8, 7\]"),
+        ({"bits": 4, "zero_points": [-9, 0]}, r"zero points outside \[-8, 7\]"),
+        ({"symmetric": True, "zero_points": [0, 3]}, "symmetric mode requires all zero points to be 0"),
+        ({"granularity": Granularity.PER_GROUP}, "PER_GROUP requires a positive group_size"),
+        ({"granularity": Granularity.PER_GROUP, "scales": [[1.0, 1.0]], "zero_points": [[0, 0]],
+          "group_size": 0}, "PER_GROUP requires a positive group_size"),
+        ({"granularity": Granularity.PER_GROUP, "group_size": 4},
+         r"PER_GROUP scales must be 2-D \(rows, n_groups\)"),
+        ({"granularity": Granularity.PER_TENSOR}, r"PER_TENSOR expects a single scale, got shape \(2,\)"),
+        ({"granularity": Granularity.PER_TOKEN, "scales": [[1.0, 1.0]], "zero_points": [[0, 0]]},
+         "per_token scales must be 1-D per row"),
+        ({"scales": 1.0, "zero_points": 0}, "per_channel scales must be 1-D per row"),
     ],
 )
-def test_params_from_dict_names_the_grid_and_field(key, value, match):
-    x = np.random.default_rng(8).normal(size=(4, 16))
-    d = params_to_dict(compute_params_absmax(x, 8, Granularity.PER_GROUP, group_size=4))
-    d[key] = value
-    with pytest.raises(ValueError, match=rf"^layer 3 grid: .*{match}"):
-        params_from_dict(d, "layer 3 grid")
-    del d[key]
-    with pytest.raises(ValueError, match=f"^layer 3 grid has no '{key}' entry$"):
-        params_from_dict(d, "layer 3 grid")
-    with pytest.raises(ValueError, match="^layer 3 grid must be an object, got list$"):
-        params_from_dict([d], "layer 3 grid")
+def test_params_reject_malformed_grid(fields, match):
+    """Every grid, whether computed or built field by field, passes
+    QuantParams' checks: a supported width, matching scale and zero-point
+    shapes, positive scales, zero points on the grid (all 0 when
+    symmetric), and a scale shape that fits its granularity."""
+    good = {
+        "bits": 8, "symmetric": False, "granularity": Granularity.PER_CHANNEL,
+        "scales": [1.0, 0.5], "zero_points": [0, 0],
+    }
+    QuantParams(**good)
+    with pytest.raises(ValueError, match=rf"^{match}$"):
+        QuantParams(**{**good, **fields})
 
 
 @settings(max_examples=200, deadline=None)

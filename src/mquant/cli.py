@@ -38,8 +38,11 @@ def _read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="pipeline config JSON; defaults when omitted")
+CONFIG_HELP = "pipeline config JSON; defaults when omitted"
+
+
+def _add_quant_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help=CONFIG_HELP)
     p.add_argument("--bits-w", type=int, dest="bits_w", help="weight bit width")
     p.add_argument("--bits-a", type=int, dest="bits_a", help="activation bit width")
     p.add_argument(
@@ -51,29 +54,19 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group-size", type=int, dest="group_size")
     p.add_argument("--split-bits", type=int, dest="split_bits")
     p.add_argument("--no-rms", action="store_true", help="disable outlier-row splits")
-    p.add_argument(
-        "--no-aifs", action="store_true", help="run LLM rows in original order (same outputs)"
-    )
-    p.add_argument(
-        "--seed", type=int, help="model build seed; must match the model's when one is loaded"
-    )
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
     """The --config file with the command line flags laid over it."""
     d = {}
-    if getattr(args, "config", None):
+    if args.config:
         d = fileio.require(_read_json(args.config), dict, f"--config file {args.config}")
-    for key in ("bits_w", "bits_a", "weight_granularity", "group_size", "split_bits"):
+    for key in ("bits_w", "bits_a", "weight_granularity", "group_size", "split_bits", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             d[key] = val
     if getattr(args, "no_rms", False):
         d["rms"] = False
-    if getattr(args, "no_aifs", False):
-        d["aifs"] = False
-    if getattr(args, "seed", None) is not None:
-        d["seed"] = args.seed
     return d
 
 
@@ -139,9 +132,8 @@ def cmd_gen_samples(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    pcfg = PipelineConfig.for_model(_config_dict(args), model.config)
     samples = _load_samples(args.samples, model.config.d_model)
-    calib = calibrate_pipeline(model, samples, pcfg)
+    calib = calibrate_pipeline(model, samples)
     _write_json(args.out, calib.to_dict())
     print(
         f"wrote {args.out} ({calib.sample_count} samples, "
@@ -215,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-model", help="build and save the seeded float model")
-    _add_config_args(p)
+    p.add_argument("--config", help=CONFIG_HELP)
+    p.add_argument("--seed", type=int, help="model build seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_model)
 
@@ -229,14 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_samples)
 
     p = sub.add_parser("calibrate", help="record activation ranges from samples")
-    _add_config_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--samples", required=True, help="batch file or directory of batches")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("quantize", help="run the staged pipeline")
-    _add_config_args(p)
+    _add_quant_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--calib", help="calibration JSON from the calibrate step")
     p.add_argument("--samples", help="calibrate inline from this batch instead")

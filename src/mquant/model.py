@@ -294,7 +294,10 @@ def iter_norms(model: ToyMllm):
 
 
 def model_fingerprint(model: ToyMllm) -> str:
-    """Stable hash of every weight, for pairing calibration with a model."""
+    """Stable hash of every field that changes the forward, for pairing
+    calibration with a model.  An eps is hashed only where it differs from
+    the NormParams default and an online_fht flag only where it is set, so
+    a model with neither keeps the fingerprint of the weights alone."""
     h = hashlib.sha256()
     for name, lin in iter_linears(model):
         h.update(name.encode())
@@ -305,6 +308,12 @@ def model_fingerprint(model: ToyMllm) -> str:
         h.update(norm.kind.encode())
         h.update(np.ascontiguousarray(norm.params.alpha).tobytes())
         h.update(np.ascontiguousarray(norm.params.beta).tobytes())
+        if norm.params.eps != NormParams.eps:
+            h.update(f"eps={float(norm.params.eps)!r}".encode())
+    for part in ("vision", "llm"):
+        for i, blk in enumerate(getattr(model, f"{part}_blocks")):
+            if blk.online_fht:
+                h.update(f"{part}.{i}.online_fht".encode())
     return h.hexdigest()[:16]
 
 
@@ -556,7 +565,6 @@ def model_forward(
     modality: np.ndarray,
     act_fn: Callable = _identity_act,
     lengths: list[int] | None = None,
-    aifs: bool = False,
 ) -> np.ndarray:
     """Embed sample, then run the LLM stack; output rows come back in the
     original order.
@@ -565,21 +573,19 @@ def model_forward(
     with their row counts in lengths (None: one sequence).  Row-wise steps
     run once over the pack; each sample attends only to itself, from
     position 0, so its rows match its lone forward up to the rounding of a
-    taller GEMM.  Attention runs in position order, on the plan of each
-    sample's natural positions.  aifs chooses only the order of the
-    row-wise work: visual-first across the whole pack (build_aifs_plan), so
-    the pack's visual rows form one prefix.  Attention gathers its rows
-    into position order and its output back, so the output is the same bit
-    for bit either way.  act_fn(name, x, modality) sees every block input,
-    with the tags of x's rows in the order they run (None in the vision
-    blocks).
+    taller GEMM.  The LLM rows run visual-first across the whole pack
+    (build_aifs_plan), so the pack's visual rows form one prefix and each
+    static modality grid meets one contiguous segment.  Attention gathers
+    its rows into position order, on the plan of each sample's natural
+    positions, and its output back, so the output is bit for bit that of
+    running the rows in their natural order.  act_fn(name, x, modality)
+    sees every block input, with the tags of x's rows in the order they
+    run (None in the vision blocks).
     """
     with lanes.held():
         x, modality, lengths = embed_tokens(model, sample, modality, act_fn, lengths)
         positions = np.concatenate([np.arange(n) for n in lengths])
         plan = build_attention_plan(lengths, positions)
-        if not aifs:
-            return llm_stack(model, x, plan, positions, modality, act_fn)
         perm = build_aifs_plan(modality)
         plan = replace(plan, perm=perm, inverse=np.argsort(perm))
         out = np.empty_like(x)

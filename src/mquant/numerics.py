@@ -23,6 +23,7 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -71,7 +72,8 @@ class NormParams:
             raise ValueError(
                 f"alpha and beta length mismatch: {self.alpha.shape[0]} vs {self.beta.shape[0]}"
             )
-        if not isinstance(self.eps, (int, float, np.integer, np.floating)) or not self.eps > 0.0:
+        # a bool is a Real too, and True would load as eps 1.0
+        if isinstance(self.eps, bool) or not isinstance(self.eps, Real) or not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps!r}")
 
 

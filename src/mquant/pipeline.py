@@ -11,10 +11,10 @@ three float-equivalent ones (both rotations and the rewrite).  The stage
 that picks a weight's grid freezes the weight on it in place, and each
 split plan goes onto its block as it is built, so the transformed model is
 the model the quantized forward runs.  Calibration and the quantized
-forward both run model.model_forward, with the row order of the config's
-aifs: calibration folds each block input into its point's per-modality
-min/max there, and the quantized forward fake-quantizes it.  That order
-moves rows, not values, so a calibration serves either order.
+forward both run model.model_forward, in its one visual-first row order:
+calibration folds each block input into its point's per-modality min/max
+there, and the quantized forward fake-quantizes it.  Calibration and the
+float-equivalent stack read no config.
 
 A calibration holds statistics, not grids: one [lo, hi] per quantization
 point (a block input, named as act_fn names it) and modality.  The
@@ -90,7 +90,6 @@ class PipelineConfig:
     group_size: int = 128
     symmetric_activations: bool = True
     rms: bool = True
-    aifs: bool = True
     split_bits: int | None = None
 
     def __post_init__(self):
@@ -370,9 +369,7 @@ def stage_rotate_llm(model: ToyMllm) -> tuple[ToyMllm, dict]:
     return rotate_model_offline(model, parts=("llm",))
 
 
-def stage_calibrate(
-    work: ToyMllm, fingerprint: str, samples: list, pcfg: PipelineConfig
-) -> CalibrationResult:
+def stage_calibrate(work: ToyMllm, fingerprint: str, samples: list) -> CalibrationResult:
     """Per-modality min/max of every block input, from float forwards of
     an LLM-rotated model.
 
@@ -380,7 +377,7 @@ def stage_calibrate(
     coordinates, and its vision path still float and untouched, which is
     the calibration contract for the LLM grids.  fingerprint names the
     float model work was derived from.  The samples run as packs of up to
-    PACK_ROWS rows, one float forward each, in the order the quantized
+    PACK_ROWS rows, one float forward each, visual-first as the quantized
     forward runs them; each block input is folded into its point's ranges
     as it is made, so memory holds one pack.  Min and max merge exactly,
     so the ranges depend neither on the packing nor on the sample order.
@@ -407,7 +404,7 @@ def stage_calibrate(
         return x
 
     for rows, modality, lengths in _packs(samples, work.config.d_model):
-        model_forward(work, rows, modality, recorder, lengths, pcfg.aifs)
+        model_forward(work, rows, modality, recorder, lengths)
     # every LLM block input holds every row, so only a vision point can be empty
     if not all(points.values()):
         raise ValueError(
@@ -419,13 +416,11 @@ def stage_calibrate(
     return CalibrationResult(fingerprint, len(samples), points)
 
 
-def calibrate_pipeline(
-    float_model: ToyMllm, samples: list, pcfg: PipelineConfig
-) -> CalibrationResult:
+def calibrate_pipeline(float_model: ToyMllm, samples: list) -> CalibrationResult:
     """The calibration of float_model, as the quantize pipeline would
     collect it: rotate the LLM part, then calibrate."""
     work, _ = stage_rotate_llm(float_model)
-    return stage_calibrate(work, model_fingerprint(float_model), samples, pcfg)
+    return stage_calibrate(work, model_fingerprint(float_model), samples)
 
 
 def stage_set_calibration(
@@ -509,7 +504,7 @@ def stage_build_rms_plans(model: ToyMllm, snapshots: dict, pcfg: PipelineConfig)
     return grids
 
 
-def apply_lossless_stack(float_model: ToyMllm, pcfg: PipelineConfig) -> ToyMllm:
+def apply_lossless_stack(float_model: ToyMllm) -> ToyMllm:
     """Rewrite plus both rotations, no quantization: the float-equivalent
     transform stack."""
     model, _ = stage_rotate_llm(float_model)
@@ -576,11 +571,10 @@ class QuantizedModel:
         """model_forward of the frozen model, with every block input
         fake-quantized on its grid: vision inputs on their static grids, LLM
         inputs on their block's two modality grids, or with dynamic on
-        per-token grids computed on the fly.  Under the config's aifs the
-        LLM rows run visual-first, so each grid meets one contiguous
-        segment of the pack; the output does not depend on it.  On a pack
-        the static path applies its 2 scale ops per block once for the
-        whole pack.
+        per-token grids computed on the fly.  The LLM rows run
+        visual-first, so each modality grid meets one contiguous segment of
+        the pack.  On a pack the static path applies its 2 scale ops per
+        block once for the whole pack.
         """
         self.counter.reset()
         pcfg = self.pcfg
@@ -595,7 +589,7 @@ class QuantizedModel:
                 )
             return quantize_msq(x, modality == VISUAL, self.msq[idx], self.counter)
 
-        return model_forward(self.model, sample, modality, act_fn, lengths, aifs=pcfg.aifs)
+        return model_forward(self.model, sample, modality, act_fn, lengths)
 
 
 def mquant_quantize(
@@ -616,7 +610,7 @@ def mquant_quantize(
     pcfg = replace(pcfg, model=float_model.config)
     model, snapshots = stage_rotate_llm(float_model)
     if samples is not None:
-        calib = stage_calibrate(model, model_fingerprint(float_model), samples, pcfg)
+        calib = stage_calibrate(model, model_fingerprint(float_model), samples)
     else:
         calib = stage_set_calibration(float_model, calib)
     weight_grids = stage_quantize_llm_weights(model, pcfg)

@@ -61,13 +61,16 @@ class RmsSplitPlan:
     split_q: np.ndarray | None
 
 
+# max deviation of a rotated weight from a fresh transform of its original
+ROTATION_TOL = 1e-8
+
+
 def build_split_plan(
     layer_id: str,
     w_rotated: np.ndarray,
     w_original: np.ndarray,
     bits: int,
     split_bits: int | None = None,
-    tol: float = 1e-8,
     granularity: Granularity = Granularity.PER_CHANNEL,
     group_size: int | None = None,
 ) -> RmsSplitPlan:
@@ -75,12 +78,11 @@ def build_split_plan(
 
     Args:
         w_rotated: H @ w_original, shape (n, m); verified against a fresh
-            transform of w_original within tol.
+            transform of w_original within ROTATION_TOL.
         w_original: the same weight before rotation.
         bits: grid width for the main kernel.
         split_bits: grid width for the split row; defaults to bits.  A wider
             grid here is the higher-precision split option.
-        tol: max deviation allowed in the rotation consistency check.
         granularity, group_size: the main kernel's grid, as for every linear.
 
     Returns:
@@ -94,10 +96,10 @@ def build_split_plan(
             f"{layer_id}: rotated shape {w_rotated.shape} != original shape {w_original.shape}"
         )
     err = float(np.abs(w_rotated - fht(w_original, axis=0)).max())
-    if err > tol:
+    if err > ROTATION_TOL:
         raise ValueError(
             f"{layer_id}: rotated weight is not the transform of the original "
-            f"(max deviation {err:.3e} > {tol:.1e})"
+            f"(max deviation {err:.3e} > {ROTATION_TOL:.1e})"
         )
     columns = detect_outliers(w_original)
     triggered = len(columns) > 0

@@ -299,9 +299,8 @@ def test_norm_rewrite_is_exact_and_centers_the_stream():
 def test_rewritten_and_rotated_model_matches_float_reference():
     """Norm rewrite plus both offline rotations leave the full forward pass
     within 1e-5 of the untouched model, end to end."""
-    pcfg = PipelineConfig(model=ToyMllmConfig())
-    model = build_toy_mllm(pcfg.model)
-    transformed = apply_lossless_stack(model, pcfg)
+    model = build_toy_mllm(ToyMllmConfig())
+    transformed = apply_lossless_stack(model)
     for tensor, layout in generate_synthetic_samples(6, 12, seed=7):
         ref = model_forward(model, tensor, layout.modality)
         got = model_forward(transformed, tensor, layout.modality)

@@ -82,7 +82,7 @@ def test_a_non_finite_sample_row_is_named_by_sample_in_a_batch(qm, bad):
         with pytest.raises(ValueError, match=match):
             evaluate(qm, samples, dynamic=dynamic)
     with pytest.raises(ValueError, match=match):
-        calibrate_pipeline(build_toy_mllm(SMALL), samples, PipelineConfig(model=SMALL))
+        calibrate_pipeline(build_toy_mllm(SMALL), samples)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ def test_a_malformed_sample_is_named_by_its_index_in_a_batch(bad, match, qm):
         with pytest.raises(ValueError, match=f"^{match}$"):
             evaluate(qm, samples, dynamic=dynamic)
     with pytest.raises(ValueError, match=f"^{match}$"):
-        calibrate_pipeline(build_toy_mllm(SMALL), samples, PipelineConfig(model=SMALL))
+        calibrate_pipeline(build_toy_mllm(SMALL), samples)
 
 
 @pytest.mark.parametrize("tag", [2, -1, 0.7])
@@ -311,7 +311,7 @@ def test_an_overflowing_forward_is_still_caught(qm):
         lambda: model_forward(huge, rows, layout.modality),
         lambda: qm_hot.forward(rows, layout.modality),
         lambda: qm_hot.forward(rows, layout.modality, dynamic=True),
-        lambda: calibrate_pipeline(huge, SAMPLES, PipelineConfig(model=SMALL)),
+        lambda: calibrate_pipeline(huge, SAMPLES),
     ]
     for call in calls:
         with warnings.catch_warnings():
@@ -341,9 +341,7 @@ def test_a_norm_row_whose_square_sum_overflows_is_caught(qm, name):
     calls = [
         lambda: model_forward(scaled(qm.float_model, name), rows, layout.modality),
         lambda: hot.forward(rows, layout.modality, dynamic=True),
-        lambda: calibrate_pipeline(
-            scaled(qm.float_model, name), SAMPLES, PipelineConfig(model=SMALL)
-        ),
+        lambda: calibrate_pipeline(scaled(qm.float_model, name), SAMPLES),
     ]
     if name == "text_embed":
         with np.errstate(over="ignore"):

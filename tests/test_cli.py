@@ -40,7 +40,7 @@ def test_full_workflow(workdir, capsys):
                "--length", "8", "--seed", "1", "--d-model", "16") == 0
     assert run("gen-samples", "--out", eval_samples, "--count", "2",
                "--length", "6", "--seed", "2", "--d-model", "16") == 0
-    assert run("calibrate", "--config", cfg, "--model", model,
+    assert run("calibrate", "--model", model,
                "--samples", calib_samples, "--out", calib) == 0
     assert run("quantize", "--config", cfg, "--model", model,
                "--calib", calib, "--out", qmodel) == 0
@@ -102,7 +102,7 @@ def test_samples_directory_loading(workdir):
     run("gen-samples", "--out", str(sdir / "b.mqs"), "--count", "3",
         "--length", "6", "--seed", "2", "--d-model", "16")
     calib = str(tmp / "c.json")
-    assert run("calibrate", "--config", cfg, "--model", model,
+    assert run("calibrate", "--model", model,
                "--samples", str(sdir), "--out", calib) == 0
     assert json.loads((tmp / "c.json").read_text())["sample_count"] == 5
 
@@ -113,7 +113,7 @@ def test_empty_samples_directory_fails(workdir, capsys):
     sdir = tmp / "empty"
     sdir.mkdir()
     run("gen-model", "--config", cfg, "--out", model)
-    code = run("calibrate", "--config", cfg, "--model", model,
+    code = run("calibrate", "--model", model,
                "--samples", str(sdir), "--out", str(tmp / "c.json"))
     assert code == 2
     assert "empty" in capsys.readouterr().err
@@ -129,7 +129,7 @@ def test_fingerprint_mismatch_fails(workdir, capsys):
     run("gen-model", "--config", cfg, "--seed", "9", "--out", model_b)
     run("gen-samples", "--out", samples, "--count", "3", "--length", "6",
         "--d-model", "16")
-    run("calibrate", "--config", cfg, "--model", model_a,
+    run("calibrate", "--model", model_a,
         "--samples", samples, "--out", calib)
     code = run("quantize", "--config", cfg, "--model", model_b,
                "--calib", calib, "--out", str(tmp / "q.json"))
@@ -234,7 +234,7 @@ def test_calibration_without_visual_tokens_names_vision_act(workdir, capsys):
     run("gen-samples", "--out", samples, "--count", "2", "--length", "8",
         "--d-model", "16", "--layout", "tttttttt")
     capsys.readouterr()
-    assert run("calibrate", "--config", cfg, "--model", model, "--samples", samples,
+    assert run("calibrate", "--model", model, "--samples", samples,
                "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "calibration stream is empty for vision_act" in err
@@ -265,7 +265,7 @@ def test_other_artifact_as_model_fails(workdir, capsys, artifact):
     run("gen-model", "--config", cfg, "--out", model)
     run("gen-samples", "--out", samples, "--count", "2", "--length", "6",
         "--d-model", "16")
-    run("calibrate", "--config", cfg, "--model", model,
+    run("calibrate", "--model", model,
         "--samples", samples, "--out", paths["calibration"])
     run("quantize", "--config", cfg, "--model", model,
         "--calib", paths["calibration"], "--out", paths["qmodel"])
@@ -416,26 +416,65 @@ def test_model_width_comes_from_the_model_not_the_config(workdir):
     assert rep["config"] == q["config"]
 
 
-@pytest.mark.parametrize("command", ["calibrate", "quantize"])
-def test_model_keys_that_disagree_with_the_model_fail(workdir, capsys, command):
-    """--seed and the model keys of --config cannot change a stored model,
+def test_model_keys_that_disagree_with_the_model_fail(workdir, capsys):
+    """The model keys of quantize's --config cannot change a stored model,
     so a value that differs from the model's own is an error, not ignored."""
     tmp, cfg = workdir
     model = str(tmp / "m.json")
     samples = str(tmp / "s.mqs")
-    wide = tmp / "wide.json"
-    wide.write_text(json.dumps({"d_model": 32, "n_heads": 2}))
+    configs = {
+        "seeded": {"seed": 5},
+        "wide": {"d_model": 32, "n_heads": 2},
+        "same": json.loads(Path(cfg).read_text()) | {"seed": 0},
+    }
+    for name, d in configs.items():
+        (tmp / f"{name}.json").write_text(json.dumps(d))
     run("gen-model", "--config", cfg, "--out", model)
     run("gen-samples", "--out", samples, "--count", "3", "--length", "6",
         "--d-model", "16")
     capsys.readouterr()
-    base = [command, "--model", model, "--samples", samples, "--out", str(tmp / "o.json")]
-    assert run(*base, "--seed", "5") == 2
+    base = ["quantize", "--model", model, "--samples", samples, "--out", str(tmp / "o.json")]
+    assert run(*base, "--config", str(tmp / "seeded.json")) == 2
     assert "seed=5 disagrees with the model's seed=0" in capsys.readouterr().err
-    assert run(*base, "--config", str(wide)) == 2
+    assert run(*base, "--config", str(tmp / "wide.json")) == 2
     assert "d_model=32 disagrees with the model's d_model=16" in capsys.readouterr().err
     assert not (tmp / "o.json").exists()
-    assert run(*base, "--config", cfg, "--seed", "0") == 0
+    assert run(*base, "--config", str(tmp / "same.json")) == 0
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "gen-model --no-rms",
+        "calibrate --bits-a 4",
+        "calibrate --config {cfg}",
+        "quantize --no-aifs",
+        "quantize --seed 0",
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_2(workdir, capsys, flag):
+    """Each subcommand takes only the flags it reads: gen-model the model
+    config and seed, calibrate no config at all, and quantize no seed (the
+    model holds its own) and no row order switch.  Any other flag is a
+    usage error, exit 2, and nothing is written."""
+    tmp, cfg = workdir
+    model, samples, out = str(tmp / "m.json"), str(tmp / "s.mqs"), tmp / "o.json"
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6", "--d-model", "16")
+    command, *extra = shlex.split(flag.format(cfg=cfg))
+    argv = {
+        "gen-model": ["--config", cfg],
+        "calibrate": ["--model", model, "--samples", samples],
+        "quantize": ["--config", cfg, "--model", model, "--samples", samples],
+    }[command]
+    assert run(command, *argv, "--out", str(out)) == 0
+    out.unlink()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(command, *argv, *extra, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "bench"])
@@ -573,7 +612,7 @@ def test_malformed_model_file_fails_at_the_boundary(workdir, capsys, section, va
         d[section] = value
     model.write_text(json.dumps(d))
     capsys.readouterr()
-    code = run("calibrate", "--config", cfg, "--model", str(model),
+    code = run("calibrate", "--model", str(model),
                "--samples", samples, "--out", str(tmp / "c.json"))
     assert code == 2
     err = capsys.readouterr().err

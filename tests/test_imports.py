@@ -1,5 +1,6 @@
 """Every module-level import in the package and its tests is used by its
-module, every definition is named by production code, only the mask
+module, every definition is named by production code, every parameter is
+read, only the mask
 primitives take a mask, only the boundaries check their inputs, the
 forward's one interception point is act_fn, model_forward is the one
 forward driver, mquant_quantize is the one stage composer, and every
@@ -129,6 +130,40 @@ def takers(parameter: str) -> set:
         if isinstance(node, ast.FunctionDef)
         and any(arg.arg == parameter for arg in parameters(node))
     }
+
+
+# Functions with a parameter that their body never reads, each with the
+# reason it stays.
+UNREAD = {
+    "model._identity_act": "implements act_fn's signature (name, x, modality)",
+}
+
+
+def unread_parameters(node: ast.FunctionDef) -> list:
+    """The parameters of node, other than _-named ones, that no name in
+    its body (nested functions included) reads."""
+    args = parameters(node) + [a for a in (node.args.vararg, node.args.kwarg) if a]
+    read = {
+        n.id
+        for stmt in node.body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [a.arg for a in args if not a.arg.startswith("_") and a.arg not in read]
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every production function, method and nested
+    function is read in its body, so none is kept only for its callers to
+    pass."""
+    unread = {
+        name: args
+        for module, tree in module_trees(SRC).items()
+        for name, node in functions(tree, module)
+        if (args := unread_parameters(node))
+    }
+    assert unread.keys() - UNREAD.keys() == set(), unread
+    assert UNREAD.keys() <= unread.keys(), "allowlisted function now reads them all"
 
 
 def test_only_the_mask_primitives_take_a_mask():

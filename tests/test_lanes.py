@@ -45,10 +45,13 @@ def qm():
 
 
 @pytest.fixture(scope="module")
-def variants(qm):
-    """The default quantized model (W8, AIFS) and a W4 one without AIFS."""
-    pcfg = PipelineConfig(model=ToyMllmConfig(), bits_w=4, aifs=False)
-    return [qm, mquant_quantize(build_toy_mllm(pcfg.model), pcfg, samples=DESK)]
+def variants(qm, row_order):
+    """The default quantized model (W8) run visual-first, and a W4 one
+    made and run in natural order, each with its order."""
+    pcfg = PipelineConfig(model=ToyMllmConfig(), bits_w=4)
+    with row_order("natural"):
+        w4 = mquant_quantize(build_toy_mllm(pcfg.model), pcfg, samples=DESK)
+    return [(qm, "visual_first"), (w4, "natural")]
 
 
 @pytest.fixture
@@ -61,7 +64,7 @@ def floors_zero(monkeypatch):
 SPLIT_LENGTHS = (1, 40, 63, 64, 65, 255, 256, 257, 300, 511, 513, 1024)
 
 
-def digest(qm, variants) -> str:
+def digest(qm, variants, row_order) -> str:
     """sha256 over static and dynamic evaluate reports on the desk batch
     and a mixed pack, quantized forwards and their scale ops at
     SPLIT_LENGTHS and of a 3x300 pack for each variant, a float forward
@@ -74,16 +77,17 @@ def digest(qm, variants) -> str:
     pack = generate_synthetic_samples(3, 300, seed=301)
     pack_rows = np.concatenate([rows for rows, _ in pack])
     pack_tags = np.concatenate([layout.modality for _, layout in pack])
-    for variant in variants:
-        for length in SPLIT_LENGTHS:
-            rows, layout = generate_synthetic_samples(1, length, seed=length)[0]
+    for variant, order in variants:
+        with row_order(order):
+            for length in SPLIT_LENGTHS:
+                rows, layout = generate_synthetic_samples(1, length, seed=length)[0]
+                for dynamic in (False, True):
+                    h.update(variant.forward(rows, layout.modality, dynamic=dynamic).tobytes())
+                    h.update(str(variant.counter.scale_ops).encode())
             for dynamic in (False, True):
-                h.update(variant.forward(rows, layout.modality, dynamic=dynamic).tobytes())
+                out = variant.forward(pack_rows, pack_tags, dynamic=dynamic, lengths=[300] * 3)
+                h.update(out.tobytes())
                 h.update(str(variant.counter.scale_ops).encode())
-        for dynamic in (False, True):
-            out = variant.forward(pack_rows, pack_tags, dynamic=dynamic, lengths=[300] * 3)
-            h.update(out.tobytes())
-            h.update(str(variant.counter.scale_ops).encode())
     rows, layout = generate_synthetic_samples(1, 1024, seed=7)[0]
     h.update(model_forward(qm.float_model, rows, layout.modality).tobytes())
     h.update(json.dumps(qmodel_to_dict(qm), sort_keys=True).encode())
@@ -108,7 +112,9 @@ def worker_is_free() -> bool:
 
 
 @pytest.mark.parametrize("floors", ["measured", "zero"])
-def test_digest_is_the_same_on_one_lane_and_two(qm, variants, monkeypatch, request, floors):
+def test_digest_is_the_same_on_one_lane_and_two(
+    qm, variants, row_order, monkeypatch, request, floors
+):
     """At the measured floors only the long forwards and evaluate's
     408-row pack fork; at zero floors every kernel and every pack does,
     down to one-row attention groups, and every block of 128 rows or more
@@ -116,7 +122,7 @@ def test_digest_is_the_same_on_one_lane_and_two(qm, variants, monkeypatch, reque
     if floors == "zero":
         request.getfixturevalue("floors_zero")
     monkeypatch.setattr(lanes, "LANES", 1)
-    one = digest(qm, variants)
+    one = digest(qm, variants, row_order)
     forks, splits = [], set()
     fork, halves = lanes.fork, lanes.halves
 
@@ -133,7 +139,7 @@ def test_digest_is_the_same_on_one_lane_and_two(qm, variants, monkeypatch, reque
     monkeypatch.setattr(lanes, "fork", counted)
     monkeypatch.setattr(lanes, "halves", recorded)
     monkeypatch.setattr(lanes, "LANES", 2)
-    assert digest(qm, variants) == one
+    assert digest(qm, variants, row_order) == one
     assert forks
     assert all(cut % lanes.ROW_ALIGN == 0 and rows - cut >= lanes.ROW_ALIGN for rows, cut in splits)
     # the 1024-row LLM blocks split at the measured floor, the 65-row ones never

@@ -286,6 +286,10 @@ def _set_norm_eps(d):
     d["norms"]["llm.0.attn_norm"]["eps"] = "x"
 
 
+def _set_norm_eps_bool(d):
+    d["norms"]["llm.0.attn_norm"]["eps"] = True
+
+
 @pytest.mark.parametrize(
     "corrupt, match",
     [
@@ -300,6 +304,7 @@ def _set_norm_eps(d):
         (_set_norm_entry, "norm 'llm.0.attn_norm' must be an object, got list"),
         (_set_tensor_entry, "embedded tensor must be a base64 string, got int"),
         (_set_norm_eps, "eps must be > 0, got 'x'"),
+        (_set_norm_eps_bool, r"norm llm\.0\.attn_norm: eps must be > 0, got True"),
     ],
 )
 def test_malformed_model_file_raises_value_error_naming_the_field(corrupt, match):
@@ -314,12 +319,51 @@ def test_model_file_with_old_part_flags_still_loads():
     recentered beside the per-block online_fht map.  They load to the same
     model, and a fresh save drops them."""
     model = build_toy_mllm(small_config())
+    model.llm_blocks[0].online_fht = True
     d = model_to_dict(model)
     old = json.loads(json.dumps(d))
     old["flags"].update(vision_rotated=False, llm_rotated=True, recentered=False)
-    old["flags"]["online_fht"]["llm.0"] = True
     restored = model_from_dict(old)
     assert model_fingerprint(restored) == d["fingerprint"]
     assert restored.llm_blocks[0].online_fht
     assert not restored.vision_blocks[0].online_fht
     assert set(model_to_dict(restored)["flags"]) == {"online_fht"}
+
+
+def _edit_eps(d):
+    d["norms"]["llm.0.attn_norm"]["eps"] = 0.5
+
+
+def _edit_online_fht(d):
+    d["flags"]["online_fht"]["llm.0"] = True
+
+
+@pytest.mark.parametrize("edit", [_edit_eps, _edit_online_fht], ids=["eps", "online_fht"])
+def test_fingerprint_covers_every_field_that_changes_the_forward(edit):
+    """A norm's eps and a block's online_fht flag change the forward, so a
+    model file with either edited fails its stored fingerprint, and the
+    edited model has a fingerprint of its own, which no calibration of the
+    original pairs with."""
+    model = build_toy_mllm(small_config())
+    d = model_to_dict(model)
+    edit(d)
+    with pytest.raises(ValueError, match="does not match content"):
+        model_from_dict(d)
+    del d["fingerprint"]
+    edited = model_from_dict(d)
+    x, modality = sample_input(np.random.default_rng(0))
+    assert not np.array_equal(model_forward(edited, x, modality), model_forward(model, x, modality))
+    assert model_fingerprint(edited) != model_fingerprint(model)
+
+
+def test_fingerprint_of_a_default_model_is_that_of_its_weights():
+    """A default eps or a clear online_fht flag adds nothing to the hash,
+    so the models gen-model writes keep the fingerprints they had before
+    either was hashed, and their calibration files still pair."""
+    pinned = {
+        "6b5f466d849d9a2a": ToyMllmConfig(),
+        "9199ef055370c61a": ToyMllmConfig(seed=9),
+        "8c9516ea892bd06b": small_config(),
+    }
+    for fingerprint, cfg in pinned.items():
+        assert model_fingerprint(build_toy_mllm(cfg)) == fingerprint, cfg

@@ -227,9 +227,10 @@ def test_position_rule_equals_conjugation(length, seed):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def forward_llm_plans(monkeypatch, modality, aifs, d_model=16):
+def forward_llm_plans(monkeypatch, modality, order, d_model=16):
     """The attention plans model_forward hands the LLM blocks of a small
-    model for one sequence of these tags, with their rotary positions."""
+    model for one sequence of these tags, with their rotary positions, run
+    under order (a row_order context)."""
     cfg = ToyMllmConfig(d_model=d_model, n_heads=2, vision_blocks=1, llm_blocks=1, mlp_ratio=2)
     seen = []
     real = model_module.attention_forward
@@ -241,17 +242,21 @@ def forward_llm_plans(monkeypatch, modality, aifs, d_model=16):
 
     monkeypatch.setattr(model_module, "attention_forward", recording)
     rows = np.random.default_rng(0).uniform(-1.0, 1.0, size=(len(modality), d_model))
-    model_forward(build_toy_mllm(cfg), rows, modality, aifs=aifs)
+    with order:
+        model_forward(build_toy_mllm(cfg), rows, modality)
     monkeypatch.undo()
     return seen
 
 
-def test_llm_order_without_aifs_is_standard_causal(monkeypatch):
+def test_llm_order_without_aifs_is_standard_causal(monkeypatch, row_order):
     rng = np.random.default_rng(12)
     for length in (1, 2, 63, 64, 65, 300):
         layout = random_layout(rng, length)
-        ((plan, positions),) = forward_llm_plans(monkeypatch, layout.modality, aifs=False)
-        assert plan.perm == slice(None) and plan.inverse == slice(None)
+        ((plan, positions),) = forward_llm_plans(
+            monkeypatch, layout.modality, row_order("natural")
+        )
+        np.testing.assert_array_equal(plan.perm, np.arange(length))
+        np.testing.assert_array_equal(plan.inverse, np.arange(length))
         np.testing.assert_array_equal(positions, np.arange(length))
         assert plan_mask(plan).tobytes() == standard_causal_mask(length).tobytes()
 
@@ -622,15 +627,15 @@ def test_causal_attention_skips_the_blocked_tiles(monkeypatch):
     assert got == length * (length + 64) / 2
 
 
-def test_aifs_forward_scores_what_natural_order_does(monkeypatch):
+def test_aifs_forward_scores_what_natural_order_does(monkeypatch, row_order):
     """Text, then 768 visual tokens, L=1024: under AIFS the LLM blocks run
     visual-first but get the natural causal plan, so they score the same
     entries per head as natural order, not the wider bands of a plan built
     from the reordered positions."""
     length = 1024
     modality = np.array([TEXT] * 256 + [VISUAL] * 768)
-    ((plan, positions),) = forward_llm_plans(monkeypatch, modality, aifs=True)
-    ((natural, _),) = forward_llm_plans(monkeypatch, modality, aifs=False)
+    ((plan, positions),) = forward_llm_plans(monkeypatch, modality, row_order("visual_first"))
+    ((natural, _),) = forward_llm_plans(monkeypatch, modality, row_order("natural"))
     np.testing.assert_array_equal(plan.perm, np.r_[256:length, 0:256])
     np.testing.assert_array_equal(positions, plan.perm)
     got = score_entries_per_head(monkeypatch, length, plan)

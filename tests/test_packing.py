@@ -58,13 +58,9 @@ def float_model():
 
 
 @pytest.fixture(scope="module")
-def qms(float_model):
-    """A quantized model per AIFS setting, from one calibration batch."""
+def qm(float_model):
     samples = generate_synthetic_samples(6, 10, seed=42, d_model=D)
-    return {
-        aifs: mquant_quantize(float_model, small_pcfg(aifs=aifs), samples=samples)
-        for aifs in (True, False)
-    }
+    return mquant_quantize(float_model, small_pcfg(), samples=samples)
 
 
 def make_sample(rng, length, kind):
@@ -106,9 +102,10 @@ def evaluate_per_sample(qm, samples, dynamic=False):
     return rows_out
 
 
-def calibrate_per_sample(float_model, samples, pcfg):
+def calibrate_per_sample(float_model, samples, order="visual_first"):
     """calibrate_pipeline's (sample_count, points) with one float forward
-    per sample, each point's ranges the min/max of its stacked inputs."""
+    per sample, its LLM rows in order, each point's ranges the min/max of
+    its stacked inputs."""
     work, _ = stage_rotate_llm(float_model)
     inputs = {}
 
@@ -119,7 +116,9 @@ def calibrate_per_sample(float_model, samples, pcfg):
 
     for rows, layout in samples:
         x, _, _ = embed_tokens(work, rows, layout.modality, recorder)
-        perm = build_aifs_plan(layout.modality) if pcfg.aifs else np.arange(len(layout))
+        perm = np.arange(len(layout))
+        if order == "visual_first":
+            perm = build_aifs_plan(layout.modality)
         llm_stack(
             work, x[perm], build_attention_plan([len(layout)], perm), perm,
             layout.modality[perm], recorder,
@@ -163,19 +162,21 @@ def assert_report_matches(report, oracle):
     assert report["counters"]["scale_ops_by_sample"] == [ops for _, _, ops in oracle]
 
 
-def calibrate_both(float_model, samples, pcfg):
-    """The packed and the per-sample calibration, or None for both when
-    the batch has no visual row (the vision grids then have no data)."""
+def calibrate_both(float_model, samples, order="visual_first"):
+    """The packed and the per-sample calibration, both with the LLM rows in
+    order, or None for both when the batch has no visual row (the vision
+    grids then have no data)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not any(layout.visual_count for _, layout in samples):
-            for fn in (calibrate_pipeline, calibrate_per_sample):
-                with pytest.raises(ValueError, match="calibration stream is empty"):
-                    fn(float_model, samples, pcfg)
+            with pytest.raises(ValueError, match="calibration stream is empty"):
+                calibrate_pipeline(float_model, samples)
+            with pytest.raises(ValueError, match="calibration stream is empty"):
+                calibrate_per_sample(float_model, samples, order)
             return None
         return (
-            calibrate_pipeline(float_model, samples, pcfg),
-            calibrate_per_sample(float_model, samples, pcfg),
+            calibrate_pipeline(float_model, samples),
+            calibrate_per_sample(float_model, samples, order),
         )
 
 
@@ -188,36 +189,33 @@ LENGTH = st.one_of(st.sampled_from([1, 2, 63, 64, 65, 130]), st.integers(1, 130)
 @given(
     lengths=st.lists(LENGTH, min_size=1, max_size=6),
     kinds=st.lists(st.sampled_from(["mixed", "text", "visual"]), min_size=6, max_size=6),
-    aifs=st.booleans(),
+    order=st.sampled_from(["visual_first", "natural"]),
     dynamic=st.booleans(),
-    symmetric=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_packed_members_match_lone_forwards(
-    float_model, qms, lengths, kinds, aifs, dynamic, symmetric, seed
+    float_model, qm, row_order, lengths, kinds, order, dynamic, seed
 ):
     rng = np.random.default_rng(seed)
     samples = [make_sample(rng, n, kind) for n, kind in zip(lengths, kinds)]
     rows, modality, lens = stack(samples)
-    qm = qms[aifs]
 
-    packed_float = members(model_forward(float_model, rows, modality, lengths=lens), lens)
-    packed_q = members(qm.forward(rows, modality, dynamic=dynamic, lengths=lens), lens)
-    for (x, layout), got_f, got_q in zip(samples, packed_float, packed_q):
-        assert_close(got_f, model_forward(float_model, x, layout.modality))
-        assert_close(got_q, qm.forward(x, layout.modality, dynamic=dynamic))
+    with row_order(order):
+        packed_float = members(model_forward(float_model, rows, modality, lengths=lens), lens)
+        packed_q = members(qm.forward(rows, modality, dynamic=dynamic, lengths=lens), lens)
+        for (x, layout), got_f, got_q in zip(samples, packed_float, packed_q):
+            assert_close(got_f, model_forward(float_model, x, layout.modality))
+            assert_close(got_q, qm.forward(x, layout.modality, dynamic=dynamic))
 
-    assert_report_matches(
-        evaluate(qm, samples, dynamic=dynamic), evaluate_per_sample(qm, samples, dynamic)
-    )
-    both = calibrate_both(
-        float_model, samples, small_pcfg(aifs=aifs, symmetric_activations=symmetric)
-    )
+        assert_report_matches(
+            evaluate(qm, samples, dynamic=dynamic), evaluate_per_sample(qm, samples, dynamic)
+        )
+        both = calibrate_both(float_model, samples, order)
     if both is not None:
         assert_calibration_matches(*both)
 
 
-def test_a_lone_forward_is_a_pack_of_one(float_model, qms):
+def test_a_lone_forward_is_a_pack_of_one(float_model, qm):
     rows, layout = make_sample(np.random.default_rng(3), 40, "mixed")
     n = [40]
     assert np.array_equal(
@@ -225,21 +223,19 @@ def test_a_lone_forward_is_a_pack_of_one(float_model, qms):
         model_forward(float_model, rows, layout.modality),
     )
     for dynamic in (False, True):
-        qm = qms[True]
         assert np.array_equal(
             qm.forward(rows, layout.modality, dynamic=dynamic, lengths=n),
             qm.forward(rows, layout.modality, dynamic=dynamic),
         )
 
 
-def test_batches_beyond_one_pack_match_the_oracles(float_model, qms, monkeypatch):
+def test_batches_beyond_one_pack_match_the_oracles(float_model, qm, monkeypatch):
     """A batch above PACK_ROWS splits into consecutive packs, and a sample
     longer than PACK_ROWS is a pack of its own; one quantized forward runs
     per pack."""
     rng = np.random.default_rng(11)
     lengths = [600, 400, 100, PACK_ROWS + 76, 30]
     samples = [make_sample(rng, n, "mixed") for n in lengths]
-    qm = qms[True]
     real = pipeline.QuantizedModel.forward
     packs = []
 
@@ -253,14 +249,13 @@ def test_batches_beyond_one_pack_match_the_oracles(float_model, qms, monkeypatch
         report = evaluate(qm, samples, dynamic=dynamic)
         assert packs == [[600, 400], [100], [PACK_ROWS + 76], [30]]
         assert_report_matches(report, evaluate_per_sample(qm, samples, dynamic))
-    assert_calibration_matches(*calibrate_both(float_model, samples, small_pcfg()))
+    assert_calibration_matches(*calibrate_both(float_model, samples))
 
 
-def test_scale_ops_per_sample_follow_the_cost_contract(qms):
+def test_scale_ops_per_sample_follow_the_cost_contract(qm):
     """Static: 2 per LLM block for every member; dynamic: its rows per block."""
     rng = np.random.default_rng(5)
     samples = [make_sample(rng, n, "mixed") for n in (3, 17, 64)]
-    qm = qms[True]
     blocks = len(qm.model.llm_blocks)
     static = evaluate(qm, samples)["counters"]
     dynamic = evaluate(qm, samples, dynamic=True)["counters"]
@@ -273,17 +268,16 @@ def test_scale_ops_per_sample_follow_the_cost_contract(qms):
 # ===== no member sees another =====
 
 
-@pytest.mark.parametrize("aifs", [True, False])
+@pytest.mark.parametrize("order", ["visual_first", "natural"])
 @pytest.mark.parametrize("kinds", [
     ("mixed", "mixed", "mixed", "mixed"),
     ("visual", "visual", "mixed", "visual"),
     ("text", "visual", "visual", "text"),
 ])
-def test_changing_one_member_leaves_the_others_bitwise(float_model, qms, aifs, kinds):
+def test_changing_one_member_leaves_the_others_bitwise(float_model, qm, row_order, order, kinds):
     rng = np.random.default_rng(21)
     samples = [make_sample(rng, n, kind) for n, kind in zip((9, 70, 33, 65), kinds)]
     rows, modality, lens = stack(samples)
-    qm = qms[aifs]
     runs = {
         "float": lambda r: model_forward(float_model, r, modality, lengths=lens),
         "static": lambda r: qm.forward(r, modality, lengths=lens),
@@ -295,7 +289,8 @@ def test_changing_one_member_leaves_the_others_bitwise(float_model, qms, aifs, k
         block = changed[starts[j] : starts[j + 1]]
         changed[starts[j] : starts[j + 1]] = rng.permutation(block) * 1.5 + 0.25
         for name, run in runs.items():
-            before, after = members(run(rows), lens), members(run(changed), lens)
+            with row_order(order):
+                before, after = members(run(rows), lens), members(run(changed), lens)
             for i in range(len(samples)):
                 if i != j:
                     assert np.array_equal(before[i], after[i]), (name, j, i)
@@ -315,15 +310,15 @@ BAD_LENGTHS = [
 
 
 @pytest.mark.parametrize("lengths, match", BAD_LENGTHS)
-def test_bad_lengths_are_rejected(float_model, qms, lengths, match):
+def test_bad_lengths_are_rejected(float_model, qm, lengths, match):
     rows, layout = make_sample(np.random.default_rng(1), 40, "mixed")
     with pytest.raises(ValueError, match=match):
         model_forward(float_model, rows, layout.modality, lengths=lengths)
     with pytest.raises(ValueError, match=match):
-        qms[True].forward(rows, layout.modality, lengths=lengths)
+        qm.forward(rows, layout.modality, lengths=lengths)
 
 
-def test_sample_rows_must_match_their_layout(qms):
+def test_sample_rows_must_match_their_layout(qm):
     """Packing would hide a sample whose rows and tags disagree by offsetting
     the next one, so each sample is checked before it is stacked."""
     rng = np.random.default_rng(2)
@@ -333,19 +328,19 @@ def test_sample_rows_must_match_their_layout(qms):
         (b[0], ModalityLayout(np.r_[b[1].modality, TEXT])),
     ]
     with pytest.raises(ValueError, match="sample 0 has 10 rows but its layout tags 9"):
-        evaluate(qms[True], skewed)
+        evaluate(qm, skewed)
     with pytest.raises(ValueError, match="sample width 8 != model d_model 16"):
-        evaluate(qms[True], [a, (b[0][:, :8], b[1])])
+        evaluate(qm, [a, (b[0][:, :8], b[1])])
 
 
 # ===== one forward driver =====
 
 
-@pytest.mark.parametrize("aifs", [True, False])
-def test_act_fn_sees_each_block_inputs_tags_in_run_order(float_model, aifs):
+@pytest.mark.parametrize("order", ["visual_first", "natural"])
+def test_act_fn_sees_each_block_inputs_tags_in_run_order(float_model, row_order, order):
     """act_fn gets None in the vision blocks and, in the LLM blocks, the
     tags of x's rows in the order they run: the pack's visual rows as one
-    prefix under AIFS, the pack's own order without it."""
+    prefix, or in the natural order the pack's own order."""
     samples = [
         generate_synthetic_samples(1, len(spec), spec, seed=i, d_model=D)[0]
         for i, spec in enumerate(["tvvtv", "ttvvvtt", "ttt", "vvt"])
@@ -358,17 +353,20 @@ def test_act_fn_sees_each_block_inputs_tags_in_run_order(float_model, aifs):
         seen[name] = tags
         return x
 
-    model_forward(float_model, rows, modality, act_fn, lengths, aifs)
+    with row_order(order):
+        model_forward(float_model, rows, modality, act_fn, lengths)
     # visual-first across the pack: its tags sorted 1s first
-    want = np.sort(modality)[::-1] if aifs else modality
+    want = np.sort(modality)[::-1] if order == "visual_first" else modality
     assert sorted(seen) == ["llm.0.input", "llm.1.input", "vision.0.input"]
     assert seen["vision.0.input"] is None
     for name in ("llm.0.input", "llm.1.input"):
         assert np.array_equal(seen[name], want), name
 
 
-@pytest.mark.parametrize("aifs", [True, False])
-def test_calibration_records_the_quantized_forwards_run_order(float_model, qms, aifs, monkeypatch):
+@pytest.mark.parametrize("order", ["visual_first", "natural"])
+def test_calibration_records_the_quantized_forwards_run_order(
+    float_model, qm, row_order, order, monkeypatch
+):
     """The tags calibration's recorder sees with each LLM block input are
     the row order the quantized forward's static grids see at that block."""
     samples = [make_sample(np.random.default_rng(i), n, "mixed") for i, n in enumerate((9, 14, 5))]
@@ -391,17 +389,17 @@ def test_calibration_records_the_quantized_forwards_run_order(float_model, qms, 
         applied.append(visual_rows)
         return quantize_msq_(x, visual_rows, *args)
 
-    monkeypatch.setattr(pipeline, "model_forward", recording)
-    pcfg = small_pcfg(aifs=aifs)
-    pipeline.calibrate_pipeline(float_model, samples, pcfg)
-    monkeypatch.setattr(pipeline, "model_forward", model_forward_)
-    monkeypatch.setattr(pipeline, "quantize_msq", applying)
-    qms[aifs].forward(rows, modality, lengths=lengths)
-    assert len(recorded) == len(applied) == pcfg.model.llm_blocks
+    with row_order(order):
+        monkeypatch.setattr(pipeline, "model_forward", recording)
+        pipeline.calibrate_pipeline(float_model, samples)
+        monkeypatch.setattr(pipeline, "model_forward", model_forward_)
+        monkeypatch.setattr(pipeline, "quantize_msq", applying)
+        qm.forward(rows, modality, lengths=lengths)
+    assert len(recorded) == len(applied) == float_model.config.llm_blocks
     for tags, visual_rows in zip(recorded, applied):
         assert np.array_equal(tags == VISUAL, visual_rows)
     # the samples are mixed, so visual-first is not the pack's own order
-    assert np.array_equal(applied[0], modality == VISUAL) != aifs
+    assert np.array_equal(applied[0], modality == VISUAL) == (order == "natural")
 
 
 # ===== the benchmark's tracer over packed calls =====
@@ -416,16 +414,16 @@ def load_spans():
     return spans
 
 
-def test_tracer_runs_over_packed_evaluate_and_calibrate(float_model, qms):
+def test_tracer_runs_over_packed_evaluate_and_calibrate(float_model, qm):
     """`perfbench/run.py --trace 1` wraps every traced function; its
     quantities must still read the packed calls."""
     spans = load_spans()
     samples = generate_synthetic_samples(5, 12, seed=9, d_model=D)
     visual = sum(layout.visual_count for _, layout in samples)
     runs = (
-        (lambda: calibrate_pipeline(float_model, samples, small_pcfg()), 1),
+        (lambda: calibrate_pipeline(float_model, samples), 1),
         # evaluate encodes the visual rows twice: float reference and quantized
-        (lambda: evaluate(qms[True], samples), 2),
+        (lambda: evaluate(qm, samples), 2),
     )
     for run, passes in runs:
         tracer = spans.Tracer()
@@ -467,7 +465,7 @@ def test_each_forward_part_builds_one_attention_plan(monkeypatch):
         lambda: qm.forward(rows, modality, lengths=lengths),
         lambda: qm.forward(rows, modality, dynamic=True, lengths=lengths),
         lambda: model_forward(model, rows, modality, lengths=lengths),
-        lambda: pipeline.stage_calibrate(model, "", samples, pcfg),
+        lambda: pipeline.stage_calibrate(model, "", samples),
     ):
         builds.clear()
         run()

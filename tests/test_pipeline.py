@@ -12,12 +12,20 @@ from mquant import lanes, msq_aifs, pipeline
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
+    embed_tokens,
     iter_linears,
+    llm_stack,
     model_fingerprint,
     model_forward,
     model_to_dict,
 )
-from mquant.msq_aifs import TEXT, VISUAL, layout_from_string, quantize_msq
+from mquant.msq_aifs import (
+    TEXT,
+    VISUAL,
+    build_attention_plan,
+    layout_from_string,
+    quantize_msq,
+)
 from mquant.pipeline import (
     CalibrationResult,
     PipelineConfig,
@@ -75,7 +83,7 @@ def test_config_validates_values():
     "key, value",
     [
         ("rms", "false"),
-        ("aifs", 1),
+        ("rms", 1),
         ("symmetric_activations", "no"),
         ("seed", "0"),
         ("group_size", "8"),
@@ -109,11 +117,18 @@ def test_config_roundtrip():
     assert again.to_dict() == pcfg.to_dict()
 
 
-def test_config_rejects_removed_rotation_keys():
-    """The sign-randomized rotation is gone; a config still asking for it
-    is rejected with the key named, not silently run with plain H."""
-    with pytest.raises(ValueError, match="randomized_rotation"):
-        PipelineConfig.from_dict({"randomized_rotation": True})
+@pytest.mark.parametrize("key", ["randomized_rotation", "aifs"])
+def test_config_rejects_removed_rotation_keys(setup, key):
+    """The sign-randomized rotation is gone, and so is the aifs switch:
+    the LLM rows always run visual-first.  A config or qmodel still asking
+    for either is rejected with the key named, not silently run without."""
+    with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+        PipelineConfig.from_dict({key: True})
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
+    d["config"][key] = True
+    with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+        qmodel_from_dict(d)
 
 
 def test_config_dict_keys_follow_fields():
@@ -122,7 +137,7 @@ def test_config_dict_keys_follow_fields():
     keys = list(PipelineConfig().to_dict())
     assert keys == list(ToyMllmConfig().to_dict()) + [
         "bits_w", "bits_a", "weight_granularity", "group_size",
-        "symmetric_activations", "rms", "aifs", "split_bits",
+        "symmetric_activations", "rms", "split_bits",
     ]
 
 
@@ -193,8 +208,8 @@ def test_stage_cannot_run_twice(setup):
 
 
 def test_set_calibration_checks_fingerprint(setup):
-    pcfg, model, samples = setup
-    calib = calibrate_pipeline(model, samples, pcfg)
+    _, model, samples = setup
+    calib = calibrate_pipeline(model, samples)
     other = build_toy_mllm(small_pcfg(seed=99).model)
     with pytest.raises(ValueError, match="calibration was made for"):
         stage_set_calibration(other, calib)
@@ -203,8 +218,8 @@ def test_set_calibration_checks_fingerprint(setup):
 def test_set_calibration_checks_grid_counts(setup):
     """A calibration missing a point of the model, or holding one the
     model does not have, is refused, with the point named."""
-    pcfg, model, samples = setup
-    calib = calibrate_pipeline(model, samples, pcfg)
+    _, model, samples = setup
+    calib = calibrate_pipeline(model, samples)
     moved = {"vision.0.input": "vision.1.input", "llm.1.input": "llm.2.input"}
     for old, new in moved.items():
         points = dict(calib.points)
@@ -215,16 +230,14 @@ def test_set_calibration_checks_grid_counts(setup):
 
 IDENTITY = st.fixed_dictionaries({
     "bits_a": st.sampled_from([4, 8]),
-    "aifs": st.booleans(),
     "symmetric_activations": st.booleans(),
     "seed": st.sampled_from([0, 1]),
 })
 
 # What a rejection says for each identity field; the model seed shows up
-# as a fingerprint mismatch.  aifs is no identity field: it moves rows, not
-# values, so a calibration made in either order serves both.  Nor are
-# bits_a and symmetric_activations: a calibration holds ranges, and the
-# grids are derived from them at the config's settings.
+# as a fingerprint mismatch.  bits_a and symmetric_activations are no
+# identity fields: a calibration holds ranges, and the grids are derived
+# from them at the config's settings.
 REJECTION_NAMES = {
     "seed": "calibration was made for model",
 }
@@ -239,7 +252,7 @@ def calibrations():
         key = tuple(sorted(identity.items()))
         if key not in made:
             pcfg = small_pcfg(llm_blocks=1, **identity)
-            made[key] = calibrate_pipeline(build_toy_mllm(pcfg.model), samples, pcfg)
+            made[key] = calibrate_pipeline(build_toy_mllm(pcfg.model), samples)
         return made[key]
 
     return get
@@ -274,14 +287,14 @@ def activation_grids(qm) -> list:
     ]
 
 
-@settings(max_examples=16, deadline=None)
-@given(made_with=SETTING, used_with=SETTING)
-def test_one_calibration_serves_every_activation_setting(setup, made_with, used_with):
-    """A calibration made at any bits_a and symmetry is the one made at any
-    other, and the grids a config derives from it are, bit for bit, those
-    of a calibration made at that config's own settings."""
+@settings(max_examples=8, deadline=None)
+@given(used_with=SETTING)
+def test_one_calibration_serves_every_activation_setting(setup, used_with):
+    """A calibration takes no activation setting: it is the one made inside
+    quantize at any bits_a and symmetry, and the grids a config derives
+    from it are, bit for bit, those of that config's own calibration."""
     _, model, samples = setup
-    calib = calibrate_pipeline(model, samples, small_pcfg(**made_with))
+    calib = calibrate_pipeline(model, samples)
     pcfg = small_pcfg(**used_with)
     own = mquant_quantize(model, pcfg, samples=samples)
     assert calib.to_dict() == own.calib.to_dict()
@@ -303,7 +316,7 @@ def test_calibration_memory_does_not_grow_with_the_pack_count():
         samples = generate_synthetic_samples(count, 64, seed=7)
         tracemalloc.start()
         try:
-            calibrate_pipeline(model, samples, pcfg)
+            calibrate_pipeline(model, samples)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -317,7 +330,7 @@ def test_calibration_does_not_depend_on_the_sample_order(count, length):
     model = build_toy_mllm(pcfg.model)
     samples = generate_synthetic_samples(count, length, seed=5, d_model=16)
     files = [
-        json.dumps(calibrate_pipeline(model, order, pcfg).to_dict(), sort_keys=True)
+        json.dumps(calibrate_pipeline(model, order).to_dict(), sort_keys=True)
         for order in (samples, samples[::-1])
     ]
     assert files[0] == files[1]
@@ -343,7 +356,7 @@ def test_exactly_one_calibration_source(setup):
     pcfg, model, samples = setup
     with pytest.raises(ValueError, match="exactly one"):
         mquant_quantize(model, pcfg)
-    calib = calibrate_pipeline(model, samples, pcfg)
+    calib = calibrate_pipeline(model, samples)
     with pytest.raises(ValueError, match="exactly one"):
         mquant_quantize(model, pcfg, samples=samples, calib=calib)
 
@@ -361,8 +374,8 @@ def test_stage_log_order(setup):
 
 
 def test_lossless_stack_preserves_forward(setup):
-    pcfg, model, samples = setup
-    transformed = apply_lossless_stack(model, pcfg)
+    _, model, samples = setup
+    transformed = apply_lossless_stack(model)
     for rows, layout in samples[:3]:
         a = model_forward(model, rows, layout.modality)
         b = model_forward(transformed, rows, layout.modality)
@@ -421,29 +434,39 @@ def test_split_plans_take_the_configured_weight_grid(setup):
         assert params.group_size == 8, name
 
 
-def test_aifs_off_matches_aifs_on(setup):
+def test_natural_order_evaluate_matches_visual_first(setup, row_order):
     pcfg, model, samples = setup
     r_on = evaluate(mquant_quantize(model, pcfg, samples=samples), samples)
-    r_off = evaluate(
-        mquant_quantize(model, small_pcfg(aifs=False), samples=samples), samples
-    )
+    with row_order("natural"):
+        r_off = evaluate(mquant_quantize(model, pcfg, samples=samples), samples)
     assert abs(
         r_on["metrics"]["cosine_mean"] - r_off["metrics"]["cosine_mean"]
     ) < 1e-6
 
 
 @pytest.mark.parametrize("bits_w", [8, 4])
-def test_aifs_forward_is_bitwise_the_natural_order_forward(bits_w):
+def test_aifs_forward_is_bitwise_the_natural_order_forward(row_order, bits_w):
     """AIFS reorders the row-wise work, and attention gathers its rows
     back into position order, so AIFS outputs equal natural order's bit
     for bit, static and dynamic: one L=1024 sequence of 256 text then 768
-    visual tokens, one mixed pack, and evaluate's per-sample reports."""
+    visual tokens, one mixed pack, and evaluate's per-sample reports.  In
+    natural order, calibration runs in it too."""
     model = build_toy_mllm(ToyMllmConfig())
     desk = generate_synthetic_samples(8, 16, seed=123)
-    qms = [
-        mquant_quantize(model, PipelineConfig(bits_w=bits_w, aifs=aifs), samples=desk)
-        for aifs in (True, False)
-    ]
+    orders = ("visual_first", "natural")
+    qms = {}
+    for order in orders:
+        with row_order(order):
+            qms[order] = mquant_quantize(model, PipelineConfig(bits_w=bits_w), samples=desk)
+
+    def both(run):
+        """run(qm) in each order, on the quantized model made in it."""
+        outs = []
+        for order in orders:
+            with row_order(order):
+                outs.append(run(qms[order]))
+        return outs
+
     rng = np.random.default_rng(5)
     tags = np.repeat([TEXT, VISUAL], [256, 768])
     rows = rng.uniform(-0.5, 0.5, size=(1024, 64))
@@ -458,25 +481,37 @@ def test_aifs_forward_is_bitwise_the_natural_order_forward(bits_w):
     )
     lengths = [len(layout) for _, layout in mixed]
     for dynamic in (False, True):
-        on, off = (qm.forward(rows, tags, dynamic=dynamic) for qm in qms)
+        on, off = both(lambda qm: qm.forward(rows, tags, dynamic=dynamic))
         assert np.array_equal(on, off)
-        on, off = (qm.forward(*pack, dynamic=dynamic, lengths=lengths) for qm in qms)
+        on, off = both(lambda qm: qm.forward(*pack, dynamic=dynamic, lengths=lengths))
         assert np.array_equal(on, off)
-        on, off = (evaluate(qm, mixed, dynamic=dynamic)["metrics"]["per_sample"] for qm in qms)
+        on, off = both(lambda qm: evaluate(qm, mixed, dynamic=dynamic)["metrics"]["per_sample"])
         assert on == off
 
 
-def test_a_calibration_serves_either_row_order(setup):
+def test_a_calibration_serves_either_row_order(setup, row_order):
     """A calibration made under AIFS is the one made in natural order, and
-    each is accepted by a config with the other setting."""
-    _, model, samples = setup
-    calibs = {
-        aifs: calibrate_pipeline(model, samples, small_pcfg(aifs=aifs)) for aifs in (True, False)
-    }
-    assert calibs[True].to_dict() == calibs[False].to_dict()
-    for made, used in ((True, False), (False, True)):
-        qm = mquant_quantize(model, small_pcfg(aifs=used), calib=calibs[made])
-        assert qm.calib is calibs[made]
+    a quantized model built from either runs in the other, bit for bit as
+    from its own."""
+    pcfg, model, samples = setup
+    orders = ("visual_first", "natural")
+    calibs = {}
+    for order in orders:
+        with row_order(order):
+            calibs[order] = calibrate_pipeline(model, samples)
+    assert calibs["visual_first"].to_dict() == calibs["natural"].to_dict()
+    rows = np.vstack([r for r, _ in samples])
+    modality = np.concatenate([layout.modality for _, layout in samples])
+    lengths = [len(layout) for _, layout in samples]
+    for made, used in zip(orders, orders[::-1]):
+        with row_order(used):
+            qm = mquant_quantize(model, pcfg, calib=calibs[made])
+            own = mquant_quantize(model, pcfg, calib=calibs[used])
+            assert qm.calib is calibs[made]
+            assert np.array_equal(
+                qm.forward(rows, modality, lengths=lengths),
+                own.forward(rows, modality, lengths=lengths),
+            )
 
 
 def test_per_group_granularity_runs(setup):
@@ -506,7 +541,7 @@ def without_grids(qm, monkeypatch):
     so its forward runs the transformed float model in its own order."""
     monkeypatch.setattr(pipeline, "quantize_msq", lambda x, rows, params, counter: x)
     monkeypatch.setattr(pipeline, "fake_quant", lambda x, params: x)
-    qm.model = apply_lossless_stack(qm.float_model, qm.pcfg)
+    qm.model = apply_lossless_stack(qm.float_model)
     return qm
 
 
@@ -519,17 +554,24 @@ def test_passthrough_matches_transformed_float(setup, monkeypatch):
     np.testing.assert_allclose(out, ref, atol=1e-9)
 
 
+def natural_float_forward(model, rows, tags):
+    """The float forward with the LLM rows in their natural order, from
+    model_forward's parts: embed_tokens, the natural plan, llm_stack."""
+    x, tags, lengths = embed_tokens(model, rows, tags)
+    positions = np.arange(lengths[0])
+    return llm_stack(model, x, build_attention_plan(lengths, positions), positions, tags)
+
+
 def test_natural_order_passthrough_is_the_float_forward(setup, monkeypatch):
-    """With AIFS off, the pass-through path runs model_forward's order and
-    positions, so it reproduces it bit for bit."""
-    pcfg, model, samples = setup
+    """The pass-through path runs visual-first, and attention in position
+    order, so it reproduces the natural-order float forward bit for bit."""
+    _, model, samples = setup
     qm = without_grids(
-        mquant_quantize(model, small_pcfg(aifs=False, rms=False), samples=samples),
-        monkeypatch,
+        mquant_quantize(model, small_pcfg(rms=False), samples=samples), monkeypatch
     )
     for rows, layout in samples:
         out = qm.forward(rows, layout.modality)
-        assert np.array_equal(out, model_forward(qm.model, rows, layout.modality))
+        assert np.array_equal(out, natural_float_forward(qm.model, rows, layout.modality))
 
 
 @pytest.mark.parametrize("rms", [True, False])
@@ -538,10 +580,10 @@ def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
     the same linear of the float transform stack fake-quantized on its
     weight_grids entry; a split down-projection first has row 0 zeroed when
     its plan triggers, and holds its plan's main_q.  Each split plan sits on
-    its own block and on no other, and in natural order qm.forward is
-    model_forward of qm.model with the static grids as act_fn, bit for bit."""
-    pcfg, model, samples = setup
-    qm = mquant_quantize(model, small_pcfg(aifs=False, rms=rms), samples=samples)
+    its own block and on no other, and qm.forward is model_forward of
+    qm.model with the static grids as act_fn, bit for bit."""
+    _, model, samples = setup
+    qm = mquant_quantize(model, small_pcfg(rms=rms), samples=samples)
     blocks = {
         f"{part}.{i}.w_down": blk
         for part in ("vision", "llm")
@@ -550,7 +592,7 @@ def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
     assert set(qm.plans) == (set(blocks) if rms else set())
     for name, blk in blocks.items():
         assert blk.split is qm.plans.get(name), name
-    lossless = dict(iter_linears(apply_lossless_stack(qm.float_model, qm.pcfg)))
+    lossless = dict(iter_linears(apply_lossless_stack(qm.float_model)))
     for name, lin in iter_linears(qm.model):
         w = lossless[name].w.copy()
         plan = qm.plans.get(name)
@@ -570,7 +612,7 @@ def test_quantized_forward_is_the_forward_of_its_frozen_model(setup, rms):
         part, idx = name.split(".")[0], int(name.split(".")[1])
         if part == "vision":
             return fake_quant(x, qm.vision_act[idx])
-        return quantize_msq(x, modality == VISUAL, qm.msq[idx])
+        return quantize_msq(x, tags == VISUAL, qm.msq[idx])
 
     want = model_forward(qm.model, rows, modality, act_fn, lengths)
     assert qm.forward(rows, modality, lengths=lengths).tobytes() == want.tobytes()
@@ -609,13 +651,13 @@ def test_model_file_refuses_a_model_holding_split_plans():
     assert model_to_dict(qm.float_model)["fingerprint"] == model_fingerprint(qm.float_model)
 
 
-@pytest.mark.parametrize("aifs", [True, False])
-def test_forward_builds_its_mask_with_one_rule_call(setup, monkeypatch, aifs):
+@pytest.mark.parametrize("order", ["visual_first", "natural"])
+def test_forward_builds_its_mask_with_one_rule_call(setup, monkeypatch, row_order, order):
     """The benchmark asserts that one forward calls permuted_mask_oracle
     exactly once, whatever the layout: the LLM plan builds its one sample's
     mask from positions, and the vision plan needs none."""
-    _, model, samples = setup
-    qm = mquant_quantize(model, small_pcfg(aifs=aifs), samples=samples)
+    pcfg, model, samples = setup
+    qm = mquant_quantize(model, pcfg, samples=samples)
     build = msq_aifs.permuted_mask_oracle
     calls = []
 
@@ -627,16 +669,17 @@ def test_forward_builds_its_mask_with_one_rule_call(setup, monkeypatch, aifs):
     rows = samples[0][0]
     for spec in ("tttttttttt", "ttvvvvtttt", "tvvttvvvtt"):
         calls.clear()
-        qm.forward(rows, layout_from_string(spec).modality)
+        with row_order(order):
+            qm.forward(rows, layout_from_string(spec).modality)
         assert calls == [10], spec
 
 
-@pytest.mark.parametrize("aifs", [True, False])
-def test_packed_forward_builds_one_mask_per_sample(setup, monkeypatch, aifs):
+@pytest.mark.parametrize("order", ["visual_first", "natural"])
+def test_packed_forward_builds_one_mask_per_sample(setup, monkeypatch, row_order, order):
     """A pack of B samples calls the mask rule once per sample, with that
     sample's length, and never for the whole pack."""
-    _, model, samples = setup
-    qm = mquant_quantize(model, small_pcfg(aifs=aifs), samples=samples)
+    pcfg, model, samples = setup
+    qm = mquant_quantize(model, pcfg, samples=samples)
     build = msq_aifs.permuted_mask_oracle
     calls = []
 
@@ -651,7 +694,8 @@ def test_packed_forward_builds_one_mask_per_sample(setup, monkeypatch, aifs):
     lengths = [len(spec) for spec in specs]
     for dynamic in (False, True):
         calls.clear()
-        qm.forward(rows, modality, dynamic=dynamic, lengths=lengths)
+        with row_order(order):
+            qm.forward(rows, modality, dynamic=dynamic, lengths=lengths)
         assert calls == lengths
 
 
@@ -713,7 +757,7 @@ def test_bench_scale_op_columns(setup):
 
 def test_calibration_roundtrip(setup):
     pcfg, model, samples = setup
-    calib = calibrate_pipeline(model, samples, pcfg)
+    calib = calibrate_pipeline(model, samples)
     assert calib.fingerprint == model_fingerprint(model)
     again = CalibrationResult.from_dict(json.loads(json.dumps(calib.to_dict())))
     qm = mquant_quantize(model, pcfg, calib=again)
@@ -729,7 +773,7 @@ def test_calibration_wrong_kind_rejected():
 
 def test_calibration_other_schema_version_rejected(setup):
     pcfg, model, samples = setup
-    d = calibrate_pipeline(model, samples, pcfg).to_dict()
+    d = calibrate_pipeline(model, samples).to_dict()
     d["schema_version"] = 999
     with pytest.raises(ValueError, match="schema_version"):
         CalibrationResult.from_dict(d)
@@ -757,7 +801,7 @@ def test_qmodel_stores_config_float_model_and_calibration_only(setup):
     pcfg, model, samples = setup
     d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
     assert set(d) == {"schema_version", "kind", "config", "float_model", "calibration"}
-    assert d["calibration"] == calibrate_pipeline(model, samples, pcfg).to_dict()
+    assert d["calibration"] == calibrate_pipeline(model, samples).to_dict()
 
 
 def test_qmodel_other_schema_version_rejected(setup):

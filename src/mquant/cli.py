@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .model import build_toy_mllm, model_fingerprint, model_from_dict, model_to_dict
+from .model import ToyMllmConfig, build_toy_mllm, model_from_dict, model_to_dict
 from .msq_aifs import ModalityLayout
 from .pipeline import (
     CalibrationResult,
@@ -31,7 +31,8 @@ from .pipeline import (
 
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Compact JSON with sorted keys: without indent, json encodes in C."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _read_json(path) -> dict:
@@ -108,10 +109,17 @@ def _load_samples(path, d_model: int) -> list:
 
 
 def cmd_gen_model(args: argparse.Namespace) -> int:
-    pcfg = PipelineConfig.from_dict(_config_dict(args))
-    model = build_toy_mllm(pcfg.model)
-    _write_json(args.out, model_to_dict(model))
-    print(f"wrote {args.out} (fingerprint {model_fingerprint(model)})")
+    d = _config_dict(args)
+    model_keys = ToyMllmConfig().to_dict()
+    extra = sorted(set(d) - set(model_keys))
+    if extra:
+        raise ValueError(
+            f"unknown config keys for gen-model: {extra}; "
+            f"it reads only the model keys {sorted(model_keys)}"
+        )
+    model_file = model_to_dict(build_toy_mllm(ToyMllmConfig(**d)))
+    _write_json(args.out, model_file)
+    print(f"wrote {args.out} (fingerprint {model_file['fingerprint']})")
     return 0
 
 

@@ -18,6 +18,7 @@ index.
 from __future__ import annotations
 
 import base64
+import binascii
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,7 +37,9 @@ _HEADER = struct.Struct("<4sIQQ")
 def tensor_to_bytes(a: np.ndarray) -> bytes:
     a = check_finite(as_tensor(a), "tensor payload")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, a.shape[0], a.shape[1])
-    return header + a.astype("<f8").tobytes(order="C")
+    # One copy: the header joins the array's own buffer, which is already
+    # little-endian float64 in row-major order on a little-endian machine.
+    return header + np.ascontiguousarray(a, "<f8").data
 
 
 def tensor_from_bytes(raw) -> tuple[np.ndarray, int]:
@@ -65,7 +68,8 @@ def tensor_to_b64(a: np.ndarray) -> str:
 def tensor_from_b64(text: str) -> np.ndarray:
     if not isinstance(text, str):
         raise ValueError(f"embedded tensor must be a base64 string, got {type(text).__name__}")
-    raw = base64.b64decode(text.encode("ascii"))
+    # binascii reads an ASCII str in place, with no bytes copy of the text.
+    raw = binascii.a2b_base64(text)
     a, used = tensor_from_bytes(raw)
     if used != len(raw):
         raise ValueError("embedded tensor has trailing bytes")

@@ -541,9 +541,10 @@ def quantize_msq(
 ) -> np.ndarray:
     """Fake-quantize a sequence with its two static segment grids.
 
-    Rows marked in visual_rows take the visual grid, the rest the text grid.
-    Exactly two scale applications are counted per call, the static cost
-    model this mechanism exists for.
+    Rows marked in visual_rows take the visual grid, the rest the text grid,
+    in one fake_quant pass with each row's scale and zero point.  Exactly
+    two scale applications are counted per call, the static cost model
+    this mechanism exists for.
 
     Args:
         x: activations, shape (tokens, d).
@@ -555,11 +556,15 @@ def quantize_msq(
     Returns:
         Fake-quantized tensor, same shape as x.
     """
-    out = np.empty_like(x)
-    if visual_rows.any():
-        out[visual_rows] = fake_quant(x[visual_rows], params.visual)
-    if not visual_rows.all():
-        out[~visual_rows] = fake_quant(x[~visual_rows], params.text)
+    visual, text = params.visual, params.text
+    grid = QuantParams(
+        params.bits,
+        params.symmetric,
+        Granularity.PER_TOKEN,
+        np.where(visual_rows, visual.scales[0], text.scales[0]),
+        np.where(visual_rows, visual.zero_points[0], text.zero_points[0]),
+    )
+    out = fake_quant(x, grid)
     if counter is not None:
         counter.bump(2)
     return out

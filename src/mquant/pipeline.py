@@ -43,7 +43,7 @@ from .model import (
     model_fingerprint,
     model_forward,
     model_from_dict,
-    model_to_dict,
+    model_sections,
 )
 from .msq_aifs import (
     MODALITIES,
@@ -752,19 +752,22 @@ def bench(qm: QuantizedModel, lengths: list, seed: int = 0) -> dict:
 
 def qmodel_to_dict(qm: QuantizedModel) -> dict:
     """The three inputs the quantized model is a function of; everything
-    else is re-derived by qmodel_from_dict."""
+    else is re-derived by qmodel_from_dict.  The float model's fingerprint
+    is stored once, in the calibration."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "qmodel",
         "config": qm.pcfg.to_dict(),
-        "float_model": model_to_dict(qm.float_model),
+        "float_model": model_sections(qm.float_model),
         "calibration": qm.calib.to_dict(),
     }
 
 
 def qmodel_from_dict(d: dict) -> QuantizedModel:
     """Re-run the pipeline on the stored float model and calibration, so the
-    config's and the calibration's pairing checks apply on every load."""
+    config's and the calibration's pairing checks apply on every load.  A
+    float model section that still holds its fingerprint (files written
+    before it was stored once) is checked against it too."""
     keys = ("float_model", "config", "calibration")
     _check_header(d, "qmodel", "quantized model", keys)
     with fileio.keys_required("quantized model file"):

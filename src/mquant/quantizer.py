@@ -211,7 +211,9 @@ def compute_params_absmax(
 
 
 def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Map x onto the integer grid: clamp(round(x/s) + z, q_min, q_max)."""
+    """Map x onto the integer grid: clamp(round(x/s) + z, q_min, q_max).
+
+    With dequantize, the tests' oracle for fake_quant."""
     x = check_finite(as_tensor(x), "quantize input")
     s, z = _elementwise(params, x.shape[0], x.shape[1])
     q = round_half_away(x / s) + z
@@ -220,15 +222,36 @@ def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Back to float: (q - z) * s."""
+    """Back to float: (q - z) * s.  With quantize, the tests' oracle for
+    fake_quant."""
     rows, cols = qt.values.shape
     s, z = _elementwise(qt.params, rows, cols)
     return (qt.values.astype(np.float64) - z) * s
 
 
 def fake_quant(x: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Quantize-dequantize round trip, the simulation building block."""
-    return dequantize(quantize(x, params))
+    """Quantize-dequantize round trip, the simulation building block.
+
+    One float64 buffer runs the whole chain in place: divide by s, round
+    half away, add z, clip to the grid, subtract z, multiply by s.  The
+    bytes equal dequantize(quantize(x, params)): every code is an integer
+    held exactly, and adding z (zero included) turns a -0.0 code into the
+    +0.0 that quantize's int32 cast gives.  The rounding takes its sign
+    from x, which is that of x / s as s > 0.  A NaN or infinite entry of x
+    raises, as the clip would turn an inf into the grid's edge code.
+    """
+    x = check_finite(as_tensor(x), "fake-quant input")
+    s, z = _elementwise(params, x.shape[0], x.shape[1])
+    q = np.divide(x, s)
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, x, out=q)
+    q += z
+    np.clip(q, params.q_min, params.q_max, out=q)
+    q -= z
+    q *= s
+    return q
 
 
 # ===== serialization =====

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mquant import model as model_module
+from mquant import pipeline
 from mquant.cli import main
 from mquant.fileio import save_samples, tensor_to_bytes
 from mquant.pipeline import qmodel_from_dict
@@ -154,6 +156,45 @@ def test_eval_rejects_other_schema_version(workdir, capsys):
                "--report", str(tmp / "r.json"))
     assert code == 2
     assert "schema_version" in capsys.readouterr().err
+
+
+def test_quantize_hashes_the_float_model_twice_and_eval_once(workdir, monkeypatch):
+    """quantize hashes the float model to check its model file and to name
+    it in the calibration; eval of the qmodel it writes hashes it once, to
+    check it against the calibration."""
+    tmp, cfg = workdir
+    model, samples, qmodel = str(tmp / "m.json"), str(tmp / "s.mqs"), str(tmp / "q.json")
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "2", "--length", "6", "--d-model", "16")
+    calls = []
+    real = model_module.model_fingerprint
+
+    def counted(m):
+        calls.append(real(m))
+        return calls[-1]
+
+    for module in (model_module, pipeline):
+        monkeypatch.setattr(module, "model_fingerprint", counted)
+    assert run("quantize", "--model", model, "--samples", samples, "--out", qmodel) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert run("eval", "--qmodel", qmodel, "--samples", samples,
+               "--report", str(tmp / "r.json")) == 0
+    assert calls == [json.loads(Path(model).read_text())["fingerprint"]]
+
+
+def test_gen_model_refuses_every_key_that_is_not_a_model_key(workdir, capsys):
+    """gen-model builds a model only, so a --config that also sets
+    quantization keys (or unknown ones) exits 2 naming each of them, and
+    writes nothing."""
+    tmp, _ = workdir
+    cfg = tmp / "mixed.json"
+    cfg.write_text(json.dumps({"d_model": 16, "bits_w": 4, "rms": False, "bits_a": 16, "x": 1}))
+    out = tmp / "m.json"
+    assert run("gen-model", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys for gen-model: ['bits_a', 'bits_w', 'rms', 'x']" in err
+    assert not out.exists()
 
 
 def test_unknown_config_key_fails(workdir, capsys):

@@ -13,6 +13,35 @@ def test_b64_roundtrip():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.arange(12.0).reshape(3, 4),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(24.0).reshape(4, 6)[::2, 1::2],
+        np.arange(12, dtype=np.float32).reshape(3, 4),
+        np.arange(12, dtype=">f8").reshape(3, 4),
+        np.array([[-0.0, 1e-310, -1e300]]),
+    ],
+    ids=["c_order", "f_order", "strided", "float32", "big_endian", "edge_values"],
+)
+def test_tensor_bytes_are_the_header_and_the_row_major_little_endian_payload(a):
+    """The container layout in the module docstring, for any input layout
+    and dtype; base64 of it decodes back to the float64 tensor."""
+    raw = fileio.tensor_to_bytes(a)
+    want = b"MQNT" + bytes([1, 0, 0, 0]) + a.shape[0].to_bytes(8, "little")
+    want += a.shape[1].to_bytes(8, "little") + np.asarray(a, "<f8").tobytes(order="C")
+    assert isinstance(raw, bytes) and raw == want
+    back = fileio.tensor_from_b64(fileio.tensor_to_b64(a))
+    assert back.dtype == np.float64 and back.tobytes() == np.asarray(a, np.float64).tobytes()
+
+
+def test_a_non_ascii_embedded_tensor_is_a_value_error():
+    text = fileio.tensor_to_b64(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="ASCII"):
+        fileio.tensor_from_b64("\u00e9" + text)
+
+
 def test_bad_magic_rejected():
     raw = bytearray(fileio.tensor_to_bytes(np.ones((2, 2))))
     raw[0:4] = b"XXXX"

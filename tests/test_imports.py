@@ -35,6 +35,8 @@ UNREFERENCED = {
     "pipeline.apply_lossless_stack": "acceptance test 8's float-equivalent stack",
     "hadamard.incoherence_ratio": "waits for the per-layer incoherence report "
     "(ROADMAP item 2)",
+    "quantizer.quantize": "the tests' fake-quant oracle",
+    "quantizer.dequantize": "the tests' fake-quant oracle",
 }
 
 
@@ -184,6 +186,8 @@ CHECKERS = {
     "fileio.tensor_from_bytes": "every tensor read: model files and sample batches",
     "fileio.save_samples": "a sample batch written",
     "quantizer.quantize": "its int32 cast would turn a NaN into a finite code",
+    "quantizer.fake_quant": "every fake-quantized tensor: its clip would turn "
+    "an inf into the grid's edge code",
     "quantizer.compute_params_absmax": "weight and calibration grids, and the "
     "dynamic path's per-token grids, by their slice min/max",
     "rms.build_split_plan": "the split plans, built at quantize time",

@@ -41,7 +41,7 @@ from mquant.numerics import (
     matmul,
     softmax_rows,
 )
-from mquant.quantizer import fake_quant
+from mquant.quantizer import dequantize, fake_quant, quantize
 
 
 def random_layout(rng, length):
@@ -884,6 +884,37 @@ def test_quantize_msq_mask_matches_prefix_form():
     prefix = quantize_msq(x[perm], prefix_rows, params)[np.argsort(perm)]
     scattered = quantize_msq(x, layout.modality == VISUAL, params)
     assert np.array_equal(prefix, scattered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    bits=st.sampled_from([4, 8, 16]),
+    symmetric=st.booleans(),
+    narrow=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantize_msq_is_each_segments_round_trip_bytewise(rows, bits, symmetric, narrow, seed):
+    """On any row mask, not only a visual-first prefix, each row comes out
+    as the quantize/dequantize round trip of its modality's grid, byte for
+    byte: calibrated on its rows' range, or on a narrower one that clips."""
+    rng = np.random.default_rng(seed)
+    visual_rows = rng.random(rows) < rng.random()
+    x = rng.normal(size=(rows, 8))
+    x[visual_rows] *= 20.0
+    x[rng.random((rows, 8)) < 0.1] = -0.0
+    shrink = 0.4 if narrow else 1.0
+    ranges = {
+        key: [float(x[mask].min()) * shrink, float(x[mask].max()) * shrink]
+        for key, mask in (("visual", visual_rows), ("text", ~visual_rows))
+        if mask.any()
+    }
+    params = calibrate_msq(ranges, bits, symmetric)
+    want = np.empty_like(x)
+    for mask, grid in ((visual_rows, params.visual), (~visual_rows, params.text)):
+        if mask.any():
+            want[mask] = dequantize(quantize(x[mask], grid))
+    assert quantize_msq(x, visual_rows, params).tobytes() == want.tobytes()
 
 
 def test_quantize_msq_uniform_masks():

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mquant import lanes, msq_aifs, pipeline
+from mquant import fileio, lanes, msq_aifs, pipeline
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
+    copy_model,
     embed_tokens,
     iter_linears,
+    iter_norms,
     llm_stack,
     model_fingerprint,
     model_forward,
@@ -809,6 +811,61 @@ def test_qmodel_other_schema_version_rejected(setup):
     d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
     d["schema_version"] = 1
     with pytest.raises(ValueError, match="schema_version"):
+        qmodel_from_dict(d)
+
+
+def test_qmodel_stores_the_float_models_fingerprint_once(setup):
+    """The calibration names the float model; the float model section holds
+    no second copy of that fingerprint.  A file written while it did still
+    loads to the same model, and its copy is still checked."""
+    pcfg, model, samples = setup
+    qm = mquant_quantize(model, pcfg, samples=samples)
+    d = qmodel_to_dict(qm)
+    assert "fingerprint" not in d["float_model"]
+    assert d["calibration"]["fingerprint"] == model_fingerprint(model)
+    older = json.loads(json.dumps(d))
+    older["float_model"]["fingerprint"] = model_fingerprint(model)
+    rows, layout = samples[1]
+    loaded = qmodel_from_dict(older).forward(rows, layout.modality)
+    assert np.array_equal(loaded, qm.forward(rows, layout.modality))
+    older["float_model"]["fingerprint"] = "0" * 16
+    with pytest.raises(ValueError, match="model file fingerprint 0{16} does not match"):
+        qmodel_from_dict(older)
+
+
+def test_copy_model_of_a_quantized_model_shares_no_array(setup):
+    """copy_model of a quantized model holds no array of the original's;
+    each copied block's w_down.w is still its split plan's main_q, so the
+    copy forwards to the same bits."""
+    pcfg, model, samples = setup
+    qm = mquant_quantize(model, pcfg, samples=samples)
+    clone = copy_model(qm.model)
+
+    def arrays(m):
+        out = [a for _, lin in iter_linears(m) for a in (lin.w, lin.b)]
+        out += [a for _, n in iter_norms(m) for a in (n.params.alpha, n.params.beta)]
+        for blk in m.vision_blocks + m.llm_blocks:
+            out += [blk.split.main_q, blk.split.split_q, blk.split.split_row]
+        return [a for a in out if a is not None]
+
+    assert not {id(a) for a in arrays(clone)} & {id(a) for a in arrays(qm.model)}
+    assert all(blk.w_down.w is blk.split.main_q for blk in clone.vision_blocks + clone.llm_blocks)
+    assert model_fingerprint(clone) == model_fingerprint(qm.model)
+    rows, layout = samples[2]
+    want = qm.forward(rows, layout.modality)
+    assert np.array_equal(replace(qm, model=clone).forward(rows, layout.modality), want)
+
+
+def test_qmodel_with_a_tampered_float_weight_fails_on_load(setup):
+    """Without its own fingerprint, a float model section whose weight was
+    edited is caught by the calibration's fingerprint."""
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
+    tensors = d["float_model"]["tensors"]
+    w = fileio.tensor_from_b64(tensors["llm.0.wq.w"])
+    w[3, 2] += 1e-3
+    tensors["llm.0.wq.w"] = fileio.tensor_to_b64(w)
+    with pytest.raises(ValueError, match="calibration was made for model"):
         qmodel_from_dict(d)
 
 

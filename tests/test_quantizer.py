@@ -9,6 +9,7 @@ from mquant.quantizer import (
     Granularity,
     QuantParams,
     compute_params_absmax,
+    dequantize,
     fake_quant,
     params_to_dict,
     quant_range,
@@ -248,3 +249,78 @@ def test_quantize_idempotent_property(values):
     once = fake_quant(x, p)
     twice = fake_quant(once, p)
     np.testing.assert_allclose(twice, once, atol=1e-12)
+
+
+def power_of_two_grid(rng, rows, cols, bits, symmetric, granularity, group_size):
+    """A grid of power-of-two scales, so that x = (code + 0.5) * s is an
+    exact tie, and zero points anywhere in range."""
+    shape = {
+        Granularity.PER_TENSOR: (1,),
+        Granularity.PER_TOKEN: (rows,),
+        Granularity.PER_CHANNEL: (rows,),
+        Granularity.PER_GROUP: (rows, -(-cols // group_size)),
+    }[granularity]
+    q_min, q_max = quant_range(bits, symmetric)
+    zeros = np.zeros(shape, np.int64) if symmetric else rng.integers(q_min, q_max + 1, shape)
+    return QuantParams(
+        bits, symmetric, granularity, 2.0 ** rng.integers(-6, 7, shape), zeros,
+        group_size if granularity is Granularity.PER_GROUP else None,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 23),
+    bits=st.sampled_from([4, 8, 16]),
+    symmetric=st.booleans(),
+    granularity=st.sampled_from(list(Granularity)),
+    group_size=st.integers(1, 8),
+    grid=st.sampled_from(["ties", "absmax", "narrow"]),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fake_quant_is_the_quantize_dequantize_round_trip_bytewise(
+    rows, cols, bits, symmetric, granularity, group_size, grid, fortran, seed
+):
+    """The fused chain gives the bytes of dequantize(quantize(x)), -0.0
+    codes and .5 ties included, on every granularity (group sizes that
+    leave a ragged last group too), on grids as wide as the data or
+    narrower, and in either memory order."""
+    rng = np.random.default_rng(seed)
+    q_min, q_max = quant_range(bits, symmetric)
+    if grid == "ties":
+        p = power_of_two_grid(rng, rows, cols, bits, symmetric, granularity, group_size)
+        if p.scales.ndim == 2:
+            s = np.repeat(p.scales, group_size, axis=1)[:, :cols]
+        else:
+            s = p.scales.reshape(-1, 1)
+        # whole codes past both ends of the grid, each plus 0, a tie, or a
+        # fraction that rounds to a zero code (-0.0 from the negative ones)
+        codes = rng.integers(2 * q_min, 2 * q_max + 1, (rows, cols)).astype(np.float64)
+        codes[rng.random((rows, cols)) < 0.3] = 0.0
+        frac = rng.choice([0.0, -0.0, 0.5, -0.5, 0.25, -0.25, -0.49], (rows, cols))
+        x = (codes + frac) * s
+    else:
+        x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+        x[rng.random((rows, cols)) < 0.2] = -0.0
+        # a narrow grid covers only part of the data, so the rest clips
+        cover = x if grid == "absmax" else x * 0.3
+        p = compute_params_absmax(
+            cover, bits, granularity, symmetric,
+            group_size if granularity is Granularity.PER_GROUP else None,
+        )
+    if fortran:
+        x = np.asfortranarray(x)
+    assert fake_quant(x, p).tobytes() == dequantize(quantize(x, p)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fake_quant_refuses_a_non_finite_input(bad):
+    """Clipping would turn an inf into the grid's edge code, so fake_quant
+    checks its input and names the row."""
+    x = np.ones((3, 4))
+    x[2, 1] = bad
+    p = compute_params_absmax(np.ones((3, 4)), 8)
+    with pytest.raises(ValueError, match="fake-quant input row 2 contains non-finite"):
+        fake_quant(x, p)

@@ -196,6 +196,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             lengths.append(int(tok))
         except ValueError:
             raise ValueError(f"--lengths takes comma-separated ints, got {tok!r}") from None
+        if lengths[-1] < 1:
+            raise ValueError(f"--lengths takes lengths >= 1, got {tok!r}")
     report = bench(qm, lengths, seed=args.seed)
     _write_json(args.out, report)
     print(f"wrote {args.out}")

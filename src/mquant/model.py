@@ -10,9 +10,9 @@ never trigger the split.
 
 model_forward is the one forward driver: the float reference, calibration
 and the quantized forward all run it, on whatever weights the model holds.
-The quantized pipeline freezes each weight on its grid in a copy of the
-model and attaches each outlier-row split plan to its block, so a block
-with a split runs its down-projection through rms_forward.  The one
+The quantized pipeline freezes each weight on its grid in its working copy
+of the model and attaches each outlier-row split plan to its block, so a
+block with a split runs its down-projection through rms_forward.  The one
 call-time interception point is act_fn, applied to every block input:
 calibration records there, and the quantized forward applies its
 activation grids there.
@@ -20,7 +20,6 @@ activation grids there.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
@@ -256,46 +255,6 @@ def build_toy_mllm(cfg: ToyMllmConfig) -> ToyMllm:
         llm_blocks=llm_blocks,
         llm_final_norm=_norm(rng, RMS_KIND, d),
         head=_linear(rng, d, d, d ** -0.5),
-    )
-
-
-def _copy_linear(lin: Linear) -> Linear:
-    return Linear(lin.w.copy(), lin.b.copy())
-
-
-def _copy_norm(norm: Norm) -> Norm:
-    p = norm.params
-    return Norm(norm.kind, NormParams(p.alpha.copy(), p.beta.copy(), p.eps))
-
-
-def _copy_block(blk: Block) -> Block:
-    linears = {name: _copy_linear(getattr(blk, name)) for name in BLOCK_LINEARS}
-    # A split plan's main_q is its block's w_down.w; the copies share theirs.
-    memo = {id(blk.w_down.w): linears["w_down"].w}
-    return replace(
-        blk,
-        attn_norm=_copy_norm(blk.attn_norm),
-        mlp_norm=_copy_norm(blk.mlp_norm),
-        split=copy.deepcopy(blk.split, memo),
-        **linears,
-    )
-
-
-def copy_model(model: ToyMllm) -> ToyMllm:
-    """A copy of model that shares no array with it (the config, never
-    changed in place, is shared).  Built field by field: copy.deepcopy of
-    the same tree costs about 0.2 ms more per default model, and every
-    quantize and qmodel load makes three copies."""
-    return replace(
-        model,
-        vision_embed=_copy_linear(model.vision_embed),
-        vision_blocks=[_copy_block(blk) for blk in model.vision_blocks],
-        vision_post_norm=_copy_norm(model.vision_post_norm),
-        projector=_copy_linear(model.projector),
-        text_embed=_copy_linear(model.text_embed),
-        llm_blocks=[_copy_block(blk) for blk in model.llm_blocks],
-        llm_final_norm=_copy_norm(model.llm_final_norm),
-        head=_copy_linear(model.head),
     )
 
 
@@ -624,7 +583,7 @@ def model_forward(
         positions = np.concatenate([np.arange(n) for n in lengths])
         plan = build_attention_plan(lengths, positions)
         perm = build_aifs_plan(modality)
-        plan = replace(plan, perm=perm, inverse=np.argsort(perm))
+        plan = replace(plan, perm=perm)
         out = np.empty_like(x)
         out[perm] = llm_stack(model, x[perm], plan, positions[perm], modality[perm], act_fn)
         return out

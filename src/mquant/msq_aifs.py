@@ -268,13 +268,12 @@ class AttentionPlan:
     columns start .. start + w, the first to the last one that holds a
     blocked entry.  areas holds each group's score entries per head.  The
     rows attention takes run in the order perm (slot i holds position
-    perm[i]), undone by inverse; slices when that is position order."""
+    perm[i]), a slice when that is position order."""
 
     tokens: int
     groups: list
     areas: list
     perm: np.ndarray | slice = field(default_factory=lambda: slice(None))
-    inverse: np.ndarray | slice = field(default_factory=lambda: slice(None))
 
 
 def _blocked_band(tile: np.ndarray) -> tuple[int, np.ndarray | None]:

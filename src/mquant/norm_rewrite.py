@@ -15,14 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (
-    LAYER_KIND,
-    RMS_KIND,
-    Linear,
-    Norm,
-    ToyMllm,
-    copy_model,
-)
+from .model import LAYER_KIND, RMS_KIND, Linear, Norm, ToyMllm
 from .numerics import matmul
 
 
@@ -63,42 +56,37 @@ def _recenter_rows(lin: Linear) -> None:
     lin.b = lin.b - lin.b.mean()
 
 
-def preln_to_rmsnorm(model: ToyMllm) -> ToyMllm:
-    """Rewrite the vision encoder's LayerNorms into RMS norms.
+def preln_to_rmsnorm(model: ToyMllm) -> None:
+    """Rewrite the vision encoder's LayerNorms into RMS norms, in place.
 
-    Three moves on a copy of the model: fold every LayerNorm affine into its
-    consumers, recenter every projection that writes into the vision
-    residual stream (embedding, attention output, down-projection), and swap
-    the norm kind.  Residual sums of zero-mean rows are zero-mean, so after
-    the recentering the LayerNorm's mean subtraction has nothing left to do
-    and RMS normalization computes the same thing.
+    Three moves: fold every LayerNorm affine into its consumers, recenter
+    every projection that writes into the vision residual stream
+    (embedding, attention output, down-projection), and swap the norm
+    kind.  Residual sums of zero-mean rows are zero-mean, so after the
+    recentering the LayerNorm's mean subtraction has nothing left to do and
+    RMS normalization computes the same thing.
 
     Applying the rewrite twice is a no-op: folded norms are already RMS kind
     and skipped, and recentering a weight a second time subtracts a row
     mean that is zero up to roundoff.
 
     Args:
-        model: any ToyMllm; only the vision part is touched.
-
-    Returns:
-        The rewritten copy.
+        model: any ToyMllm; only its vision part is rewritten.
     """
-    out = copy_model(model)
-    for blk in out.vision_blocks:
+    for blk in model.vision_blocks:
         if blk.attn_norm.kind == LAYER_KIND:
             fold_ln_affine(blk.attn_norm, [blk.wq, blk.wk, blk.wv])
         if blk.mlp_norm.kind == LAYER_KIND:
             fold_ln_affine(blk.mlp_norm, [blk.w_up])
-    if out.vision_post_norm.kind == LAYER_KIND:
-        fold_ln_affine(out.vision_post_norm, [out.projector])
+    if model.vision_post_norm.kind == LAYER_KIND:
+        fold_ln_affine(model.vision_post_norm, [model.projector])
 
-    _recenter_rows(out.vision_embed)
-    for blk in out.vision_blocks:
+    _recenter_rows(model.vision_embed)
+    for blk in model.vision_blocks:
         _recenter_rows(blk.wo)
         _recenter_rows(blk.w_down)
 
-    for blk in out.vision_blocks:
+    for blk in model.vision_blocks:
         blk.attn_norm.kind = RMS_KIND
         blk.mlp_norm.kind = RMS_KIND
-    out.vision_post_norm.kind = RMS_KIND
-    return out
+    model.vision_post_norm.kind = RMS_KIND

@@ -1,20 +1,24 @@
 """Staged quantization pipeline over the toy multimodal model.
 
-Each stage is a plain transform: it takes what it uses and returns what
-it makes.  mquant_quantize is the one composer of all seven, and the order
-is its code: rotate the LLM part, calibrate activations (through the float
-weights and the still-float vision path), freeze the LLM weights, rewrite
-the vision encoder's norms, rotate the vision part, freeze its weights,
-then build the outlier-row split plan of every down-projection.
+The pipeline rewrites one working copy of the float model.  Each stage
+is a plain transform: it rewrites that copy in place and returns what
+else it makes (snapshots, a calibration, grids).  Each composer starts
+from one copy.deepcopy of the float model, so no stage writes the float
+model itself.  mquant_quantize is the one composer of all seven, and the
+order is its code: rotate the LLM part, calibrate activations (through
+the float weights and the still-float vision path), freeze the LLM
+weights, rewrite the vision encoder's norms, rotate the vision part,
+freeze its weights, then build the outlier-row split plan of every
+down-projection.
 calibrate_pipeline runs the first two stages, and apply_lossless_stack the
 three float-equivalent ones (both rotations and the rewrite).  The stage
-that picks a weight's grid freezes the weight on it in place, and each
-split plan goes onto its block as it is built, so the transformed model is
-the model the quantized forward runs.  Calibration and the quantized
-forward both run model.model_forward, in its one visual-first row order:
-calibration folds each block input into its point's per-modality min/max
-there, and the quantized forward fake-quantizes it.  Calibration and the
-float-equivalent stack read no config.
+that picks a weight's grid freezes the weight on it, and each split plan
+goes onto its block as it is built, so the working copy is the model the
+quantized forward runs.  Calibration and the quantized forward both run
+model.model_forward, in its one visual-first row order: calibration folds
+each block input into its point's per-modality min/max there, and the
+quantized forward fake-quantizes it.  Calibration and the float-equivalent
+stack read no config.
 
 A calibration holds statistics, not grids: one [lo, hi] per quantization
 point (a block input, named as act_fn names it) and modality.  The
@@ -27,6 +31,7 @@ sequential solver is used, and every report says so.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 import warnings
@@ -108,6 +113,11 @@ class PipelineConfig:
         if self.split_bits is not None and self.split_bits not in SUPPORTED_BITS:
             raise ValueError(
                 f"split_bits must be one of {SUPPORTED_BITS} or null, got {self.split_bits}"
+            )
+        if self.split_bits is not None and not self.rms:
+            raise ValueError(
+                f"split_bits={self.split_bits} needs rms: with rms=false no "
+                "split plan is built, so split_bits would be ignored"
             )
 
     @classmethod
@@ -363,8 +373,8 @@ STAGES = (
 )
 
 
-def stage_rotate_llm(model: ToyMllm) -> tuple[ToyMllm, dict]:
-    """A copy of model with its LLM part rotated, and the snapshots of its
+def stage_rotate_llm(model: ToyMllm) -> dict:
+    """Rotate model's LLM part in place; returns the snapshots of its
     down-projections (rotate_model_offline)."""
     return rotate_model_offline(model, parts=("llm",))
 
@@ -419,7 +429,8 @@ def stage_calibrate(work: ToyMllm, fingerprint: str, samples: list) -> Calibrati
 def calibrate_pipeline(float_model: ToyMllm, samples: list) -> CalibrationResult:
     """The calibration of float_model, as the quantize pipeline would
     collect it: rotate the LLM part, then calibrate."""
-    work, _ = stage_rotate_llm(float_model)
+    work = copy.deepcopy(float_model)
+    stage_rotate_llm(work)
     return stage_calibrate(work, model_fingerprint(float_model), samples)
 
 
@@ -467,13 +478,13 @@ def stage_quantize_llm_weights(model: ToyMllm, pcfg: PipelineConfig) -> dict:
     return _quantize_weights(model, pcfg, ("llm", "text_embed", "head"))
 
 
-def stage_vision_rewrite(model: ToyMllm) -> ToyMllm:
-    return preln_to_rmsnorm(model)
+def stage_vision_rewrite(model: ToyMllm) -> None:
+    preln_to_rmsnorm(model)
 
 
-def stage_rotate_vision(model: ToyMllm) -> tuple[ToyMllm, dict]:
-    """A copy of model with its vision part rotated, and the snapshots of
-    its down-projections.  The vision norms must already be RMS kind
+def stage_rotate_vision(model: ToyMllm) -> dict:
+    """Rotate model's vision part in place; returns the snapshots of its
+    down-projections.  The vision norms must already be RMS kind
     (stage_vision_rewrite)."""
     return rotate_model_offline(model, parts=("vision",))
 
@@ -506,9 +517,11 @@ def stage_build_rms_plans(model: ToyMllm, snapshots: dict, pcfg: PipelineConfig)
 
 def apply_lossless_stack(float_model: ToyMllm) -> ToyMllm:
     """Rewrite plus both rotations, no quantization: the float-equivalent
-    transform stack."""
-    model, _ = stage_rotate_llm(float_model)
-    model, _ = stage_rotate_vision(stage_vision_rewrite(model))
+    transform stack, on a copy of float_model."""
+    model = copy.deepcopy(float_model)
+    stage_rotate_llm(model)
+    stage_vision_rewrite(model)
+    stage_rotate_vision(model)
     return model
 
 
@@ -598,8 +611,8 @@ def mquant_quantize(
     samples: list | None = None,
     calib: CalibrationResult | None = None,
 ) -> QuantizedModel:
-    """Run the stages in the order STAGES names and assemble the quantized
-    model.
+    """Run the stages in the order STAGES names on one copy of float_model,
+    which is left as it was, and assemble the quantized model.
 
     Exactly one of samples (calibrate here) or calib (a calibration made
     before) must be provided.  The model part of pcfg is replaced by the config of
@@ -608,17 +621,18 @@ def mquant_quantize(
     if (samples is None) == (calib is None):
         raise ValueError("provide exactly one of samples or calib")
     pcfg = replace(pcfg, model=float_model.config)
-    model, snapshots = stage_rotate_llm(float_model)
+    model = copy.deepcopy(float_model)
+    snapshots = stage_rotate_llm(model)
     if samples is not None:
         calib = stage_calibrate(model, model_fingerprint(float_model), samples)
     else:
         calib = stage_set_calibration(float_model, calib)
     weight_grids = stage_quantize_llm_weights(model, pcfg)
-    model = stage_vision_rewrite(model)
-    model, vision_snapshots = stage_rotate_vision(model)
+    stage_vision_rewrite(model)
+    snapshots |= stage_rotate_vision(model)
     weight_grids |= stage_quantize_vision_weights(model, pcfg)
     if pcfg.rms:
-        weight_grids |= stage_build_rms_plans(model, snapshots | vision_snapshots, pcfg)
+        weight_grids |= stage_build_rms_plans(model, snapshots, pcfg)
     return QuantizedModel(pcfg, float_model, model, weight_grids, calib)
 
 
@@ -752,12 +766,13 @@ def bench(qm: QuantizedModel, lengths: list, seed: int = 0) -> dict:
 
 def qmodel_to_dict(qm: QuantizedModel) -> dict:
     """The three inputs the quantized model is a function of; everything
-    else is re-derived by qmodel_from_dict.  The float model's fingerprint
-    is stored once, in the calibration."""
+    else is re-derived by qmodel_from_dict.  Each fact is stored once: the
+    model keys in the float model's config, the quantization keys in the
+    config, the float model's fingerprint in the calibration."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "qmodel",
-        "config": qm.pcfg.to_dict(),
+        "config": {key: getattr(qm.pcfg, key) for key in PipelineConfig._quant_keys()},
         "float_model": model_sections(qm.float_model),
         "calibration": qm.calib.to_dict(),
     }
@@ -766,8 +781,9 @@ def qmodel_to_dict(qm: QuantizedModel) -> dict:
 def qmodel_from_dict(d: dict) -> QuantizedModel:
     """Re-run the pipeline on the stored float model and calibration, so the
     config's and the calibration's pairing checks apply on every load.  A
-    float model section that still holds its fingerprint (files written
-    before it was stored once) is checked against it too."""
+    config or float model section that still holds model keys or its
+    fingerprint (files written before each was stored once) is checked
+    against them too."""
     keys = ("float_model", "config", "calibration")
     _check_header(d, "qmodel", "quantized model", keys)
     with fileio.keys_required("quantized model file"):

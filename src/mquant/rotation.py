@@ -19,13 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hadamard import fht, walsh_hadamard
-from .model import (
-    RMS_KIND,
-    Block,
-    Norm,
-    ToyMllm,
-    copy_model,
-)
+from .model import RMS_KIND, Block, Norm, ToyMllm
 from .numerics import matmul
 
 
@@ -64,58 +58,55 @@ def _rotate_block(blk: Block, q: np.ndarray) -> np.ndarray:
     return pre_h
 
 
-def rotate_model_offline(
-    model: ToyMllm,
-    parts: tuple = ("llm",),
-) -> tuple[ToyMllm, dict]:
-    """Absorb the Hadamard rotation into a copy of the model's weights.
+def rotate_model_offline(model: ToyMllm, parts: tuple = ("llm",)) -> dict:
+    """Absorb the Hadamard rotation into the model's weights, in place.
 
     Every norm inside a rotated part must already be RMS kind (the vision
     part gets that from the pre-LN rewrite); a remaining LayerNorm does not
-    commute with H and raises.
+    commute with H and raises.  Every part is checked before any weight is
+    written, so a refused model is left as it was.
 
     Args:
-        model: source model, left untouched.
+        model: the model to rewrite.
         parts: any of "vision", "llm".
 
     Returns:
-        (rotated copy, snapshots): snapshots maps each rotated
-        down-projection name to its output-rotated weight BEFORE the
-        Hadamard factor, the reference the outlier split verifies against.
+        The snapshots: each rotated down-projection name mapped to its
+        output-rotated weight BEFORE the Hadamard factor, the reference the
+        outlier split verifies against.
     """
     for part in parts:
         if part not in ("vision", "llm"):
             raise ValueError(f"unknown part {part!r}")
-    out = copy_model(model)
-    q = walsh_hadamard(out.config.d_model)
-    q_t = np.ascontiguousarray(q.T)
-    snapshots: dict = {}
     # Per part, llm first: its blocks, its final norm, the linears that
     # write into its stream, and the linear that reads its final norm.
     table = (
-        ("llm", out.llm_blocks, "llm_final_norm", (out.text_embed, out.projector), out.head),
-        ("vision", out.vision_blocks, "vision_post_norm", (out.vision_embed,), out.projector),
+        ("llm", model.llm_blocks, "llm_final_norm",
+         (model.text_embed, model.projector), model.head),
+        ("vision", model.vision_blocks, "vision_post_norm",
+         (model.vision_embed,), model.projector),
     )
-    for part, blocks, norm_name, producers, consumer in table:
-        if part not in parts:
-            continue
+    table = [row for row in table if row[0] in parts]
+    for part, blocks, norm_name, _, _ in table:
         if any(blk.online_fht for blk in blocks):
             raise ValueError(f"{part} part is already rotated")
         bad = [
             f"{part}.{i}" for i, blk in enumerate(blocks)
             if blk.attn_norm.kind != RMS_KIND or blk.mlp_norm.kind != RMS_KIND
         ]
-        final_norm = getattr(out, norm_name)
-        if final_norm.kind != RMS_KIND:
+        if getattr(model, norm_name).kind != RMS_KIND:
             bad.append(norm_name)
         if bad:
             raise ValueError(f"{part} part still contains LayerNorm at: {', '.join(bad)}")
-        _fold_rms_gain(final_norm, [consumer])
+    q = walsh_hadamard(model.config.d_model)
+    q_t = np.ascontiguousarray(q.T)
+    snapshots: dict = {}
+    for part, blocks, norm_name, producers, consumer in table:
+        _fold_rms_gain(getattr(model, norm_name), [consumer])
         for lin in producers:
             lin.w = matmul(lin.w, q)
             lin.b = matmul(lin.b[None, :], q)[0]
         consumer.w = matmul(q_t, consumer.w)
         for i, blk in enumerate(blocks):
             snapshots[f"{part}.{i}.w_down"] = _rotate_block(blk, q)
-
-    return out, snapshots
+    return snapshots

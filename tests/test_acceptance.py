@@ -9,6 +9,7 @@ where a library helper exists, so a test never validates a function
 against itself.
 """
 
+import copy
 import time
 
 import numpy as np
@@ -270,7 +271,8 @@ def test_norm_rewrite_is_exact_and_centers_the_stream():
     inputs, and afterwards every tensor entering a norm has row means
     within 1e-8 of zero, which is what makes the swap exact."""
     model = build_toy_mllm(ToyMllmConfig())
-    rewritten = preln_to_rmsnorm(model)
+    rewritten = copy.deepcopy(model)
+    preln_to_rmsnorm(rewritten)
     cfg = model.config
     rng = np.random.default_rng(15)
     for _ in range(100):

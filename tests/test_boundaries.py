@@ -7,6 +7,7 @@ forward is caught by its output check (or, on the quantized path, by the
 check of the next activation grid's input)."""
 
 import base64
+import copy
 import json
 import warnings
 from dataclasses import replace
@@ -19,7 +20,6 @@ from mquant.cli import main
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
-    copy_model,
     iter_linears,
     model_forward,
     model_from_dict,
@@ -301,9 +301,9 @@ def test_an_overflowing_forward_is_still_caught(qm):
     result, yet both forwards and calibration raise a non-finite
     ValueError, and no invalid-value warning escapes on the way (the
     overflow warning is the caller's to silence, as with any numpy call)."""
-    huge = copy_model(qm.float_model)
+    huge = copy.deepcopy(qm.float_model)
     huge.llm_blocks[0].attn_norm.params.alpha *= 1e160
-    hot = copy_model(qm.model)
+    hot = copy.deepcopy(qm.model)
     hot.llm_blocks[0].attn_norm.params.alpha *= 1e160
     qm_hot = replace(qm, model=hot)
     rows, layout = SAMPLES[0]
@@ -322,7 +322,7 @@ def test_an_overflowing_forward_is_still_caught(qm):
 
 def scaled(model, name: str):
     """A copy of model with linear name's weight scaled by 1e160."""
-    model = copy_model(model)
+    model = copy.deepcopy(model)
     dict(iter_linears(model))[name].w *= 1e160
     return model
 

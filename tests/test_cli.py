@@ -233,6 +233,23 @@ def test_cli_flag_overrides(workdir):
     assert qmodel_from_dict(q).plans == {}
 
 
+def test_split_bits_without_rms_fails(workdir, capsys):
+    """--split-bits sets the split row's grid, which --no-rms never builds;
+    the pair exits 2 naming both keys and writes no qmodel."""
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "3", "--length", "6",
+        "--d-model", "16")
+    capsys.readouterr()
+    assert run("quantize", "--config", cfg, "--model", model, "--samples", samples,
+               "--out", str(tmp / "q.json"), "--no-rms", "--split-bits", "16") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: split_bits=16 needs rms: with rms=false")
+    assert not (tmp / "q.json").exists()
+
+
 def test_quantize_reports_one_grid_per_linear(tmp_path, capsys):
     """The default model has 28 linears, the four split down-projections
     included, and quantize counts a grid for each."""
@@ -435,8 +452,9 @@ def test_samples_of_another_width_fail_at_load(workdir, capsys, command):
 
 def test_model_width_comes_from_the_model_not_the_config(workdir):
     """A 16-wide model quantizes, evaluates and benches without --config
-    (whose defaults say 64 wide), and the qmodel echoes the config of the
-    model it holds."""
+    (whose defaults say 64 wide).  The qmodel holds the model keys once, in
+    its float model's config, and the eval report echoes them with the
+    quantization keys."""
     tmp, cfg = workdir
     model = str(tmp / "m16.json")
     samples = str(tmp / "s16.mqs")
@@ -451,10 +469,11 @@ def test_model_width_comes_from_the_model_not_the_config(workdir):
     assert run("bench", "--qmodel", str(qmodel), "--lengths", "1,8",
                "--report", str(tmp / "b.json")) == 0
     q = json.loads(qmodel.read_text())
-    assert q["config"]["d_model"] == 16
-    assert q["config"]["seed"] == q["float_model"]["config"]["seed"] == 0
+    assert q["float_model"]["config"]["d_model"] == 16
+    assert q["float_model"]["config"]["seed"] == 0
+    assert "d_model" not in q["config"] and "seed" not in q["config"]
     rep = json.loads((tmp / "r.json").read_text())
-    assert rep["config"] == q["config"]
+    assert rep["config"] == q["float_model"]["config"] | q["config"]
 
 
 def test_model_keys_that_disagree_with_the_model_fail(workdir, capsys):
@@ -849,14 +868,23 @@ def test_a_schema_2_file_is_refused_naming_schema_version(calibrated, capsys, co
     assert "schema_version=2, this version reads 3" in _refused(calibrated, capsys, command)
 
 
-def test_bench_lengths_that_are_not_ints_are_named(calibrated, capsys):
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ("16,x", "--lengths takes comma-separated ints, got 'x'"),
+        ("16,0", "--lengths takes lengths >= 1, got '0'"),
+        ("-3", "--lengths takes lengths >= 1, got '-3'"),
+    ],
+    ids=["not-an-int", "zero", "negative"],
+)
+def test_bench_lengths_that_are_not_ints_are_named(calibrated, capsys, lengths, message):
     out = calibrated["model"].parent / "bench.json"
     capsys.readouterr()
-    code = run("bench", "--qmodel", str(calibrated["qmodel"]), "--lengths", "16,x",
+    code = run("bench", "--qmodel", str(calibrated["qmodel"]), "--lengths", lengths,
                "--report", str(out))
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
-    assert err == "error: --lengths takes comma-separated ints, got 'x'\n"
+    assert err == f"error: {message}\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -3,8 +3,9 @@ module, every definition is named by production code, every parameter is
 read, only the mask
 primitives take a mask, only the boundaries check their inputs, the
 forward's one interception point is act_fn, model_forward is the one
-forward driver, mquant_quantize is the one stage composer, and every
-function the benchmark tracer looks up by name exists."""
+forward driver, mquant_quantize is the one stage composer, only the
+composers copy a model, and every function the benchmark tracer looks up
+by name exists."""
 
 import ast
 import importlib
@@ -296,6 +297,44 @@ def test_mquant_quantize_is_the_one_stage_composer():
         "pipeline.apply_lossless_stack",
     }
     assert calls["pipeline.mquant_quantize"] == stages
+
+
+def copy_calls(node: ast.FunctionDef) -> int:
+    """Calls of a copy-module function in the function's own body, nested
+    functions excluded."""
+    count, todo = 0, list(node.body)
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, (ast.FunctionDef, ast.Lambda)):
+            continue
+        func = sub.func if isinstance(sub, ast.Call) else None
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "copy":
+            count += 1
+        todo.extend(ast.iter_child_nodes(sub))
+    return count
+
+
+def test_only_the_composers_copy_a_model():
+    """Every stage rewrites the model it is given, in place: the three
+    composers are the only production functions that copy a model, each
+    with one copy.deepcopy of its float model, so a pipeline run works on
+    one copy and never writes the float model."""
+    trees = module_trees(SRC)
+    assert not [
+        node for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "copy"
+    ]
+    copies = {
+        name: copy_calls(node)
+        for module, tree in trees.items()
+        for name, node in functions(tree, module)
+        if copy_calls(node)
+    }
+    assert copies == {
+        "pipeline.mquant_quantize": 1,
+        "pipeline.calibrate_pipeline": 1,
+        "pipeline.apply_lossless_stack": 1,
+    }
 
 
 def test_benchmark_trace_targets_resolve():

@@ -256,7 +256,6 @@ def test_llm_order_without_aifs_is_standard_causal(monkeypatch, row_order):
             monkeypatch, layout.modality, row_order("natural")
         )
         np.testing.assert_array_equal(plan.perm, np.arange(length))
-        np.testing.assert_array_equal(plan.inverse, np.arange(length))
         np.testing.assert_array_equal(positions, np.arange(length))
         assert plan_mask(plan).tobytes() == standard_causal_mask(length).tobytes()
 

@@ -7,6 +7,7 @@ forward within 1e-12 * max |lone|, reports must match the per-sample loop,
 and no member may see another.
 """
 
+import copy
 import importlib
 import importlib.util
 import warnings
@@ -106,7 +107,8 @@ def calibrate_per_sample(float_model, samples, order="visual_first"):
     """calibrate_pipeline's (sample_count, points) with one float forward
     per sample, its LLM rows in order, each point's ranges the min/max of
     its stacked inputs."""
-    work, _ = stage_rotate_llm(float_model)
+    work = copy.deepcopy(float_model)
+    stage_rotate_llm(work)
     inputs = {}
 
     def recorder(name, x, modality):

@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 import warnings
@@ -12,10 +13,8 @@ from mquant import fileio, lanes, msq_aifs, pipeline
 from mquant.model import (
     ToyMllmConfig,
     build_toy_mllm,
-    copy_model,
     embed_tokens,
     iter_linears,
-    iter_norms,
     llm_stack,
     model_fingerprint,
     model_forward,
@@ -79,6 +78,20 @@ def test_config_validates_values():
         PipelineConfig(split_bits=5)
     with pytest.raises(ValueError, match="group_size"):
         PipelineConfig(group_size=0)
+
+
+def test_config_refuses_split_bits_without_rms(setup):
+    """split_bits sets the grid of a split row, which rms=false never
+    builds: a config or a stored qmodel asking for both is refused, naming
+    both keys, instead of echoing a setting nothing reads."""
+    message = "split_bits=16 needs rms: with rms=false no split plan is built"
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(rms=False, split_bits=16)
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, replace(pcfg, rms=False), samples=samples))
+    d["config"]["split_bits"] = 16
+    with pytest.raises(ValueError, match=message):
+        qmodel_from_dict(d)
 
 
 @pytest.mark.parametrize(
@@ -193,18 +206,21 @@ def test_vision_rotation_requires_rewrite(setup):
     """The vision rotation commutes with RMS norms only, so it refuses a
     vision part that still holds LayerNorm; after the rewrite it runs."""
     _, model, _ = setup
-    work, _ = stage_rotate_llm(model)
+    work = copy.deepcopy(model)
+    stage_rotate_llm(work)
     with pytest.raises(ValueError, match="vision part still contains LayerNorm"):
         stage_rotate_vision(work)
-    rotated, snapshots = stage_rotate_vision(stage_vision_rewrite(work))
-    assert all(blk.online_fht for blk in rotated.vision_blocks)
+    stage_vision_rewrite(work)
+    snapshots = stage_rotate_vision(work)
+    assert all(blk.online_fht for blk in work.vision_blocks)
     assert set(snapshots) == {"vision.0.w_down"}
 
 
 def test_stage_cannot_run_twice(setup):
     """A second LLM rotation would rotate rotated weights; it refuses."""
     _, model, _ = setup
-    work, _ = stage_rotate_llm(model)
+    work = copy.deepcopy(model)
+    stage_rotate_llm(work)
     with pytest.raises(ValueError, match="llm part is already rotated"):
         stage_rotate_llm(work)
 
@@ -382,6 +398,37 @@ def test_lossless_stack_preserves_forward(setup):
         a = model_forward(model, rows, layout.modality)
         b = model_forward(transformed, rows, layout.modality)
         np.testing.assert_allclose(b, a, atol=1e-5)
+
+
+COMPOSERS = {
+    "mquant_quantize": lambda model, pcfg, samples: mquant_quantize(model, pcfg, samples=samples),
+    "calibrate_pipeline": lambda model, pcfg, samples: calibrate_pipeline(model, samples),
+    "apply_lossless_stack": lambda model, pcfg, samples: apply_lossless_stack(model),
+}
+
+
+@pytest.mark.parametrize("composer", sorted(COMPOSERS))
+def test_composers_leave_their_float_model_unchanged(setup, composer):
+    """Each composer runs its stages on its own copy: the float model it is
+    given keeps every array, norm, flag and its fingerprint bit for bit
+    (model_to_dict holds them all, and refuses a block with a split plan)."""
+    pcfg, _, samples = setup
+    model = build_toy_mllm(pcfg.model)
+    before = model_to_dict(model)
+    COMPOSERS[composer](model, pcfg, samples)
+    assert model_to_dict(model) == before
+
+
+def test_qmodel_load_leaves_its_float_model_as_stored(setup):
+    """qmodel_from_dict re-runs the pipeline on a copy of the float model
+    it reads: the loaded float model is the stored section bit for bit,
+    with the fingerprint its calibration names."""
+    pcfg, model, samples = setup
+    d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
+    loaded = qmodel_from_dict(json.loads(json.dumps(d)))
+    assert model_to_dict(loaded.float_model) == d["float_model"] | {
+        "fingerprint": d["calibration"]["fingerprint"]
+    }
 
 
 def test_w16a16_is_near_exact(setup):
@@ -806,6 +853,23 @@ def test_qmodel_stores_config_float_model_and_calibration_only(setup):
     assert d["calibration"] == calibrate_pipeline(model, samples).to_dict()
 
 
+def test_qmodel_config_holds_the_quantization_keys_only(setup):
+    """The model keys are stored once, in the float model's config.  A file
+    written while the config repeated them still loads, to the same
+    quantized model."""
+    pcfg, model, samples = setup
+    qm = mquant_quantize(model, pcfg, samples=samples)
+    d = qmodel_to_dict(qm)
+    assert list(d["config"]) == PipelineConfig._quant_keys()
+    older = json.loads(json.dumps(d))
+    older["config"] = d["float_model"]["config"] | d["config"]
+    assert older["config"] == pcfg.to_dict()
+    loaded = qmodel_from_dict(older)
+    assert loaded.pcfg == qm.pcfg
+    rows, layout = samples[1]
+    assert np.array_equal(loaded.forward(rows, layout.modality), qm.forward(rows, layout.modality))
+
+
 def test_qmodel_other_schema_version_rejected(setup):
     pcfg, model, samples = setup
     d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
@@ -831,29 +895,6 @@ def test_qmodel_stores_the_float_models_fingerprint_once(setup):
     older["float_model"]["fingerprint"] = "0" * 16
     with pytest.raises(ValueError, match="model file fingerprint 0{16} does not match"):
         qmodel_from_dict(older)
-
-
-def test_copy_model_of_a_quantized_model_shares_no_array(setup):
-    """copy_model of a quantized model holds no array of the original's;
-    each copied block's w_down.w is still its split plan's main_q, so the
-    copy forwards to the same bits."""
-    pcfg, model, samples = setup
-    qm = mquant_quantize(model, pcfg, samples=samples)
-    clone = copy_model(qm.model)
-
-    def arrays(m):
-        out = [a for _, lin in iter_linears(m) for a in (lin.w, lin.b)]
-        out += [a for _, n in iter_norms(m) for a in (n.params.alpha, n.params.beta)]
-        for blk in m.vision_blocks + m.llm_blocks:
-            out += [blk.split.main_q, blk.split.split_q, blk.split.split_row]
-        return [a for a in out if a is not None]
-
-    assert not {id(a) for a in arrays(clone)} & {id(a) for a in arrays(qm.model)}
-    assert all(blk.w_down.w is blk.split.main_q for blk in clone.vision_blocks + clone.llm_blocks)
-    assert model_fingerprint(clone) == model_fingerprint(qm.model)
-    rows, layout = samples[2]
-    want = qm.forward(rows, layout.modality)
-    assert np.array_equal(replace(qm, model=clone).forward(rows, layout.modality), want)
 
 
 def test_qmodel_with_a_tampered_float_weight_fails_on_load(setup):
@@ -885,7 +926,7 @@ def test_qmodel_config_that_disagrees_with_its_float_model_fails_on_load(setup, 
     model key that says otherwise is an error naming the key, not dropped."""
     pcfg, model, samples = setup
     d = qmodel_to_dict(mquant_quantize(model, pcfg, samples=samples))
-    have = d["config"][key]
+    have = d["float_model"]["config"][key]
     d["config"][key] = value
     with pytest.raises(
         ValueError, match=f"config {key}={value} disagrees with the model's {key}={have}"

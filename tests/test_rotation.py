@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ def mixed_input(rng, length=7, d=16):
 
 def test_llm_rotation_preserves_forward():
     model = small_model()
-    rotated, snaps = rotate_model_offline(model, parts=("llm",))
+    rotated = copy.deepcopy(model)
+    snaps = rotate_model_offline(rotated, parts=("llm",))
     assert set(snaps) == {"llm.0.w_down", "llm.1.w_down"}
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -48,9 +51,10 @@ def test_vision_rotation_needs_rms_norms_first():
 
 def test_full_stack_rotation_preserves_forward():
     model = small_model()
-    step1, _ = rotate_model_offline(model, parts=("llm",))
-    step2 = preln_to_rmsnorm(step1)
-    step3, snaps = rotate_model_offline(step2, parts=("vision",))
+    step3 = copy.deepcopy(model)
+    rotate_model_offline(step3, parts=("llm",))
+    preln_to_rmsnorm(step3)
+    snaps = rotate_model_offline(step3, parts=("vision",))
     assert "vision.0.w_down" in snaps
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -64,7 +68,8 @@ def test_snapshot_is_pre_transform_weight():
     """The snapshot must be exactly the down weight before its Hadamard
     factor: transforming it reproduces the stored weight bit for bit."""
     model = small_model()
-    rotated, snaps = rotate_model_offline(model, parts=("llm",))
+    rotated = copy.deepcopy(model)
+    snaps = rotate_model_offline(rotated, parts=("llm",))
     for i, blk in enumerate(rotated.llm_blocks):
         pre = snaps[f"llm.{i}.w_down"]
         assert np.array_equal(blk.w_down.w, fht(pre, axis=0))
@@ -75,8 +80,8 @@ def test_snapshot_is_pre_transform_weight():
 
 
 def test_double_rotation_rejected():
-    model = small_model()
-    rotated, _ = rotate_model_offline(model, parts=("llm",))
+    rotated = small_model()
+    rotate_model_offline(rotated, parts=("llm",))
     with pytest.raises(ValueError, match="already rotated"):
         rotate_model_offline(rotated, parts=("llm",))
 
@@ -84,8 +89,10 @@ def test_double_rotation_rejected():
 def test_double_vision_rotation_rejected_after_file_round_trip():
     """The per-block online_fht flags are the only record that a part is
     rotated, so they must survive a model file round trip."""
-    step1, _ = rotate_model_offline(small_model(), parts=("llm",))
-    step2, _ = rotate_model_offline(preln_to_rmsnorm(step1), parts=("vision",))
+    step2 = small_model()
+    rotate_model_offline(step2, parts=("llm",))
+    preln_to_rmsnorm(step2)
+    rotate_model_offline(step2, parts=("vision",))
     restored = model_from_dict(model_to_dict(step2))
     for part in ("llm", "vision"):
         with pytest.raises(ValueError, match=f"{part} part is already rotated"):
@@ -97,9 +104,26 @@ def test_unknown_part_rejected():
         rotate_model_offline(small_model(), parts=("audio",))
 
 
-def test_source_model_untouched():
+def vision_rotated_model():
     model = small_model()
-    before = model.llm_blocks[0].wq.w.copy()
-    rotate_model_offline(model, parts=("llm",))
-    np.testing.assert_array_equal(model.llm_blocks[0].wq.w, before)
-    assert not any(blk.online_fht for blk in model.llm_blocks)
+    preln_to_rmsnorm(model)
+    rotate_model_offline(model, parts=("vision",))
+    return model
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (small_model, "vision part still contains LayerNorm"),
+        (vision_rotated_model, "vision part is already rotated"),
+    ],
+)
+def test_refused_rotation_leaves_the_model_unchanged(make, match):
+    """Every part is checked before any weight is written: a rotation
+    refused for its vision part leaves the model bit for bit as it was,
+    its LLM part (which passes the checks and rotates first) included."""
+    model = make()
+    before = model_to_dict(model)
+    with pytest.raises(ValueError, match=match):
+        rotate_model_offline(model, parts=("llm", "vision"))
+    assert model_to_dict(model) == before

@@ -30,11 +30,6 @@ from .pipeline import (
 )
 
 
-def _write_json(path, payload: dict) -> None:
-    """Compact JSON with sorted keys: without indent, json encodes in C."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
 def _read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
@@ -118,7 +113,7 @@ def cmd_gen_model(args: argparse.Namespace) -> int:
             f"it reads only the model keys {sorted(model_keys)}"
         )
     model_file = model_to_dict(build_toy_mllm(ToyMllmConfig(**d)))
-    _write_json(args.out, model_file)
+    fileio.write_json(args.out, model_file)
     print(f"wrote {args.out} (fingerprint {model_file['fingerprint']})")
     return 0
 
@@ -142,7 +137,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     samples = _load_samples(args.samples, model.config.d_model)
     calib = calibrate_pipeline(model, samples)
-    _write_json(args.out, calib.to_dict())
+    fileio.write_json(args.out, calib.to_dict())
     print(
         f"wrote {args.out} ({calib.sample_count} samples, "
         f"{len(calib.points)} points, fingerprint {calib.fingerprint})"
@@ -161,7 +156,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     else:
         samples = _load_samples(args.samples, model.config.d_model)
         qm = mquant_quantize(model, pcfg, samples=samples)
-    _write_json(args.out, qmodel_to_dict(qm))
+    fileio.write_json(args.out, qmodel_to_dict(qm))
     triggered = sum(1 for p in qm.plans.values() if p.triggered)
     print(f"wrote {args.out}")
     print(f"stages: {' -> '.join(qm.stages)}")
@@ -177,7 +172,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     qm = qmodel_from_dict(_read_json(args.qmodel))
     samples = _load_samples(args.samples, qm.model.config.d_model)
     report = evaluate(qm, samples, dynamic=args.dynamic)
-    _write_json(args.out, report)
+    fileio.write_json(args.out, report)
     m = report["metrics"]
     print(f"wrote {args.out}")
     print(
@@ -199,7 +194,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if lengths[-1] < 1:
             raise ValueError(f"--lengths takes lengths >= 1, got {tok!r}")
     report = bench(qm, lengths, seed=args.seed)
-    _write_json(args.out, report)
+    fileio.write_json(args.out, report)
     print(f"wrote {args.out}")
     for entry in report["entries"]:
         print(

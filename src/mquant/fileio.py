@@ -1,4 +1,4 @@
-"""Binary tensor format and sample-file helpers.
+"""Binary tensor format, sample-file helpers and the JSON artifact writer.
 
 Tensor container layout, little-endian throughout:
 
@@ -13,12 +13,21 @@ sample: a tensor container, then exactly `rows` modality bytes, 0 for a
 text token row and 1 for a visual token row.  A sample holds at least one
 row and one column: an empty one is refused on save and on load, by its
 index.
+
+JSON artifacts embed each tensor container as base64 text, a TensorText,
+and write_json writes them: the file holds exactly the bytes of
+json.dumps(payload, sort_keys=True) plus a newline, but each tensor's text
+goes from the payload to the file as it is.  Only the rest of the payload
+is JSON-encoded, and all of it before the file is opened.  On load a
+tensor's text must be strict base64: a character outside the alphabet, a
+line break or data after the padding is an error.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import json
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -60,20 +69,87 @@ def tensor_from_bytes(raw) -> tuple[np.ndarray, int]:
     return check_finite(a, "tensor payload"), need
 
 
-def tensor_to_b64(a: np.ndarray) -> str:
+class TensorText(str):
+    """Base64 text of a tensor container.  Every character is from the
+    base64 alphabet, so JSON holds it unescaped and write_json writes it
+    to the file as it is."""
+
+    __slots__ = ()
+
+
+def tensor_to_b64(a: np.ndarray) -> TensorText:
     """Tensor container as base64 text, for embedding in JSON files."""
-    return base64.b64encode(tensor_to_bytes(a)).decode("ascii")
+    return TensorText(base64.b64encode(tensor_to_bytes(a)), "ascii")
 
 
 def tensor_from_b64(text: str) -> np.ndarray:
     if not isinstance(text, str):
         raise ValueError(f"embedded tensor must be a base64 string, got {type(text).__name__}")
-    # binascii reads an ASCII str in place, with no bytes copy of the text.
-    raw = binascii.a2b_base64(text)
+    # binascii's default decoder skips characters outside the alphabet and
+    # ignores data after the padding.  validate=True refuses both, but lets
+    # padding follow a whole group of four, which the group check refuses.
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"embedded tensor is not strict base64: {exc}") from None
+    if len(text) % 4 or text.find("=", 0, len(text) - 2) != -1:
+        raise ValueError(
+            "embedded tensor is not strict base64: it must be whole groups of "
+            "four characters with its padding at the end"
+        )
     a, used = tensor_from_bytes(raw)
     if used != len(raw):
         raise ValueError("embedded tensor has trailing bytes")
     return a
+
+
+# The stand-in for each TensorText in the payload write_json encodes.  Its
+# JSON text, quotes included, is what the encoded skeleton is split on;
+# a payload string that encodes to it as well makes a slot too many, which
+# write_json refuses.
+_SLOT = "\x00tensor text\x00"
+_SLOT_JSON = json.dumps(_SLOT)
+
+
+def _skeleton(node, texts: list):
+    """node with each TensorText in it swapped for _SLOT and each dict's
+    keys in sorted order, as json.dumps(..., sort_keys=True) writes them;
+    the texts are appended to texts in that order.  A module-level
+    function: a recursive closure would be a reference cycle, keeping
+    every text alive until the cyclic collector runs."""
+    if isinstance(node, TensorText):
+        texts.append(node)
+        return _SLOT
+    if isinstance(node, dict):
+        return {key: _skeleton(value, texts) for key, value in sorted(node.items())}
+    if isinstance(node, (list, tuple)):
+        return [_skeleton(value, texts) for value in node]
+    return node
+
+
+def write_json(path, payload) -> None:
+    """Write the bytes of json.dumps(payload, sort_keys=True) + "\n" to
+    path.  The payload is encoded with each TensorText swapped for a slot,
+    and the tensor texts are written between the skeleton's pieces, so no
+    text is escaped or copied into one whole-file string.  A payload that
+    cannot be encoded raises before path is opened."""
+    texts = []
+    # The skeleton is built in sorted key order, so its slots come in the
+    # order of texts; sort_keys here would be a second sort.
+    pieces = json.dumps(_skeleton(payload, texts)).split(_SLOT_JSON)
+    if len(pieces) != len(texts) + 1:
+        raise ValueError(
+            f"{path}: the encoded payload holds {len(pieces) - 1} tensor slots "
+            f"for {len(texts)} tensor texts"
+        )
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(pieces[0])
+        for text, piece in zip(texts, pieces[1:]):
+            fh.write('"')
+            fh.write(text)
+            fh.write('"')
+            fh.write(piece)
+        fh.write("\n")
 
 
 def require(value, kind: type, what: str):

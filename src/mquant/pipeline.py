@@ -110,6 +110,14 @@ class PipelineConfig:
             )
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        # An explicit group_size of 128 cannot be told from the default, so
+        # per_channel lets it pass; refusing it too needs a null default,
+        # a schema change.
+        if self.weight_granularity == "per_channel" and self.group_size != 128:
+            raise ValueError(
+                f"group_size={self.group_size} needs weight_granularity='per_group': "
+                "a per_channel grid has no groups, so group_size would be ignored"
+            )
         if self.split_bits is not None and self.split_bits not in SUPPORTED_BITS:
             raise ValueError(
                 f"split_bits must be one of {SUPPORTED_BITS} or null, got {self.split_bits}"

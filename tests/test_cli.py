@@ -250,6 +250,41 @@ def test_split_bits_without_rms_fails(workdir, capsys):
     assert not (tmp / "q.json").exists()
 
 
+@pytest.mark.parametrize("source", ["config", "flag", "qmodel"])
+def test_group_size_under_per_channel_fails(workdir, capsys, source):
+    """A per_channel grid has no groups: a group_size asked of it by
+    --config, by --group-size or in a stored qmodel exits 2 naming both
+    keys and writes nothing, where it used to be stored, echoed and
+    ignored.  With --granularity per_group the same size quantizes."""
+    tmp, cfg = workdir
+    model = str(tmp / "m.json")
+    samples = str(tmp / "s.mqs")
+    qmodel, out = tmp / "q.json", tmp / "o.json"
+    run("gen-model", "--config", cfg, "--out", model)
+    run("gen-samples", "--out", samples, "--count", "3", "--length", "6",
+        "--d-model", "16")
+    quantize = ["quantize", "--model", model, "--samples", samples, "--out", str(out)]
+    if source == "config":
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "group_size": 8}))
+        argv = [*quantize, "--config", str(bad)]
+    elif source == "flag":
+        assert run(*quantize, "--granularity", "per_group", "--group-size", "8") == 0
+        out.unlink()
+        argv = [*quantize, "--group-size", "8"]
+    else:
+        assert run("quantize", "--model", model, "--samples", samples, "--out", str(qmodel)) == 0
+        q = json.loads(qmodel.read_text())
+        q["config"]["group_size"] = 8
+        qmodel.write_text(json.dumps(q))
+        argv = ["eval", "--qmodel", str(qmodel), "--samples", samples, "--report", str(out)]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: group_size=8 needs weight_granularity='per_group'")
+    assert not out.exists()
+
+
 def test_quantize_reports_one_grid_per_linear(tmp_path, capsys):
     """The default model has 28 linears, the four split down-projections
     included, and quantize counts a grid for each."""
@@ -885,6 +920,47 @@ def test_bench_lengths_that_are_not_ints_are_named(calibrated, capsys, lengths, 
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["quantize", "eval"])
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda t: t[:8] + "!!!!" + t[8:],
+        lambda t: t[:76] + "\n" + t[76:],
+        lambda t: t + "AAAA" if t.endswith("=") else t + "AA==AAAA",
+    ],
+    ids=["non_alphabet", "line_break", "data_after_padding"],
+)
+def test_a_tensor_text_out_of_strict_base64_is_refused_by_name(
+    calibrated, capsys, command, tamper
+):
+    """Each tamper used to decode to the same tensor, so the model file
+    loaded and passed its fingerprint check; now the model file, alone or
+    inside a qmodel, exits 2 naming the tensor."""
+    path = calibrated["model" if command == "quantize" else "qmodel"]
+    d = json.loads(path.read_text())
+    tensors = d["tensors"] if command == "quantize" else d["float_model"]["tensors"]
+    tensors["llm.0.wq.w"] = tamper(tensors["llm.0.wq.w"])
+    path.write_text(json.dumps(d))
+    assert "error: model file tensor llm.0.wq.w: embedded tensor is not strict base64" in (
+        _refused(calibrated, capsys, command)
+    )
+
+
+def test_every_artifact_is_compact_json_with_sorted_keys(calibrated):
+    """The model file, calibration, qmodel, eval report and bench report
+    each hold the bytes json.dumps(..., sort_keys=True) gives their
+    content, plus a newline."""
+    tmp = calibrated["model"].parent
+    report, bench_out = tmp / "report.json", tmp / "bench.json"
+    assert run("eval", "--qmodel", str(calibrated["qmodel"]), "--samples",
+               str(calibrated["samples"]), "--report", str(report)) == 0
+    assert run("bench", "--qmodel", str(calibrated["qmodel"]), "--lengths", "1,8",
+               "--report", str(bench_out)) == 0
+    for path in (*(calibrated[k] for k in ("model", "calib", "qmodel")), report, bench_out):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

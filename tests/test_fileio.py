@@ -1,10 +1,19 @@
 import base64
+import binascii
+import gc
+import json
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquant import fileio
+from mquant.model import ToyMllmConfig, build_toy_mllm
+from mquant.pipeline import PipelineConfig, generate_synthetic_samples, mquant_quantize, qmodel_to_dict
 
 
 def test_b64_roundtrip():
@@ -40,6 +49,107 @@ def test_a_non_ascii_embedded_tensor_is_a_value_error():
     text = fileio.tensor_to_b64(np.ones((2, 2)))
     with pytest.raises(ValueError, match="ASCII"):
         fileio.tensor_from_b64("\u00e9" + text)
+
+
+@pytest.mark.parametrize(
+    "rows, tamper",
+    [
+        (1, lambda t: t[:8] + "!!!!" + t[8:]),
+        (1, lambda t: t[:20] + "\n" + t[20:]),
+        (1, lambda t: t + "AAAA"),
+        (2, lambda t: t + "AAAA"),
+        (3, lambda t: t + "="),
+        (3, lambda t: t + "=="),
+        (3, lambda t: t + "===="),
+    ],
+    ids=["non_alphabet", "line_break", "data_after_two_pads", "data_after_one_pad",
+         "one_excess_pad", "two_excess_pads", "a_group_of_pads"],
+)
+def test_tensor_text_out_of_strict_base64_is_a_value_error(rows, tamper):
+    """binascii's default decoder reads each tampered text as the tensor
+    it was made from; the loader refuses it.  A 1-, 2- or 3-row tensor of
+    two columns gives a text with 2, 1 or 0 padding characters."""
+    a = np.arange(rows * 2.0).reshape(rows, 2)
+    text = fileio.tensor_to_b64(a)
+    assert len(text) - len(text.rstrip("=")) == {1: 2, 2: 1, 3: 0}[rows]
+    bad = tamper(text)
+    assert np.array_equal(fileio.tensor_from_bytes(binascii.a2b_base64(bad))[0], a)
+    with pytest.raises(ValueError, match="^embedded tensor is not strict base64: "):
+        fileio.tensor_from_b64(bad)
+
+
+# Payload strings, biased to the characters json escapes; none holds the
+# writer's slot, which it refuses (see the test after next).
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters())
+).filter(lambda s: fileio._SLOT not in s)
+TENSOR_TEXT = st.binary(max_size=40).map(
+    lambda raw: fileio.TensorText(base64.b64encode(raw), "ascii")
+)
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT | TENSOR_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=PAYLOADS)
+def test_write_json_writes_the_bytes_json_dumps_gives(tmp_path_factory, payload):
+    """Tensor texts in dicts and in lists, strings that need escaping,
+    numbers, bools and None: the file is json.dumps(payload,
+    sort_keys=True) plus a newline, byte for byte."""
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    fileio.write_json(path, payload)
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+def test_a_written_qmodel_payload_leaves_no_tensor_text_alive(tmp_path):
+    """With the cyclic collector off, a qmodel payload that was written
+    and deleted is freed at once: none of its tensor texts is held by a
+    reference cycle of the writer's (a recursive closure was one, and held
+    the 2.3 MB of texts)."""
+    pcfg = PipelineConfig()
+    samples = generate_synthetic_samples(2, 8, seed=0, d_model=pcfg.model.d_model)
+    qm = mquant_quantize(build_toy_mllm(ToyMllmConfig()), pcfg, samples=samples)
+    path = tmp_path / "q.json"
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fileio.write_json(path, qmodel_to_dict(qm))
+        baseline = tracemalloc.get_traced_memory()[0]
+        payload = qmodel_to_dict(qm)
+        probe = payload["float_model"]["tensors"]["llm.0.wq.w"]
+        assert type(probe) is fileio.TensorText
+        total = sum(map(len, payload["float_model"]["tensors"].values()))
+        assert total > 2_000_000
+        fileio.write_json(path, payload)
+        del payload
+        assert sys.getrefcount(probe) == 2
+        del probe
+        assert tracemalloc.get_traced_memory()[0] - baseline < 64_000
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(object(), TypeError), (fileio._SLOT, ValueError), ('"' + fileio._SLOT, ValueError)],
+    ids=["not_json", "slot_string", "string_ending_in_the_slot"],
+)
+def test_a_payload_that_cannot_be_encoded_leaves_the_file_untouched(tmp_path, bad, error):
+    """Encoding finishes before the file is opened: a payload json cannot
+    encode, or one holding a string whose JSON text would read as a tensor
+    slot, creates no file and leaves an existing one as it was."""
+    payload = {"a": fileio.tensor_to_b64(np.ones((2, 2))), "b": [bad]}
+    fresh, kept = tmp_path / "new.json", tmp_path / "old.json"
+    kept.write_text("old\n")
+    for path in (fresh, kept):
+        with pytest.raises(error):
+            fileio.write_json(path, payload)
+    assert not fresh.exists() and kept.read_text() == "old\n"
 
 
 def test_bad_magic_rejected():

@@ -4,8 +4,8 @@ read, only the mask
 primitives take a mask, only the boundaries check their inputs, the
 forward's one interception point is act_fn, model_forward is the one
 forward driver, mquant_quantize is the one stage composer, only the
-composers copy a model, and every function the benchmark tracer looks up
-by name exists."""
+composers copy a model, only fileio writes a file or encodes JSON, and
+every function the benchmark tracer looks up by name exists."""
 
 import ast
 import importlib
@@ -335,6 +335,38 @@ def test_only_the_composers_copy_a_model():
         "pipeline.calibrate_pipeline": 1,
         "pipeline.apply_lossless_stack": 1,
     }
+
+
+# What writes a file: json's encoders, Path's whole-file writers, and an
+# open() whose mode writes.
+WRITERS = {"dumps", "dump", "write_text", "write_bytes"}
+
+
+def file_writes(tree: ast.Module) -> list:
+    """(line, call) of every call in tree that writes a file or encodes JSON."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in WRITERS:
+            found.append((node.lineno, name))
+        elif name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                found.append((node.lineno, "open"))
+    return found
+
+
+def test_artifacts_are_written_only_by_fileio():
+    """json.dumps, Path.write_text and an open() that writes appear in no
+    production module but fileio, so every artifact goes through its one
+    JSON writer (or its sample-batch writer)."""
+    writes = {module: file_writes(tree) for module, tree in module_trees(SRC).items()}
+    assert {name for _, name in writes.pop("fileio")} == {"dumps", "write_bytes", "open"}
+    assert {module: found for module, found in writes.items() if found} == {}
 
 
 def test_benchmark_trace_targets_resolve():

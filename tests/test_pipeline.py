@@ -117,7 +117,8 @@ def test_config_rejects_values_of_the_wrong_type(key, value):
 
 
 def test_config_stores_numpy_scalars_as_python_values():
-    pcfg = small_pcfg(seed=np.int64(3), group_size=np.int32(8), split_bits=None,
+    pcfg = small_pcfg(seed=np.int64(3), weight_granularity="per_group",
+                      group_size=np.int32(8), split_bits=None,
                       vision_weight_mean_bias=np.float32(0.5))
     d = pcfg.to_dict()
     assert (d["seed"], d["group_size"], d["vision_weight_mean_bias"]) == (3, 8, 0.5)
@@ -127,7 +128,7 @@ def test_config_stores_numpy_scalars_as_python_values():
 
 
 def test_config_roundtrip():
-    pcfg = small_pcfg(bits_w=4, rms=False, group_size=32)
+    pcfg = small_pcfg(bits_w=4, rms=False, weight_granularity="per_group", group_size=32)
     again = PipelineConfig.from_dict(pcfg.to_dict())
     assert again.to_dict() == pcfg.to_dict()
 
